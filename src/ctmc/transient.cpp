@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <optional>
 #include <string>
 
@@ -12,22 +11,12 @@
 #include "support/fox_glynn.hpp"
 #include "support/numerics.hpp"
 #include "support/parallel.hpp"
+#include "support/sweep.hpp"
 #include "support/telemetry.hpp"
 
 namespace unicon {
 
 namespace {
-
-/// Bit-exact double comparison for the locking criterion (see the matching
-/// helper in ctmdp/reachability.cpp: +0.0 == -0.0 would break the no-copy
-/// twin-buffer invariant).
-bool same_bits(double a, double b) {
-  std::uint64_t x = 0;
-  std::uint64_t y = 0;
-  std::memcpy(&x, &a, sizeof(x));
-  std::memcpy(&y, &b, sizeof(y));
-  return x == y;
-}
 
 /// Flat kernel of the uniformized jump matrix P = R / E with the residual
 /// mass kept implicitly on the diagonal.  The branching probabilities are
@@ -89,12 +78,6 @@ struct JumpKernel {
       }
     }
   }
-
-  /// States per should_abort_sweep() probe; the block structure leaves the
-  /// per-state accumulation order (and hence bit-identical results) alone.
-  /// Sized to keep the probe under ~2% of the sweep cost (see the matching
-  /// constant in ctmdp/reachability.cpp).
-  static constexpr std::size_t kGuardBlock = 4096;
 
   /// The incoming (forward) rows as a backend GatherView.
   GatherView forward_view() const {
@@ -231,7 +214,7 @@ struct JumpKernel {
           r = run_end;
         }
       }
-      if (upd != nullptr) upd[worker * std::size_t{8}] += swept;
+      if (upd != nullptr) upd[worker * kSlotStride] += swept;
       if (rows != nullptr) rows[worker]->add(swept);
     });
   }
@@ -242,27 +225,6 @@ struct JumpKernel {
     return resolved == Backend::Serial ? nullptr : &kernel_ops(resolved);
   }
 };
-
-/// Pre-resolved per-worker row counters (see the matching helper in
-/// ctmdp/reachability.cpp).  Empty (nullptr data) when telemetry is off.
-std::vector<Counter*> worker_row_counters(Telemetry* telemetry, unsigned workers) {
-  std::vector<Counter*> out;
-  if (telemetry == nullptr) return out;
-  out.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    out.push_back(&telemetry->counter("ctmc.rows.worker" + std::to_string(w)));
-  }
-  return out;
-}
-
-void require_finite(const std::vector<double>& values, const char* where) {
-  for (std::size_t s = 0; s < values.size(); ++s) {
-    if (!std::isfinite(values[s])) {
-      throw NumericError(std::string(where) + ": non-finite probability at state " +
-                         std::to_string(s) + " (NaN/Inf reached the iterate)");
-    }
-  }
-}
 
 double pick_rate(const Ctmc& chain, const TransientOptions& options) {
   const double max_rate = chain.max_exit_rate();
@@ -287,7 +249,8 @@ TransientResult transient_distribution(const Ctmc& chain, double t,
   const JumpKernel p(chain, e);
   const KernelOps* const ops = JumpKernel::ops_for(resolve_backend(options.backend));
   WorkerPool pool = make_worker_pool(options.threads, n);
-  const std::vector<Counter*> row_counters = worker_row_counters(options.telemetry, pool.size());
+  const std::vector<Counter*> row_counters =
+      worker_row_counters(options.telemetry, "ctmc.rows.worker", pool.size());
   Counter* const* const rows_out = row_counters.empty() ? nullptr : row_counters.data();
 
   std::vector<double> cur(n, 0.0);
@@ -368,210 +331,27 @@ TransientResult transient_distribution(const Ctmc& chain, double t,
   return result;
 }
 
-TransientResult timed_reachability(const Ctmc& chain, const BitVector& goal,
-                                   double t, const TransientOptions& options) {
-  if (t < 0.0) throw ModelError("timed_reachability: negative time bound");
-  if (goal.size() != chain.num_states()) {
-    throw ModelError("timed_reachability: goal vector size mismatch");
-  }
-  std::optional<Telemetry::Span> span;
-  if (options.telemetry != nullptr) span.emplace(options.telemetry->span("ctmc_reachability"));
-  const Ctmc absorbing = chain.make_absorbing(goal);
-  const std::size_t n = absorbing.num_states();
-  const double e = pick_rate(absorbing, options);
-  // Truncation policy (DESIGN.md Sec. 14): an engaged plan computes the
-  // window at epsilon/2 and may stop the iteration early once the folded
-  // tail error provably fits under the other epsilon/2.
-  const TruncationPlan plan = plan_truncation(options.truncation, e * t, options.epsilon);
-  const PoissonWindow& psi = plan.window;
-  const JumpKernel p(absorbing, e);
-  const KernelOps* const ops = JumpKernel::ops_for(resolve_backend(options.backend));
-  WorkerPool pool = make_worker_pool(options.threads, n);
-  const std::vector<Counter*> row_counters = worker_row_counters(options.telemetry, pool.size());
-  Counter* const* const rows_out = row_counters.empty() ? nullptr : row_counters.data();
+namespace {
 
-  // v_i(s) = probability to sit in B after i jumps of the absorbing chain.
-  std::vector<double> cur(n, 0.0);
-  std::vector<double> next(n, 0.0);
-  std::vector<double> acc(n, 0.0);
-  for (std::size_t s = 0; s < n; ++s) cur[s] = goal[s] ? 1.0 : 0.0;
-
-  // Convergence locking: the backward operator is time-invariant (the
-  // Poisson weight only scales the accumulation, never the sweep), so a
-  // row that reproduced its bits with every successor frozen is an exact
-  // fixpoint of its own relaxation from the very first step.  Values are
-  // bit-identical with locking on or off; only the work per sweep changes.
-  const bool locking = options.locking;
-  BitVector locked;
-  std::size_t locked_count = 0;
-  std::vector<std::vector<StateId>> cand;
-  if (locking) {
-    locked.assign(n, false);
-    cand.resize(pool.size());
-  }
-  std::vector<std::uint64_t> upd(pool.size() * std::size_t{8}, 0);
-
-  // Lyapunov certificate: u_i(s) = Pr_s(X_i not in B) bounds the remaining
-  // per-state distance v_inf - v_i, so once tail_mass(i+1) * sup u_{i+1}
-  // drops under stop_epsilon the whole unaccumulated window can be folded
-  // onto v_{i+1} at a provably bounded cost.
-  LyapunovSeries series(plan.stop_epsilon);
-  bool cert_active = plan.engaged();
-  std::uint64_t k_lyapunov = 0;
-  std::vector<double> u;
-  std::vector<double> u_next;
-  if (cert_active) {
-    u.assign(n, 0.0);
-    for (std::size_t s = 0; s < n; ++s) u[s] = goal[s] ? 0.0 : 1.0;
-    u_next.assign(n, 0.0);
-  }
-
-  RunGuard* const guard = options.guard;
-  std::atomic<bool> sweep_aborted{false};
-  RunStatus status = RunStatus::Converged;
-  double residual = plan.window_epsilon;
-
-  std::uint64_t executed = 0;
-  std::uint64_t early_step = 0;
-  for (std::uint64_t i = 0;; ++i) {
-    if (guard != nullptr && guard->poll() != RunStatus::Converged) {
-      status = guard->status();
-      residual = psi.tail_mass(i) + plan.window_epsilon;
-      break;
-    }
-    const double w = psi.psi(i);
-    if (w > 0.0) {
-      for (std::size_t s = 0; s < n; ++s) acc[s] += w * cur[s];
-    }
-    if (i >= psi.right()) break;
-    if (locking && locked_count == n && guard == nullptr && !options.early_termination &&
-        !cert_active) {
-      // Every row is frozen: P cur == cur bitwise, so the sweep and swap
-      // are provable no-ops.  Only the Poisson accumulation above still
-      // runs.  Gated off under a guard (the checkpoint span must see a
-      // fresh buffer) and under early termination (its delta probe reads
-      // both buffers) to keep those paths exactly on the historical code.
-      ++executed;
-      continue;
-    }
-    p.step_backward(cur, next, pool, guard, sweep_aborted, rows_out, ops,
-                    locking ? &locked : nullptr, locking ? &cand : nullptr, upd.data());
-    if (guard != nullptr && sweep_aborted.load(std::memory_order_relaxed)) {
-      status = guard->status();
-      residual = psi.tail_mass(i + 1) + plan.window_epsilon;
-      break;
-    }
-    ++executed;
-    if (locking) {
-      // Candidates were judged against the pre-sweep locked set on every
-      // worker; applying after the barrier keeps the set deterministic for
-      // every thread count.
-      for (std::vector<StateId>& c : cand) {
-        for (const StateId s : c) locked.set(s);
-        locked_count += c.size();
-        c.clear();
-      }
-    }
-    if (guard != nullptr) {
-      guard->checkpoint("ctmc_timed_reachability", executed, psi.right(),
-                        psi.tail_mass(i + 1) + plan.window_epsilon,
-                        std::span<double>(next.data(), next.size()));
-      if (locked_count != 0 && guard->wants_checkpoint(executed)) {
-        // The checkpoint span is externally writable, so the twin-buffer
-        // invariant of every locked row is void — drop all locks.
-        locked.assign(n, false);
-        locked_count = 0;
-      }
-    }
-    if (options.early_termination &&
-        max_abs_diff(cur, next) <= options.early_termination_delta) {
-      const double tail = psi.tail_mass(i + 1);
-      for (std::size_t s = 0; s < n; ++s) acc[s] += tail * next[s];
-      cur.swap(next);
-      residual += options.early_termination_delta;
-      early_step = executed;
-      break;
-    }
-    if (cert_active) {
-      // Advance the survival iterate u_{i+1} = P u_i; its sup bounds the
-      // per-state distance v_inf - v_{i+1} (absorption is monotone).
-      p.step_backward(u, u_next, pool, nullptr, sweep_aborted);
-      u.swap(u_next);
-      double ub = 0.0;
-      for (std::size_t s = 0; s < n; ++s) {
-        if (!(u[s] <= ub)) ub = u[s];  // NaN-latching sup
-      }
-      series.record(ub);
-      if (series.should_disengage(series.size())) {
-        // Not contracting within the probe budget — stop paying for the
-        // second sweep; the run continues on the pure window schedule.
-        cert_active = false;
-        u = std::vector<double>();
-        u_next = std::vector<double>();
-      } else {
-        const double tail = psi.tail_mass(i + 1);
-        if (tail * ub <= plan.stop_epsilon) {
-          // sum_{j>i} psi(j) (v_j - v_{i+1}) <= tail * sup u_{i+1}: fold
-          // the whole remaining window onto v_{i+1} and stop.
-          for (std::size_t s = 0; s < n; ++s) acc[s] += tail * next[s];
-          cur.swap(next);
-          residual += tail * ub;
-          k_lyapunov = executed;
-          break;
-        }
-      }
-    }
-    cur.swap(next);
-  }
-
-  require_finite(acc, "timed_reachability");
-  for (std::size_t s = 0; s < n; ++s) acc[s] = goal[s] ? 1.0 : clamp01(acc[s]);
-  TransientResult result{std::move(acc), psi.right(), executed, e};
-  result.status = status;
-  result.residual_bound = residual;
-  result.truncation = plan.resolved;
-  result.k_lyapunov = k_lyapunov;
-  result.locked_final = locked_count;
-  for (std::size_t wkr = 0; wkr < pool.size(); ++wkr) {
-    result.state_updates += upd[wkr * std::size_t{8}];
-  }
-  if (span) {
-    span->metric("states", n);
-    span->metric("uniform_rate", e);
-    span->metric("lambda", e * t);
-    span->metric("poisson_left", psi.left());
-    span->metric("poisson_right", psi.right());
-    span->metric("poisson_width", psi.right() - psi.left() + 1);
-    span->metric("iterations_planned", psi.right());
-    span->metric("iterations_executed", executed);
-    span->metric("early_termination_step", early_step);
-    span->metric("threads", pool.size());
-    span->metric("residual_bound", residual);
-    span->metric("truncation.k_fox_glynn", plan.fox_glynn_right);
-    span->metric("truncation.k_effective", executed);
-    span->metric("truncation.k_lyapunov", k_lyapunov);
-    span->metric("truncation.locked_final", result.locked_final);
-    span->metric("truncation.state_updates", result.state_updates);
-  }
-  return result;
-}
-
-std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const BitVector& goal,
-                                                      const std::vector<double>& times,
-                                                      const TransientOptions& options) {
-  for (const double t : times) {
-    if (!(t >= 0.0)) throw ModelError("timed_reachability_batch: negative time bound");
-  }
-  if (goal.size() != chain.num_states()) {
-    throw ModelError("timed_reachability_batch: goal vector size mismatch");
-  }
+/// Multi-horizon timed reachability over one shared uniformization run.
+/// The step vectors v_i (probability to sit in B after i jumps of the
+/// absorbing uniformized chain) do not depend on the time bound — only the
+/// Poisson weights do — so one shared sweep sequence serves every horizon
+/// exactly: per horizon and step these are the very multiply-adds of a
+/// solve of that bound alone, while the matrix work is paid once
+/// (DESIGN.md Sec. 11).  @p single selects the `ctmc_reachability` span of
+/// a one-horizon solve over the `ctmc_reachability_batch` tree.
+std::vector<TransientResult> reach_horizons(const Ctmc& chain, const BitVector& goal,
+                                            const std::vector<double>& times,
+                                            const TransientOptions& options, bool single) {
   const std::size_t num_horizons = times.size();
   std::vector<TransientResult> results(num_horizons);
   if (num_horizons == 0) return results;
 
   std::optional<Telemetry::Span> span;
   if (options.telemetry != nullptr) {
-    span.emplace(options.telemetry->span("ctmc_reachability_batch"));
+    span.emplace(
+        options.telemetry->span(single ? "ctmc_reachability" : "ctmc_reachability_batch"));
   }
   const Ctmc absorbing = chain.make_absorbing(goal);
   const std::size_t n = absorbing.num_states();
@@ -579,15 +359,10 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
   const JumpKernel p(absorbing, e);
   const KernelOps* const ops = JumpKernel::ops_for(resolve_backend(options.backend));
   WorkerPool pool = make_worker_pool(options.threads, n);
-  const std::vector<Counter*> row_counters = worker_row_counters(options.telemetry, pool.size());
+  const std::vector<Counter*> row_counters =
+      worker_row_counters(options.telemetry, "ctmc.rows.worker", pool.size());
   Counter* const* const rows_out = row_counters.empty() ? nullptr : row_counters.data();
 
-  // The step vectors v_i (probability to sit in B after i jumps of the
-  // absorbing uniformized chain) do not depend on the time bound — only
-  // the Poisson weights do.  One shared sweep sequence therefore serves
-  // every horizon exactly: per horizon and step these are the very
-  // multiply-adds of its single-t run, so batch answers are bit-identical
-  // to single runs while the matrix work is paid once (DESIGN.md Sec. 11).
   struct Horizon {
     PoissonWindow psi;
     bool done = false;
@@ -596,7 +371,10 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
     double residual = 0.0;
     RunStatus status = RunStatus::Converged;
     std::vector<double> acc;
-    // Per-horizon truncation plan (the shared iterate serves every window).
+    // Per-horizon truncation plan (DESIGN.md Sec. 14; the shared iterate
+    // serves every window).  An engaged plan computes the window at
+    // epsilon/2 and may fold the tail once the folded error provably fits
+    // under the other epsilon/2.
     double window_epsilon = 0.0;
     std::uint64_t fox_glynn_right = 0;
     bool engaged = false;
@@ -626,10 +404,12 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
   std::vector<double> next(n, 0.0);
   for (std::size_t s = 0; s < n; ++s) cur[s] = goal[s] ? 1.0 : 0.0;
 
-  // Shared locking state (the batch shares one iterate, hence one frozen
-  // set) and the shared survival record: u_i is a pure function of the
-  // kernel, so one iterate serves every engaged horizon and each horizon's
-  // fold decision is bit-identical to its single-t run's.
+  // Convergence locking: the backward operator is time-invariant (the
+  // Poisson weight only scales the accumulation, never the sweep), so a row
+  // that reproduced its bits with every successor frozen is an exact
+  // fixpoint of its own relaxation from the very first step.  The horizons
+  // share one iterate, hence one frozen set; values are bit-identical with
+  // locking on or off.
   const bool locking = options.locking;
   BitVector locked;
   std::size_t locked_count = 0;
@@ -638,12 +418,17 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
     locked.assign(n, false);
     cand.resize(pool.size());
   }
-  std::vector<std::uint64_t> upd(pool.size() * std::size_t{8}, 0);
+  std::vector<std::uint64_t> upd(pool.size() * kSlotStride, 0);
   auto upd_total = [&] {
     std::uint64_t total = 0;
-    for (std::size_t wkr = 0; wkr < pool.size(); ++wkr) total += upd[wkr * std::size_t{8}];
+    for (std::size_t wkr = 0; wkr < pool.size(); ++wkr) total += upd[wkr * kSlotStride];
     return total;
   };
+  // Lyapunov certificate: u_i(s) = Pr_s(X_i not in B) bounds the remaining
+  // per-state distance v_inf - v_i, so once tail_mass(i+1) * sup u_{i+1}
+  // drops under epsilon/2 a horizon's whole unaccumulated window can be
+  // folded onto v_{i+1} at a provably bounded cost.  u_i is a pure function
+  // of the kernel, so one iterate serves every engaged horizon.
   LyapunovSeries series(options.epsilon / 2.0);
   bool cert_active = any_engaged;
   std::vector<double> u;
@@ -658,17 +443,26 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
   std::atomic<bool> sweep_aborted{false};
   std::uint64_t executed = 0;
   std::size_t remaining = num_horizons;
+  // Finishes horizon @p h at the current shared step.
+  auto close = [&](Horizon& h) {
+    h.executed = executed;
+    h.state_updates = upd_total();
+    h.locked_final = locked_count;
+    h.done = true;
+  };
+  // Closes every still-open horizon on a guard stop with the window mass
+  // from step @p from on unaccumulated.
+  auto stop_open = [&](std::uint64_t from) {
+    for (Horizon& h : horizons) {
+      if (h.done) continue;
+      h.status = guard->status();
+      h.residual = h.psi.tail_mass(from) + h.window_epsilon;
+      close(h);
+    }
+  };
   for (std::uint64_t i = 0; remaining > 0; ++i) {
     if (guard != nullptr && guard->poll() != RunStatus::Converged) {
-      for (Horizon& h : horizons) {
-        if (h.done) continue;
-        h.status = guard->status();
-        h.residual = h.psi.tail_mass(i) + h.window_epsilon;
-        h.executed = executed;
-        h.state_updates = upd_total();
-        h.locked_final = locked_count;
-        h.done = true;
-      }
+      stop_open(i);
       break;
     }
     for (Horizon& h : horizons) {
@@ -679,10 +473,7 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
         for (std::size_t s = 0; s < n; ++s) acc[s] += w * cur[s];
       }
       if (i >= h.psi.right()) {
-        h.executed = executed;
-        h.state_updates = upd_total();
-        h.locked_final = locked_count;
-        h.done = true;
+        close(h);
         --remaining;
       }
     }
@@ -695,37 +486,54 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
     }();
     if (locking && locked_count == n && guard == nullptr && !options.early_termination &&
         !cert_open) {
-      // Every row frozen: the sweep and swap are provable no-ops (see the
-      // single-horizon engine); only the accumulations above still run.
+      // Every row is frozen: P cur == cur bitwise, so the sweep and swap are
+      // provable no-ops; only the Poisson accumulations above still run.
+      // Gated off under a guard (a published checkpoint must see a fresh
+      // buffer) and under early termination (its delta probe reads both
+      // buffers).
       ++executed;
       continue;
     }
     p.step_backward(cur, next, pool, guard, sweep_aborted, rows_out, ops,
                     locking ? &locked : nullptr, locking ? &cand : nullptr, upd.data());
     if (guard != nullptr && sweep_aborted.load(std::memory_order_relaxed)) {
-      for (Horizon& h : horizons) {
-        if (h.done) continue;
-        h.status = guard->status();
-        h.residual = h.psi.tail_mass(i + 1) + h.window_epsilon;
-        h.executed = executed;
-        h.state_updates = upd_total();
-        h.locked_final = locked_count;
-        h.done = true;
-      }
+      stop_open(i + 1);
       break;
     }
     ++executed;
     if (locking) {
+      // Candidates were judged against the pre-sweep locked set on every
+      // worker; applying after the barrier keeps the set deterministic for
+      // every thread count.
       for (std::vector<StateId>& c : cand) {
         for (const StateId s : c) locked.set(s);
         locked_count += c.size();
         c.clear();
       }
     }
+    if (guard != nullptr && guard->wants_checkpoint(executed)) {
+      // The one shared iterate is published once per step, under the
+      // largest open plan and the loosest open residual.
+      std::uint64_t planned = 0;
+      double residual = 0.0;
+      for (const Horizon& h : horizons) {
+        if (h.done) continue;
+        planned = std::max(planned, h.psi.right());
+        residual = std::max(residual, h.psi.tail_mass(i + 1) + h.window_epsilon);
+      }
+      guard->checkpoint("ctmc_timed_reachability", executed, planned, residual,
+                        std::span<double>(next.data(), next.size()));
+      // The checkpoint span is externally writable, so the twin-buffer
+      // invariant of every locked row is void — drop all locks.
+      if (locked_count != 0) {
+        locked.assign(n, false);
+        locked_count = 0;
+      }
+    }
     if (options.early_termination &&
         max_abs_diff(cur, next) <= options.early_termination_delta) {
-      // Every still-open horizon's single-t run would fire here too: the
-      // shared vector sequence makes the first qualifying step identical.
+      // Every still-open horizon fires here: the shared vector sequence
+      // makes the first qualifying step the same for all of them.
       for (Horizon& h : horizons) {
         if (h.done) continue;
         const double tail = h.psi.tail_mass(i + 1);
@@ -733,15 +541,14 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
         for (std::size_t s = 0; s < n; ++s) acc[s] += tail * next[s];
         h.residual += options.early_termination_delta;
         h.early_step = executed;
-        h.executed = executed;
-        h.state_updates = upd_total();
-        h.locked_final = locked_count;
-        h.done = true;
+        close(h);
       }
       cur.swap(next);
       break;
     }
     if (cert_open) {
+      // Advance the survival iterate u_{i+1} = P u_i; its sup bounds the
+      // per-state distance v_inf - v_{i+1} (absorption is monotone).
       p.step_backward(u, u_next, pool, nullptr, sweep_aborted);
       u.swap(u_next);
       double ub = 0.0;
@@ -750,9 +557,8 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
       }
       series.record(ub);
       if (series.should_disengage(series.size())) {
-        // All horizons share the survival record, so the probe-cap
-        // disengage fires for every one of them at exactly the step its
-        // single-t run would disengage at.
+        // Not contracting within the probe budget — stop paying for the
+        // second sweep; every horizon continues on its pure window.
         cert_active = false;
         u = std::vector<double>();
         u_next = std::vector<double>();
@@ -761,14 +567,13 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
           if (h.done || !h.engaged) continue;
           const double tail = h.psi.tail_mass(i + 1);
           if (tail * ub <= options.epsilon / 2.0) {
+            // sum_{j>i} psi(j) (v_j - v_{i+1}) <= tail * sup u_{i+1}: fold
+            // the whole remaining window onto v_{i+1}.
             double* acc = h.acc.data();
             for (std::size_t s = 0; s < n; ++s) acc[s] += tail * next[s];
             h.residual += tail * ub;
             h.k_lyapunov = executed;
-            h.executed = executed;
-            h.state_updates = upd_total();
-            h.locked_final = locked_count;
-            h.done = true;
+            close(h);
             --remaining;
           }
         }
@@ -791,38 +596,77 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
     r.truncation = h.resolved;
     r.k_lyapunov = h.k_lyapunov;
     // Shared sweeps: per horizon this counts the relaxations performed
-    // while that horizon was still open (a single-t run of the same
-    // horizon owns all of its sweeps, so the counts are work metrics, not
-    // part of the bit-identity contract).
+    // while that horizon was still open (work metrics, not part of the
+    // bit-identity contract).
     r.state_updates = h.state_updates;
     r.locked_final = h.locked_final;
     results[j] = std::move(r);
   }
-  if (span) {
-    span->metric("states", n);
-    span->metric("uniform_rate", e);
-    span->metric("horizons", num_horizons);
-    span->metric("iterations_planned_max", right_max);
-    span->metric("iterations_executed", executed);
+  if (!span) return results;
+  span->metric("states", n);
+  span->metric("uniform_rate", e);
+  if (single) {
+    const Horizon& h = horizons[0];
+    span->metric("lambda", e * times[0]);
+    span->metric("poisson_left", h.psi.left());
+    span->metric("poisson_right", h.psi.right());
+    span->metric("poisson_width", h.psi.right() - h.psi.left() + 1);
+    span->metric("iterations_planned", h.psi.right());
+    span->metric("iterations_executed", h.executed);
+    span->metric("early_termination_step", h.early_step);
     span->metric("threads", pool.size());
-    for (std::size_t j = 0; j < num_horizons; ++j) {
-      const Horizon& h = horizons[j];
-      Telemetry::Span hspan = options.telemetry->span("ctmc_reachability_batch.horizon");
-      hspan.metric("t", times[j]);
-      hspan.metric("lambda", e * times[j]);
-      hspan.metric("poisson_left", h.psi.left());
-      hspan.metric("poisson_right", h.psi.right());
-      hspan.metric("iterations_executed", h.executed);
-      hspan.metric("early_termination_step", h.early_step);
-      hspan.metric("residual_bound", results[j].residual_bound);
-      hspan.metric("truncation.k_fox_glynn", h.fox_glynn_right);
-      hspan.metric("truncation.k_effective", h.executed);
-      hspan.metric("truncation.k_lyapunov", h.k_lyapunov);
-      hspan.metric("truncation.locked_final", h.locked_final);
-      hspan.metric("truncation.state_updates", h.state_updates);
-    }
+    span->metric("residual_bound", h.residual);
+    span->metric("truncation.k_fox_glynn", h.fox_glynn_right);
+    span->metric("truncation.k_effective", h.executed);
+    span->metric("truncation.k_lyapunov", h.k_lyapunov);
+    span->metric("truncation.locked_final", h.locked_final);
+    span->metric("truncation.state_updates", h.state_updates);
+    return results;
+  }
+  span->metric("horizons", num_horizons);
+  span->metric("iterations_planned_max", right_max);
+  span->metric("iterations_executed", executed);
+  span->metric("threads", pool.size());
+  for (std::size_t j = 0; j < num_horizons; ++j) {
+    const Horizon& h = horizons[j];
+    Telemetry::Span hspan = options.telemetry->span("ctmc_reachability_batch.horizon");
+    hspan.metric("t", times[j]);
+    hspan.metric("lambda", e * times[j]);
+    hspan.metric("poisson_left", h.psi.left());
+    hspan.metric("poisson_right", h.psi.right());
+    hspan.metric("iterations_executed", h.executed);
+    hspan.metric("early_termination_step", h.early_step);
+    hspan.metric("residual_bound", results[j].residual_bound);
+    hspan.metric("truncation.k_fox_glynn", h.fox_glynn_right);
+    hspan.metric("truncation.k_effective", h.executed);
+    hspan.metric("truncation.k_lyapunov", h.k_lyapunov);
+    hspan.metric("truncation.locked_final", h.locked_final);
+    hspan.metric("truncation.state_updates", h.state_updates);
   }
   return results;
+}
+
+}  // namespace
+
+TransientResult timed_reachability(const Ctmc& chain, const BitVector& goal, double t,
+                                   const TransientOptions& options) {
+  if (!(t >= 0.0)) throw ModelError("timed_reachability: negative time bound");
+  if (goal.size() != chain.num_states()) {
+    throw ModelError("timed_reachability: goal vector size mismatch");
+  }
+  return std::move(reach_horizons(chain, goal, {t}, options, true)[0]);
+}
+
+std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const BitVector& goal,
+                                                      const std::vector<double>& times,
+                                                      const TransientOptions& options) {
+  for (const double t : times) {
+    if (!(t >= 0.0)) throw ModelError("timed_reachability_batch: negative time bound");
+  }
+  if (goal.size() != chain.num_states()) {
+    throw ModelError("timed_reachability_batch: goal vector size mismatch");
+  }
+  return reach_horizons(chain, goal, times, options, false);
 }
 
 TransientResult interval_reachability(const Ctmc& chain, const BitVector& goal,
@@ -854,7 +698,8 @@ TransientResult interval_reachability(const Ctmc& chain, const BitVector& goal,
   const JumpKernel p(chain, e);
   const KernelOps* const ops = JumpKernel::ops_for(resolve_backend(options.backend));
   WorkerPool pool = make_worker_pool(options.threads, n);
-  const std::vector<Counter*> row_counters = worker_row_counters(options.telemetry, pool.size());
+  const std::vector<Counter*> row_counters =
+      worker_row_counters(options.telemetry, "ctmc.rows.worker", pool.size());
   Counter* const* const rows_out = row_counters.empty() ? nullptr : row_counters.data();
 
   std::vector<double> cur = std::move(phase_a.probabilities);

@@ -112,7 +112,8 @@ TransientResult transient_distribution(const Ctmc& chain, double t,
 
 /// For every state s: probability to reach (and possibly leave again —
 /// prevented by making @p goal absorbing internally) a goal state within
-/// @p t time units, Pr(s, <=t, B).
+/// @p t time units, Pr(s, <=t, B).  The batch solve below with the single
+/// horizon @p t.
 TransientResult timed_reachability(const Ctmc& chain, const BitVector& goal,
                                    double t, const TransientOptions& options = {});
 
@@ -125,7 +126,8 @@ TransientResult timed_reachability(const Ctmc& chain, const BitVector& goal,
 /// termination) is bit-identical to an independent
 /// `timed_reachability(chain, goal, times[j], options)` call.  A guard
 /// stop finalizes the unfinished horizons with their own sound residual
-/// bounds; guard checkpoints are not published from batch solves.
+/// bounds.  The shared iterate is published as one guard checkpoint per
+/// step, under the largest open planned count and residual.
 std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const BitVector& goal,
                                                       const std::vector<double>& times,
                                                       const TransientOptions& options = {});

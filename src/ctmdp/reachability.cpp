@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <optional>
 #include <string>
 
@@ -12,6 +11,7 @@
 #include "support/fox_glynn.hpp"
 #include "support/numerics.hpp"
 #include "support/parallel.hpp"
+#include "support/sweep.hpp"
 #include "support/telemetry.hpp"
 
 namespace unicon {
@@ -23,13 +23,6 @@ void check_inputs(const Ctmdp& model, const BitVector& goal) {
     throw ModelError("timed_reachability: goal vector size mismatch");
   }
 }
-
-/// States checked per should_abort_sweep() probe inside a parallel sweep;
-/// the strip-mined block structure leaves the per-state arithmetic (and
-/// hence bit-identical results) untouched.  Sized so the probe (an atomic
-/// load plus, with a deadline armed, a clock read) stays under ~2% of the
-/// sweep cost while still stopping a sweep within tens of microseconds.
-constexpr std::size_t kGuardBlock = 4096;
 
 /// Sound per-state error bound when the backward iteration stops before
 /// executing step index @p next_i, leaving the iterate q_{next_i+1} in hand.
@@ -53,86 +46,6 @@ double partial_residual(const PoissonWindow& psi, std::uint64_t next_i, double e
   return std::min(bound, 1.0);
 }
 
-/// Pre-resolved per-worker row counters ("<prefix><worker>"), so the sweep
-/// lambdas touch the registry lock-free: one relaxed fetch_add per worker
-/// per sweep.  Empty (nullptr data) when telemetry is off.
-std::vector<Counter*> worker_row_counters(Telemetry* telemetry, const std::string& prefix,
-                                          unsigned workers) {
-  std::vector<Counter*> out;
-  if (telemetry == nullptr) return out;
-  out.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    out.push_back(&telemetry->counter(prefix + std::to_string(w)));
-  }
-  return out;
-}
-
-void require_finite_values(const std::vector<double>& values, const char* where) {
-  for (std::size_t s = 0; s < values.size(); ++s) {
-    if (!std::isfinite(values[s])) {
-      throw NumericError(std::string(where) + ": non-finite value in iterate at state " +
-                         std::to_string(s));
-    }
-  }
-}
-
-/// The dense (simd) engine's bridge between its compacted iterate and the
-/// full-state vectors of the external contract (checkpoint spans, resume
-/// iterates, final values).  The dense iterate holds only the relaxed rows;
-/// all goal states share the scalar goal value G (uniform by construction,
-/// see DenseKernel's header comment) and avoided states are pinned 0.0.
-struct DenseBridge {
-  const DenseKernel& kernel;
-  const BitVector& goal;
-
-  /// full[s] = G for goal states, dq[row(s)] for dense states, 0 otherwise.
-  void materialize(const std::vector<double>& dq, double goal_value,
-                   std::vector<double>& full) const {
-    const std::size_t n = kernel.dense_index.size();
-    for (std::size_t s = 0; s < n; ++s) full[s] = goal[s] ? goal_value : 0.0;
-    for (std::uint64_t r = 0; r < kernel.num_rows(); ++r) {
-      full[kernel.dense_state[r]] = dq[r];
-    }
-  }
-
-  /// Inverse of materialize on an externally writable full vector (resume
-  /// input, post-checkpoint iterate).  The goal value is read back from the
-  /// lowest-indexed goal state: the engine maintains the goal iterate as a
-  /// single scalar, so a checkpoint writer that splits the goal states
-  /// apart is collapsed onto that representative (the serial engine would
-  /// propagate such a split per state; DESIGN.md Sec. 10 records this
-  /// contract difference).
-  double ingest(const std::vector<double>& full, std::vector<double>& dq) const {
-    for (std::uint64_t r = 0; r < kernel.num_rows(); ++r) {
-      dq[r] = full[kernel.dense_state[r]];
-    }
-    const std::size_t g0 = goal.next_set(0);
-    return g0 == BitVector::npos ? 0.0 : full[g0];
-  }
-
-  /// Scatters a dense decision row (original transition ids) into a
-  /// full-state row; goal/avoided states keep kNoTransition.
-  std::vector<std::uint64_t> expand_decisions(const std::vector<std::uint64_t>& ddec) const {
-    std::vector<std::uint64_t> full(kernel.dense_index.size(), kNoTransition);
-    for (std::uint64_t r = 0; r < kernel.num_rows(); ++r) {
-      full[kernel.dense_state[r]] = ddec[r];
-    }
-    return full;
-  }
-};
-
-/// Bit-exact double comparison for the locking criterion.  `==` is not
-/// enough: +0.0 == -0.0 compares true while the two buffers would hold
-/// different bit patterns, breaking the no-copy invariant that a locked
-/// row's value is identical in both double-buffers forever after.
-bool same_bits(double a, double b) {
-  std::uint64_t x = 0;
-  std::uint64_t y = 0;
-  std::memcpy(&x, &a, sizeof(x));
-  std::memcpy(&y, &b, sizeof(y));
-  return x == y;
-}
-
 /// NaN-latching max over per-worker slots.  WorkerPool::reduce_max drops
 /// NaN (a > comparison); the survival sup must propagate it so a poisoned
 /// certificate can never certify a stop.
@@ -144,213 +57,689 @@ double reduce_max_latch(const std::vector<WorkerPool::Slot>& slots) {
   return value;
 }
 
-/// Advances the Lyapunov survival iterate u <- N u over the serial kernel
-/// and returns sup u.  N maximizes over every transition regardless of the
-/// solve's objective: |opt_a f_a - opt_a g_a| <= max_a |f_a - g_a| for
-/// both optimizations, so the max operator dominates the displacement
-/// either one can propagate.  Goal/avoided entries stay exactly 0 (their
-/// rows are pinned and u starts 0 there).
-double survival_step_serial(const DiscreteKernel& kernel, const BitVector& goal,
-                            const BitVector& avoid, WorkerPool& pool,
-                            std::vector<WorkerPool::Slot>& slots, const std::vector<double>& u,
-                            std::vector<double>& u_next) {
-  pool.run(u.size(), [&](unsigned worker, std::size_t begin, std::size_t end) {
-    const double* x = u.data();
-    double local = 0.0;
-    for (std::size_t s = begin; s < end; ++s) {
-      if (goal[s] || (!avoid.empty() && avoid[s])) {
-        u_next[s] = 0.0;
-        continue;
-      }
-      const std::uint64_t first = kernel.state_first[s];
-      const std::uint64_t last = kernel.state_first[s + 1];
-      double best = 0.0;
-      for (std::uint64_t tr = first; tr < last; ++tr) {
-        const double acc = kernel.transition_value(tr, 0.0, x);
-        if (!(acc <= best)) best = acc;  // NaN-latching
-      }
-      u_next[s] = best;
-      if (!(best <= local)) local = best;
-    }
-    slots[worker].value = local;
-  });
-  return reduce_max_latch(slots);
-}
+// ---------------------------------------------------------------------------
+// Row engines.  An engine owns the layout of the iterate the sweep below
+// double-buffers and the kernel its rows relax; everything external (resume
+// and checkpoint vectors, final values, decision rows) is full-state, so
+// partial results interoperate across engines.  Interface:
+//   rows()                      iterate length
+//   kGoalFolded                 relax with G_g = psi(g) + G_{g+1} instead of psi(g)
+//   relax(w, q, out, dec, begin, end, locked, cand, swept)
+//                               one block of rows; NaN-latching sup |out - q|
+//   survival_start(u) / survival_step(pool, slots, u, u_next)
+//                               Lyapunov survival iterate (DESIGN.md Sec. 14)
+//   expose(q, G, scratch)       full-state view of an iterate (writable)
+//   ingest(full, q)             loads a full-state vector, returns its goal value
+//   decisions(dec)              full-state decision row
+//   finish(q, G, partial, r)    final values (and the resumable iterate)
 
-/// Dense-engine survival step: relax with zero goal weight, always
-/// maximizing, then sup-reduce the advanced iterate (relax_rows reports a
-/// delta, not a sup, hence the explicit pass).
-double survival_step_dense(const KernelOps& ops, const DenseKernelView& view, WorkerPool& pool,
-                           std::vector<WorkerPool::Slot>& slots, const std::vector<double>& u,
-                           std::vector<double>& u_next) {
-  pool.run(u.size(), [&](unsigned worker, std::size_t begin, std::size_t end) {
-    if (begin < end) {
-      ops.relax_rows(view, 0.0, true, u.data(), u_next.data(), nullptr, begin, end);
-    }
-    double local = 0.0;
-    for (std::size_t r = begin; r < end; ++r) {
-      if (!(u_next[r] <= local)) local = u_next[r];
-    }
-    slots[worker].value = local;
-  });
-  return reduce_max_latch(slots);
-}
+/// Serial backend: a full-state iterate over DiscreteKernel relaxed by the
+/// historical open-coded rows (strictly sequential per-transition
+/// accumulation, bit-identical to the pre-backend solver).  Goal states keep
+/// their own entries q_i = psi(i) + q_{i+1}; avoided states are pinned 0.
+class SerialRows {
+ public:
+  static constexpr bool kGoalFolded = false;
 
-/// Closure half of the locking criterion for a serial row: every successor
-/// lies in locked or is the row itself.  Together with bitwise value
-/// equality (and a zero Poisson weight below the window) the row's next
-/// relaxation provably reproduces the same bits, so it can be skipped.
-bool serial_row_closed(const DiscreteKernel& kernel, const BitVector& locked, StateId s) {
-  const std::uint64_t t_first = kernel.state_first[s];
-  const std::uint64_t t_last = kernel.state_first[s + 1];
-  for (std::uint64_t tr = t_first; tr < t_last; ++tr) {
-    const std::uint64_t last = kernel.entry_first[tr + 1];
-    for (std::uint64_t j = kernel.entry_first[tr]; j < last; ++j) {
-      const std::uint32_t c = kernel.col[j];
-      if (c != s && !locked[c]) return false;
+  SerialRows(const DiscreteKernel& kernel, const BitVector& goal, const BitVector& avoid,
+             bool maximize)
+      : kernel_(kernel), goal_(goal), avoid_(avoid), maximize_(maximize) {}
+
+  std::size_t rows() const { return goal_.size(); }
+
+  double relax(double w, const double* q, double* out, std::uint64_t* dec, std::size_t begin,
+               std::size_t end, const BitVector* locked, std::vector<StateId>* cand,
+               std::uint64_t& swept) const {
+    const DiscreteKernel& kernel = kernel_;
+    const bool maximize = maximize_;
+    // Word pointer hoisted: the candidate push_back is an opaque call, so
+    // the compiler would otherwise re-derive it from `locked` every row.
+    const std::uint64_t* const frozen = locked != nullptr ? locked->words().data() : nullptr;
+    double delta = 0.0;
+    std::uint64_t rows = 0;
+    for (StateId s = begin; s < end; ++s) {
+      if (frozen != nullptr && ((frozen[s >> 6] >> (s & 63)) & 1u)) continue;  // buffers agree
+      ++rows;
+      if (goal_[s]) {
+        out[s] = w + q[s];
+        if (dec != nullptr) dec[s] = kNoTransition;
+        if (cand != nullptr && same_bits(out[s], q[s])) cand->push_back(s);
+      } else if (avoided(s)) {
+        out[s] = 0.0;
+        if (dec != nullptr) dec[s] = kNoTransition;
+        if (cand != nullptr && same_bits(0.0, q[s])) cand->push_back(s);
+      } else {
+        const std::uint64_t first = kernel.state_first[s];
+        const std::uint64_t last = kernel.state_first[s + 1];
+        double best = first == last ? 0.0 : (maximize ? -1.0 : 2.0);
+        std::uint64_t best_t = kNoTransition;
+        for (std::uint64_t tr = first; tr < last; ++tr) {
+          const double acc = kernel.transition_value(tr, w, q);
+          if (maximize ? acc > best : acc < best) {
+            best = acc;
+            best_t = tr;
+          }
+        }
+        // NaN-capturing max: identical to std::max for finite deltas
+        // (bit-identical results) but latches NaN, which std::max would
+        // silently drop.
+        const double dev = std::fabs(best - q[s]);
+        if (!(dev <= delta)) delta = dev;
+        out[s] = best;
+        if (dec != nullptr) dec[s] = best_t;
+        if (cand != nullptr && same_bits(best, q[s]) && closed(*locked, s)) cand->push_back(s);
+      }
+    }
+    swept += rows;
+    return delta;
+  }
+
+  void survival_start(std::vector<double>& u) const {
+    u.assign(rows(), 0.0);
+    for (StateId s = 0; s < u.size(); ++s) u[s] = (goal_[s] || avoided(s)) ? 0.0 : 1.0;
+  }
+
+  /// Advances the survival iterate u <- N u and returns sup u.  N maximizes
+  /// over every transition regardless of the solve's objective:
+  /// |opt_a f_a - opt_a g_a| <= max_a |f_a - g_a| for both optimizations,
+  /// so the max operator dominates the displacement either one can
+  /// propagate.  Goal/avoided entries stay exactly 0.
+  double survival_step(WorkerPool& pool, std::vector<WorkerPool::Slot>& slots,
+                       const std::vector<double>& u, std::vector<double>& u_next) const {
+    pool.run(u.size(), [&](unsigned worker, std::size_t begin, std::size_t end) {
+      const DiscreteKernel& kernel = kernel_;
+      const double* x = u.data();
+      double local = 0.0;
+      for (std::size_t s = begin; s < end; ++s) {
+        if (goal_[s] || (!avoid_.empty() && avoid_[s])) {
+          u_next[s] = 0.0;
+          continue;
+        }
+        const std::uint64_t first = kernel.state_first[s];
+        const std::uint64_t last = kernel.state_first[s + 1];
+        double best = 0.0;
+        for (std::uint64_t tr = first; tr < last; ++tr) {
+          const double acc = kernel.transition_value(tr, 0.0, x);
+          if (!(acc <= best)) best = acc;  // NaN-latching
+        }
+        u_next[s] = best;
+        if (!(best <= local)) local = best;
+      }
+      slots[worker].value = local;
+    });
+    return reduce_max_latch(slots);
+  }
+
+  std::vector<double>& expose(std::vector<double>& q, double, std::vector<double>&) const {
+    return q;
+  }
+  double ingest(const std::vector<double>& full, std::vector<double>& q) const {
+    q = full;  // self-assignment (a checkpoint round trip) is a no-op
+    return 0.0;
+  }
+  const std::vector<std::uint64_t>& decisions(const std::vector<std::uint64_t>& dec) const {
+    return dec;
+  }
+
+  void finish(std::vector<double>& q, double, bool partial, TimedReachabilityResult& r) const {
+    require_finite(q, "timed_reachability");
+    if (partial) r.iterate = q;  // raw iterate, resumable
+    r.values = std::move(q);
+    for (StateId s = 0; s < r.values.size(); ++s) {
+      r.values[s] = goal_[s] ? 1.0 : clamp01(r.values[s]);
     }
   }
-  return true;
-}
 
-/// Dense-row variant of serial_row_closed (columns are dense indices).
-bool dense_row_closed(const DenseKernelView& view, const BitVector& locked, std::size_t r) {
-  const std::uint64_t t_first = view.row_first[r];
-  const std::uint64_t t_last = view.row_first[r + 1];
-  for (std::uint64_t tr = t_first; tr < t_last; ++tr) {
-    const std::uint64_t last = view.entry_first[tr + 1];
-    for (std::uint64_t j = view.entry_first[tr]; j < last; ++j) {
-      const std::uint32_t c = view.col[j];
-      if (c != r && !locked[c]) return false;
+ private:
+  bool avoided(StateId s) const { return !avoid_.empty() && avoid_[s] && !goal_[s]; }
+
+  /// Closure half of the locking criterion: every successor lies in
+  /// locked or is the row itself.  Together with bitwise value equality
+  /// (and a zero Poisson weight below the window) the row's next
+  /// relaxation provably reproduces the same bits, so it can be skipped.
+  bool closed(const BitVector& locked, StateId s) const {
+    for (std::uint64_t tr = kernel_.state_first[s]; tr < kernel_.state_first[s + 1]; ++tr) {
+      for (std::uint64_t j = kernel_.entry_first[tr]; j < kernel_.entry_first[tr + 1]; ++j) {
+        const std::uint32_t c = kernel_.col[j];
+        if (c != s && !locked[c]) return false;
+      }
+    }
+    return true;
+  }
+
+  const DiscreteKernel& kernel_;
+  const BitVector& goal_;
+  const BitVector& avoid_;
+  bool maximize_;
+};
+
+/// Simd backends: only the dense rows (non-goal, non-avoided states) are
+/// iterated, with the branching mass into B folded into the scalar goal
+/// value G_i = psi(i) + G_{i+1} (see DenseKernel); the block kernels come
+/// from the backend's KernelOps table.
+class DenseRows {
+ public:
+  static constexpr bool kGoalFolded = true;
+
+  DenseRows(const DenseKernel& kernel, Backend backend, const BitVector& goal,
+            const BitVector& avoid, bool maximize)
+      : kernel_(kernel),
+        ops_(kernel_ops(backend)),
+        view_(kernel.view()),
+        goal_(goal),
+        avoid_(avoid),
+        maximize_(maximize) {}
+
+  std::size_t rows() const { return kernel_.num_rows(); }
+
+  /// With a locked set, relaxes the maximal runs of unlocked rows, found a
+  /// word at a time: locked rows get no reads and no writes (the no-copy
+  /// invariant keeps both buffers on their frozen bits) and contribute
+  /// exactly 0 to the delta.  Per-row results are unchanged by the split —
+  /// the kernels relax rows independently, as the guard blocks and worker
+  /// partitions already assume.
+  double relax(double gval, const double* q, double* out, std::uint64_t* dec, std::size_t begin,
+               std::size_t end, const BitVector* locked, std::vector<StateId>* cand,
+               std::uint64_t& swept) const {
+    if (locked == nullptr) {
+      swept += end - begin;
+      return ops_.relax_rows(view_, gval, maximize_, q, out, dec, begin, end);
+    }
+    double delta = 0.0;
+    for (std::size_t r = locked->next_unset(begin); r < end; r = locked->next_unset(r)) {
+      const std::size_t run_end = std::min(locked->next_set(r), end);
+      const double d = ops_.relax_rows(view_, gval, maximize_, q, out, dec, r, run_end);
+      if (!(d <= delta)) delta = d;  // NaN-capturing max
+      swept += run_end - r;
+      for (std::size_t x = r; cand != nullptr && x < run_end; ++x) {
+        if (same_bits(out[x], q[x]) && closed(*locked, x)) cand->push_back(x);
+      }
+      if (run_end == end) break;
+      r = run_end;
+    }
+    return delta;
+  }
+
+  void survival_start(std::vector<double>& u) const { u.assign(rows(), 1.0); }
+
+  /// Relax with zero goal weight, always maximizing, then sup-reduce the
+  /// advanced iterate (relax_rows reports a delta, not a sup).
+  double survival_step(WorkerPool& pool, std::vector<WorkerPool::Slot>& slots,
+                       const std::vector<double>& u, std::vector<double>& u_next) const {
+    pool.run(u.size(), [&](unsigned worker, std::size_t begin, std::size_t end) {
+      if (begin < end) {
+        ops_.relax_rows(view_, 0.0, true, u.data(), u_next.data(), nullptr, begin, end);
+      }
+      double local = 0.0;
+      for (std::size_t r = begin; r < end; ++r) {
+        if (!(u_next[r] <= local)) local = u_next[r];
+      }
+      slots[worker].value = local;
+    });
+    return reduce_max_latch(slots);
+  }
+
+  /// full[s] = G for goal states, dq[row(s)] for dense states, 0 otherwise.
+  std::vector<double>& expose(const std::vector<double>& dq, double goal_value,
+                              std::vector<double>& full) const {
+    full.resize(goal_.size());
+    for (StateId s = 0; s < full.size(); ++s) full[s] = goal_[s] ? goal_value : 0.0;
+    for (std::uint64_t r = 0; r < rows(); ++r) full[kernel_.dense_state[r]] = dq[r];
+    return full;
+  }
+
+  /// Inverse of expose on an externally written vector (resume input,
+  /// post-checkpoint iterate).  The goal value is read back from the
+  /// lowest-indexed goal state: the engine keeps the goal iterate as one
+  /// scalar, so a writer that splits the goal states apart is collapsed
+  /// onto that representative (DESIGN.md Sec. 10.1).
+  double ingest(const std::vector<double>& full, std::vector<double>& dq) const {
+    for (std::uint64_t r = 0; r < rows(); ++r) dq[r] = full[kernel_.dense_state[r]];
+    const std::size_t g0 = goal_.next_set(0);
+    return g0 == BitVector::npos ? 0.0 : full[g0];
+  }
+
+  /// Scatters a dense decision row (model transition ids) into a full-state
+  /// row; goal/avoided states keep kNoTransition.
+  std::vector<std::uint64_t> decisions(const std::vector<std::uint64_t>& dec) const {
+    std::vector<std::uint64_t> full(goal_.size(), kNoTransition);
+    for (std::uint64_t r = 0; r < rows(); ++r) full[kernel_.dense_state[r]] = dec[r];
+    return full;
+  }
+
+  void finish(std::vector<double>& dq, double goal_value, bool partial,
+              TimedReachabilityResult& r) const {
+    const std::size_t n = goal_.size();
+    if (partial) {
+      std::vector<double> full;
+      expose(dq, goal_value, full);
+      require_finite(full, "timed_reachability");
+      r.iterate = full;  // full-state raw iterate, resumable by any backend
+      r.values = std::move(full);
+      for (StateId s = 0; s < n; ++s) r.values[s] = goal_[s] ? 1.0 : clamp01(r.values[s]);
+      return;
+    }
+    // The dense iterate plus the goal scalar cover every value the fused
+    // write below composes, at dense-row cost instead of full-state cost.
+    require_finite(dq, "timed_reachability");
+    if (!std::isfinite(goal_value)) {
+      throw NumericError("timed_reachability: non-finite goal iterate");
+    }
+    // Fused materialize + clamp.  Every state is goal, avoided or a dense
+    // row (DenseKernel's partition), so: fill 1.0 (the clamped goal value —
+    // on goal-heavy models like FTWC nearly the whole vector), scatter the
+    // clamped dense iterate, then zero the avoided states.
+    r.values.assign(n, 1.0);
+    for (std::uint64_t row = 0; row < rows(); ++row) {
+      r.values[kernel_.dense_state[row]] = clamp01(dq[row]);
+    }
+    if (!avoid_.empty()) {
+      for (StateId s = 0; s < n; ++s) {
+        if (avoid_[s] && !goal_[s]) r.values[s] = 0.0;
+      }
     }
   }
-  return true;
-}
 
-/// Relaxes the unlocked rows of [blk, blk_end), splitting the block around
-/// locked runs — skipped rows get no writes at all (the no-copy invariant
-/// keeps both buffers on their frozen bits) and contribute exactly 0 to
-/// the delta.  Per-row results are unchanged by the split: the kernels
-/// process rows independently, exactly as the existing guard blocks and
-/// worker partitions already assume.  When @p cand is non-null (a
-/// below-window sweep with locking on), rows meeting the locking criterion
-/// are appended for the post-barrier application.
-double relax_dense_block(const KernelOps& ops, const DenseKernelView& view, double gval,
-                         bool maximize, const double* q, double* out, std::uint64_t* dec,
-                         std::size_t blk, std::size_t blk_end, const BitVector* locked,
-                         std::vector<StateId>* cand, std::uint64_t& swept) {
-  double local = 0.0;
-  std::size_t r = blk;
-  while (r < blk_end) {
-    if (locked != nullptr && (*locked)[r]) {
-      ++r;
+ private:
+  /// Dense-row variant of SerialRows::closed (columns are dense indices).
+  bool closed(const BitVector& locked, std::size_t r) const {
+    for (std::uint64_t tr = view_.row_first[r]; tr < view_.row_first[r + 1]; ++tr) {
+      for (std::uint64_t j = view_.entry_first[tr]; j < view_.entry_first[tr + 1]; ++j) {
+        const std::uint32_t c = view_.col[j];
+        if (c != r && !locked[c]) return false;
+      }
+    }
+    return true;
+  }
+
+  const DenseKernel& kernel_;
+  const KernelOps& ops_;
+  DenseKernelView view_;
+  const BitVector& goal_;
+  const BitVector& avoid_;
+  bool maximize_;
+};
+
+// ---------------------------------------------------------------------------
+// The fused sweep.
+
+/// One time bound of a solve: its truncation plan, iterate pair, locking
+/// state and stop bookkeeping.  Every horizon keeps its own window and
+/// iterate: the iterate of a larger horizon is *not* reusable for a smaller
+/// one (it weights the m-th future jump by psi(m + i, lambda_max) where the
+/// smaller bound needs psi(m, lambda_j) — a shifted-weight sum, the same
+/// observation behind partial_residual above).
+struct Horizon {
+  std::size_t idx = 0;  // position in `times`
+  PoissonWindow psi;
+  std::uint64_t k = 0;      // planned steps (right truncation point)
+  std::uint64_t start = 0;  // first step swept: k, or the resume point
+  double window_epsilon = 0.0;
+  std::uint64_t fox_glynn_right = 0;
+  bool engaged = false;  // certificate planned (DESIGN.md Sec. 14)
+  bool cert_ok = true;   // ... and still live for this horizon
+  bool record_all = false;
+  bool lock_sweep = false;  // this step stages lock candidates
+  bool done = false;
+  bool early_fired = false;
+  bool lyap_fired = false;
+  bool fixpoint = false;
+  std::uint64_t early_step = 0;
+  std::uint64_t executed = 0;
+  double weight = 0.0;      // psi(g), or G_g for goal-folded engines
+  double goal_value = 0.0;  // G_{g+1} (goal-folded engines)
+  double lyap_error = 0.0;
+  std::vector<double> q_next, q_cur;  // q_{g+1} in hand, q_g being written
+  std::vector<std::uint64_t> decision;
+  BitVector locked;
+  std::size_t locked_count = 0;
+  std::vector<std::vector<StateId>> cand;  // per-worker lock staging
+  std::vector<WorkerPool::Slot> delta;     // per-worker sweep delta
+  std::vector<std::uint64_t> updates;      // per-worker row relaxations
+};
+
+/// Algorithm 1 for every horizon at once, fused bottom-aligned: all
+/// horizons end at step 1 together, so horizon j takes part in global steps
+/// g = start_j .. 1 and its local step index *is* g — its per-state
+/// operation sequence is exactly that of a solve of its bound alone, which
+/// is what makes a batch bit-identical to its single-horizon runs
+/// (DESIGN.md Sec. 11.1).  What the horizons share is everything around
+/// that arithmetic: the kernel, streamed once per block for all active
+/// horizons, the worker pool, the guard and the survival record.
+template <class Rows>
+unsigned sweep_horizons(const Rows& rows, std::vector<Horizon>& horizons,
+                        std::vector<TimedReachabilityResult>& results,
+                        const TimedReachabilityOptions& options) {
+  const std::size_t n = rows.rows();
+  WorkerPool pool = make_worker_pool(options.threads, n);
+  const std::vector<Counter*> row_counters =
+      worker_row_counters(options.telemetry, "reachability.rows.worker", pool.size());
+  Counter* const* const rows_out = row_counters.empty() ? nullptr : row_counters.data();
+
+  // On-the-fly convergence locking (DESIGN.md Sec. 14.3): below the window
+  // a row whose value came back bit-identical with every successor already
+  // locked is an exact fixpoint of its own update.  At lock time both
+  // double-buffers hold the same bits, so skipped rows need no copies,
+  // contribute exactly 0 to the sweep delta, and reported values are
+  // bit-identical with locking on or off.  Candidates are staged per worker
+  // and applied after the barrier, so the locked set is a deterministic
+  // function of the iterate for every thread count.
+  const bool locking = options.locking && !options.extract_scheduler;
+  bool any_engaged = false;
+  for (Horizon& h : horizons) {
+    h.q_next.assign(n, 0.0);
+    h.q_cur.assign(n, 0.0);
+    if (options.extract_scheduler) h.decision.assign(n, kNoTransition);
+    if (locking) {
+      h.locked.assign(n, false);
+      h.cand.resize(pool.size());
+    }
+    h.delta.resize(pool.size());
+    h.updates.assign(pool.size() * kSlotStride, 0);
+    any_engaged = any_engaged || h.engaged;
+  }
+  if (options.resume != nullptr) {
+    // A resume iterate is external input just like a checkpoint write; a
+    // non-finite entry would corrupt the result without tripping the
+    // per-sweep delta check.
+    require_finite(options.resume->iterate, "timed_reachability resume");
+    horizons[0].goal_value = rows.ingest(options.resume->iterate, horizons[0].q_next);
+  }
+
+  // The survival record is a pure function of the kernel, not of the
+  // horizon, so one iterate serves every engaged horizon at its own age
+  // (left_h - g); a resumed horizon catches up on the ages it missed.  Stop
+  // decisions are therefore identical to each horizon's solo run.
+  LyapunovSeries series(options.epsilon / 2.0);
+  bool cert_live = any_engaged;
+  std::vector<double> u;
+  std::vector<double> u_next;
+  std::vector<WorkerPool::Slot> u_slot;
+  if (cert_live) {
+    rows.survival_start(u);
+    u_next.assign(u.size(), 0.0);
+    u_slot.resize(pool.size());
+  }
+
+  // Descending start order makes the set of started horizons a prefix.
+  std::vector<Horizon*> by_start;
+  for (Horizon& h : horizons) by_start.push_back(&h);
+  std::stable_sort(by_start.begin(), by_start.end(),
+                   [](const Horizon* a, const Horizon* b) { return a->start > b->start; });
+
+  RunGuard* const guard = options.guard;
+  std::atomic<bool> sweep_aborted{false};
+  bool stopped = false;
+  std::uint64_t stop_step = 0;
+  std::vector<Horizon*> active;
+  std::vector<double> scratch;  // full-state checkpoint staging
+  std::size_t started = 0;
+  for (std::uint64_t g = by_start.empty() ? 0 : by_start[0]->start; g >= 1; --g) {
+    while (started < by_start.size() && by_start[started]->start >= g) ++started;
+    active.clear();
+    for (std::size_t a = 0; a < started; ++a) {
+      if (!by_start[a]->done) active.push_back(by_start[a]);
+    }
+    if (active.empty()) {
+      // Everything in flight stopped early; fast-forward to the next
+      // (strictly smaller) horizon start, or stop when none remain.
+      if (started == by_start.size()) break;
+      g = by_start[started]->start + 1;
       continue;
     }
-    std::size_t run_end = r + 1;
-    if (locked != nullptr) {
-      while (run_end < blk_end && !(*locked)[run_end]) ++run_end;
-    } else {
-      run_end = blk_end;
+    if (guard != nullptr && guard->poll() != RunStatus::Converged) {
+      stopped = true;
+      stop_step = g;
+      break;
     }
-    const double d = ops.relax_rows(view, gval, maximize, q, out, dec, r, run_end);
-    if (!(d <= local)) local = d;  // NaN-capturing max
-    swept += run_end - r;
-    if (cand != nullptr) {
-      for (std::size_t x = r; x < run_end; ++x) {
-        if (same_bits(out[x], q[x]) && dense_row_closed(view, *locked, x)) {
-          cand->push_back(static_cast<StateId>(x));
+    for (Horizon* h : active) {
+      const double psi = h->psi.psi(g);
+      h->weight = Rows::kGoalFolded ? psi + h->goal_value : psi;
+      // Candidacy only below the window: there psi == 0, so a row's update
+      // no longer depends on the step index and bitwise-stable means
+      // stable forever.
+      h->lock_sweep = locking && g < h->psi.left();
+    }
+    pool.run(n, [&](unsigned worker, std::size_t begin, std::size_t end) {
+      std::uint64_t swept = 0;
+      for (Horizon* h : active) h->delta[worker].value = 0.0;
+      for (std::size_t blk = begin; blk < end; blk += kGuardBlock) {
+        if (guard != nullptr && guard->should_abort_sweep()) {
+          sweep_aborted.store(true, std::memory_order_relaxed);
+          break;
+        }
+        const std::size_t blk_end = std::min(end, blk + kGuardBlock);
+        // The block's kernel rows stay cache-hot across the horizons.
+        for (Horizon* h : active) {
+          std::uint64_t h_swept = 0;
+          const double d = rows.relax(
+              h->weight, h->q_next.data(), h->q_cur.data(),
+              options.extract_scheduler ? h->decision.data() : nullptr, blk, blk_end,
+              h->locked_count != 0 || h->lock_sweep ? &h->locked : nullptr,
+              h->lock_sweep ? &h->cand[worker] : nullptr, h_swept);
+          WorkerPool::Slot& slot = h->delta[worker];
+          if (!(d <= slot.value)) slot.value = d;  // NaN-capturing max
+          h->updates[worker * kSlotStride] += h_swept;
+          swept += h_swept;
+        }
+      }
+      if (rows_out != nullptr) rows_out[worker]->add(swept);
+    });
+    if (guard != nullptr && sweep_aborted.load(std::memory_order_relaxed)) {
+      // The sweep for step g was abandoned mid-flight: q_cur is partially
+      // written, so each partial result is its last *completed* iterate in
+      // q_next and step g counts as unconsumed.
+      stopped = true;
+      stop_step = g;
+      break;
+    }
+    // Advance the shared survival record to the deepest age any engaged
+    // horizon checks this step; the probe-cap disengage at its tail fires
+    // exactly where each solo run's would.
+    if (cert_live && g > 1) {
+      std::uint64_t needed = 0;
+      for (const Horizon* h : active) {
+        if (h->engaged && h->cert_ok && g < h->psi.left()) {
+          needed = std::max(needed, h->psi.left() - g);
+        }
+      }
+      while (cert_live && series.size() < needed) {
+        series.record(rows.survival_step(pool, u_slot, u, u_next));
+        u.swap(u_next);
+        if (series.should_disengage(series.size())) {
+          cert_live = false;
+          u = std::vector<double>();
+          u_next = std::vector<double>();
         }
       }
     }
-    r = run_end;
+
+    for (Horizon* hp : active) {
+      Horizon& h = *hp;
+      TimedReachabilityResult& r = results[h.idx];
+      const double delta = WorkerPool::reduce_max(h.delta);
+      if (!std::isfinite(delta)) {
+        throw NumericError("timed_reachability: non-finite update at step " + std::to_string(g) +
+                           " (NaN/Inf reached the iterate)");
+      }
+      h.q_cur.swap(h.q_next);  // q_next now holds q_g for the next round
+      if (Rows::kGoalFolded) h.goal_value = h.weight;
+      ++h.executed;
+      if (h.lock_sweep) {
+        // Applied only after the barrier and the NaN check: candidacy was
+        // judged against the pre-sweep locked set on every worker.
+        for (std::vector<StateId>& c : h.cand) {
+          for (const StateId s : c) h.locked.set(s);
+          h.locked_count += c.size();
+          c.clear();
+        }
+      }
+      if (h.record_all) r.decisions[g - 1] = rows.decisions(h.decision);
+      if (options.extract_scheduler && g == 1) r.initial_decision = rows.decisions(h.decision);
+
+      if (guard != nullptr && guard->wants_checkpoint(h.executed)) {
+        std::vector<double>& full = rows.expose(h.q_next, h.goal_value, scratch);
+        guard->checkpoint("timed_reachability", h.executed, h.k,
+                          partial_residual(h.psi, g - 1, h.window_epsilon),
+                          std::span<double>(full.data(), full.size()));
+        // The callback writes through the span (checkpoint persistence,
+        // fault injection), so the iterate is untrusted on return.  A
+        // non-finite entry would be silently dropped by the action
+        // comparisons — NaN compares false both ways — leaving finite wrong
+        // values, so it is rejected here at the trust boundary.
+        require_finite(full, "timed_reachability checkpoint");
+        h.goal_value = rows.ingest(full, h.q_next);
+        // The writer may also have changed a locked row, whose twin buffer
+        // would then be stale — drop every lock and let candidacy
+        // re-establish them from the (possibly rewritten) iterate.
+        if (h.locked_count != 0) {
+          h.locked.assign(n, false);
+          h.locked_count = 0;
+        }
+      }
+
+      // Early termination: below the window no further psi mass arrives,
+      // so once the vector stops moving the remaining iterations are no-ops
+      // up to early_termination_delta.  Gated on the window bound only:
+      // inside the window every stored weight is strictly positive by
+      // construction (PoissonWindow::compute throws at the underflow
+      // frontier), and firing on an interior psi == 0 would silently skip
+      // steps that still carry mass without widening residual_bound.
+      if (options.early_termination && g > 1 && g - 1 < h.psi.left() &&
+          delta <= options.early_termination_delta) {
+        if (options.extract_scheduler) r.initial_decision = rows.decisions(h.decision);
+        h.early_fired = true;
+        h.early_step = g;
+        h.done = true;
+      }
+      // Exact fixpoint below the window: delta == 0 means q_g and q_{g+1}
+      // are bit-identical, and with psi == 0 every remaining sweep applies
+      // the same operator to the same vector — provable no-ops, zero extra
+      // error.
+      if (!h.done && locking && g > 1 && g <= h.psi.left() && delta == 0.0) {
+        h.fixpoint = true;
+        h.done = true;
+      }
+      // Lyapunov certificate: below the window, stop once the forfeited
+      // tail delta * series_bound fits under the stop budget.  g == 1 is
+      // excluded (nothing left to skip).
+      if (!h.done && h.engaged && h.cert_ok && g > 1 && g < h.psi.left()) {
+        const std::uint64_t age = h.psi.left() - g;
+        if (age > series.size() || series.should_disengage(age)) {
+          h.cert_ok = false;  // the record stopped at the probe cap
+        } else if (series.certifies(delta, age)) {
+          h.lyap_fired = true;
+          h.lyap_error = series.stop_error(delta, age);
+          r.k_lyapunov = h.executed;
+          h.done = true;
+        }
+      }
+    }
   }
-  return local;
+
+  for (Horizon& h : horizons) {
+    TimedReachabilityResult& r = results[h.idx];
+    r.iterations_executed = h.executed;
+    r.exact_fixpoint = h.fixpoint;
+    r.locked_final = h.locked_count;
+    for (std::size_t w = 0; w < pool.size(); ++w) r.state_updates += h.updates[w * kSlotStride];
+    const bool partial = stopped && !h.done;
+    if (partial) {
+      r.status = guard->status();
+      r.residual_bound =
+          partial_residual(h.psi, std::min(stop_step, h.start), h.window_epsilon);
+    } else if (h.lyap_fired) {
+      r.residual_bound = h.window_epsilon + h.lyap_error;
+    } else {
+      r.residual_bound =
+          h.window_epsilon + (h.early_fired ? options.early_termination_delta : 0.0);
+    }
+    rows.finish(h.q_next, h.goal_value, partial, r);
+    h.q_next = std::vector<double>();
+    h.q_cur = std::vector<double>();
+  }
+  return pool.size();
 }
 
-}  // namespace
-
-TimedReachabilityResult timed_reachability(const Ctmdp& model, const BitVector& goal,
-                                           double t, const TimedReachabilityOptions& options) {
-  check_inputs(model, goal);
-  if (t < 0.0) throw ModelError("timed_reachability: negative time bound");
-  const auto uniform = model.uniform_rate(1e-6);
-  if (!uniform) {
-    throw UniformityError(
-        "timed_reachability: model is not uniform; construct it uniformly or uniformize first");
-  }
-  const double e = *uniform;
+/// Plans every horizon, builds the backend's row engine over the (cached or
+/// own) kernel and runs the fused sweep.  @p e is the uniform rate of the
+/// solve; @p single selects the `reachability` span of a one-horizon solve
+/// over the `reachability_batch` tree.
+std::vector<TimedReachabilityResult> solve(const Ctmdp& model, const BitVector& goal, double e,
+                                           const std::vector<double>& times,
+                                           const TimedReachabilityOptions& options,
+                                           bool single) {
   const std::size_t n = model.num_states();
-  const bool maximize = options.objective == Objective::Maximize;
-  const Backend backend = resolve_backend(options.backend);
-
-  TimedReachabilityResult result;
-  result.uniform_rate = e;
-  result.lambda = e * t;
-
-  std::optional<Telemetry::Span> span;
-  if (options.telemetry != nullptr) span.emplace(options.telemetry->span("reachability"));
-
-  // Truncation policy (DESIGN.md Sec. 14).  extract_scheduler pins the
-  // pure Fox-Glynn schedule: the decision table must hold one faithful row
-  // per planned step, which a certified stop would leave unfilled.
-  const TruncationPlan plan = plan_truncation(
-      options.extract_scheduler ? Truncation::FoxGlynn : options.truncation, e * t,
-      options.epsilon);
-  const PoissonWindow& psi = plan.window;
-  const std::uint64_t k = psi.right();
-  result.iterations_planned = k;
-  result.truncation = plan.resolved;
-
   if (!options.avoid.empty() && options.avoid.size() != n) {
     throw ModelError("timed_reachability: avoid vector size mismatch");
   }
-  auto avoided = [&](StateId s) {
-    return !options.avoid.empty() && options.avoid[s] && !goal[s];
-  };
+  std::vector<TimedReachabilityResult> results(times.size());
+  if (times.empty()) return results;
 
-  // The product k * n can overflow for pathological horizons (k grows with
-  // lambda without bound); a wrapped product below the cap would commit to
-  // allocating the astronomically large true table, so saturate instead.
-  const bool record_all_decisions =
-      options.extract_scheduler &&
-      saturating_mul(k, static_cast<std::uint64_t>(n)) <= options.max_decision_entries;
-  if (options.extract_scheduler) {
-    result.initial_decision.assign(n, kNoTransition);
-    if (record_all_decisions) result.decisions.resize(k);
+  std::optional<Telemetry::Span> span;
+  if (options.telemetry != nullptr) {
+    span.emplace(options.telemetry->span(single ? "reachability" : "reachability_batch"));
   }
 
-  RunGuard* const guard = options.guard;
-  std::uint64_t executed = 0;
-  std::uint64_t start_i = k;
+  // Truncation policy (DESIGN.md Sec. 14).  extract_scheduler pins the pure
+  // Fox-Glynn schedule: the decision table must hold one faithful row per
+  // planned step, which a certified stop would leave unfilled.
+  std::vector<Horizon> horizons(times.size());
+  std::uint64_t k_max = 0;
+  for (std::size_t j = 0; j < times.size(); ++j) {
+    Horizon& h = horizons[j];
+    TimedReachabilityResult& r = results[j];
+    const TruncationPlan plan = plan_truncation(
+        options.extract_scheduler ? Truncation::FoxGlynn : options.truncation, e * times[j],
+        options.epsilon);
+    h.idx = j;
+    h.psi = plan.window;
+    h.k = h.psi.right();
+    h.start = h.k;
+    h.window_epsilon = plan.window_epsilon;
+    h.fox_glynn_right = plan.fox_glynn_right;
+    h.engaged = plan.engaged();
+    // The product k * n can overflow for pathological horizons (k grows
+    // with lambda without bound); a wrapped product below the cap would
+    // commit to allocating the astronomically large true table.
+    h.record_all = options.extract_scheduler &&
+                   saturating_mul(h.k, static_cast<std::uint64_t>(n)) <=
+                       options.max_decision_entries;
+    k_max = std::max(k_max, h.k);
+    r.uniform_rate = e;
+    r.lambda = e * times[j];
+    r.iterations_planned = h.k;
+    r.truncation = plan.resolved;
+    if (options.extract_scheduler) {
+      r.initial_decision.assign(n, kNoTransition);
+      if (h.record_all) r.decisions.resize(h.k);
+    }
+  }
+
   if (options.resume != nullptr) {
     const TimedReachabilityResult& prior = *options.resume;
+    Horizon& h = horizons[0];
     if (prior.status == RunStatus::Converged || prior.iterate.size() != n) {
       throw ModelError("timed_reachability: resume requires a partial result for this model");
     }
-    if (prior.iterations_planned != k || prior.iterations_executed >= k) {
+    if (prior.iterations_planned != h.k || prior.iterations_executed >= h.k) {
       throw ModelError("timed_reachability: resume horizon mismatch (model, t or epsilon changed)");
     }
-    executed = prior.iterations_executed;
-    start_i = k - executed;
+    h.executed = prior.iterations_executed;
+    h.start = h.k - h.executed;
     // The steps the prior run already executed recorded their decision rows
-    // into its partial result; a resumed run only sweeps i = start_i..1, so
-    // without this merge the resumed scheduler artifact would silently lose
-    // every pre-interruption row (indices [start_i, k)) and disagree with
-    // an uninterrupted run.
-    if (record_all_decisions && prior.decisions.size() == k) {
-      for (std::uint64_t j = start_i; j < k; ++j) result.decisions[j] = prior.decisions[j];
+    // into its partial result; a resumed run only sweeps start..1, so
+    // without this merge the scheduler artifact would lose every
+    // pre-interruption row and disagree with an uninterrupted run.
+    if (h.record_all && prior.decisions.size() == h.k) {
+      for (std::uint64_t j = h.start; j < h.k; ++j) results[0].decisions[j] = prior.decisions[j];
     }
   }
 
-  std::atomic<bool> sweep_aborted{false};
-  bool stopped = false;
-  bool early_fired = false;
-  std::uint64_t early_step = 0;
-  unsigned pool_size = 0;
-
+  const bool maximize = options.objective == Objective::Maximize;
+  const Backend backend = resolve_backend(options.backend);
+  unsigned threads = 0;
   if (backend == Backend::Serial) {
-    // ---- Serial engine: the historical flat sweep, bit-identical to the
-    // pre-backend solver (strictly sequential per-transition accumulation).
     std::optional<DiscreteKernel> own_kernel;
     if (options.discrete_kernel == nullptr) own_kernel.emplace(model, goal);
     const DiscreteKernel& kernel =
@@ -358,261 +747,9 @@ TimedReachabilityResult timed_reachability(const Ctmdp& model, const BitVector& 
     if (kernel.state_first.size() != n + 1) {
       throw ModelError("timed_reachability: injected discrete kernel does not fit the model");
     }
-
-    // q_next = q_{i+1}, q_cur = q_i.
-    std::vector<double> q_next(n, 0.0);
-    std::vector<double> q_cur(n, 0.0);
-    std::vector<std::uint64_t> decision(options.extract_scheduler ? n : 0, kNoTransition);
-    if (options.resume != nullptr) {
-      q_next = options.resume->iterate;
-      // A resume iterate is external input just like a checkpoint write; a
-      // non-finite entry would corrupt the result without tripping the
-      // per-sweep delta check (see the checkpoint validation below).
-      require_finite_values(q_next, "timed_reachability resume");
-    }
-
-    WorkerPool pool = make_worker_pool(options.threads, n);
-    pool_size = pool.size();
-    std::vector<WorkerPool::Slot> delta_slot(pool.size());
-    const std::vector<Counter*> row_counters =
-        worker_row_counters(options.telemetry, "reachability.rows.worker", pool.size());
-    Counter* const* const rows_out = row_counters.empty() ? nullptr : row_counters.data();
-
-    // On-the-fly convergence locking (DESIGN.md Sec. 14): below the window
-    // a row whose value came back bit-identical with every successor
-    // already locked is an exact fixpoint of its own update.  At lock time
-    // both double-buffers hold the same bits, so skipped rows need no
-    // copies, contribute exactly 0 to the sweep delta, and reported values
-    // are bit-identical with locking on or off.  Candidates are staged
-    // per worker and applied after the barrier, so the locked set is a
-    // deterministic function of the iterate for every thread count.
-    const bool locking = options.locking && !options.extract_scheduler;
-    BitVector locked;
-    std::size_t locked_count = 0;
-    std::vector<std::vector<StateId>> cand;
-    if (locking) {
-      locked.assign(n, false);
-      cand.resize(pool.size());
-    }
-    std::vector<std::uint64_t> upd_slots(pool.size() * std::size_t{8}, 0);
-
-    // Lyapunov certificate (engaged plans only): survival iterate u and
-    // its scalar contraction record.
-    LyapunovSeries series(plan.stop_epsilon);
-    bool cert_active = plan.engaged();
-    bool lyap_fired = false;
-    double lyap_error = 0.0;
-    std::vector<double> u;
-    std::vector<double> u_next;
-    std::vector<WorkerPool::Slot> u_slot;
-    if (cert_active) {
-      u.assign(n, 0.0);
-      u_next.assign(n, 0.0);
-      for (StateId s = 0; s < n; ++s) u[s] = (goal[s] || avoided(s)) ? 0.0 : 1.0;
-      u_slot.resize(pool.size());
-      // Resume catch-up: replay the ages an uninterrupted run would have
-      // recorded by now, so a resumed run reaches every stop decision at
-      // the identical step (the record is a pure function of the kernel).
-      // The probe cap bounds the replay on non-contracting models.
-      const std::uint64_t replay = psi.left() > start_i + 1 ? psi.left() - start_i - 1 : 0;
-      for (std::uint64_t j = 0; j < replay && cert_active; ++j) {
-        series.record(survival_step_serial(kernel, goal, options.avoid, pool, u_slot, u, u_next));
-        u.swap(u_next);
-        if (series.should_disengage(series.size())) {
-          cert_active = false;
-          u = std::vector<double>();
-          u_next = std::vector<double>();
-        }
-      }
-    }
-
-    for (std::uint64_t i = start_i; i >= 1; --i) {
-      if (guard != nullptr && guard->poll() != RunStatus::Converged) {
-        stopped = true;
-        result.residual_bound = partial_residual(psi, i, plan.window_epsilon);
-        break;
-      }
-      const double w = psi.psi(i);
-      // Candidacy only below the window: there w == 0, so a row's update
-      // no longer depends on the step index and bitwise-stable means
-      // stable forever.
-      const bool lock_sweep = locking && i < psi.left();
-      pool.run(n, [&](unsigned worker, std::size_t begin, std::size_t end) {
-        const double* q = q_next.data();
-        double local_delta = 0.0;
-        std::uint64_t rows = 0;
-        std::vector<StateId>* const my_cand = lock_sweep ? &cand[worker] : nullptr;
-        for (std::size_t blk = begin; blk < end; blk += kGuardBlock) {
-          if (guard != nullptr && guard->should_abort_sweep()) {
-            sweep_aborted.store(true, std::memory_order_relaxed);
-            break;
-          }
-          const std::size_t blk_end = std::min(end, blk + kGuardBlock);
-          for (StateId s = blk; s < blk_end; ++s) {
-            if (locked_count != 0 && locked[s]) continue;  // frozen: both buffers agree
-            ++rows;
-            if (goal[s]) {
-              q_cur[s] = w + q[s];
-              if (options.extract_scheduler) decision[s] = kNoTransition;
-              if (my_cand != nullptr && same_bits(q_cur[s], q[s])) my_cand->push_back(s);
-            } else if (avoided(s)) {
-              q_cur[s] = 0.0;
-              if (options.extract_scheduler) decision[s] = kNoTransition;
-              if (my_cand != nullptr && same_bits(0.0, q[s])) my_cand->push_back(s);
-            } else {
-              const std::uint64_t first = kernel.state_first[s];
-              const std::uint64_t last = kernel.state_first[s + 1];
-              double best = first == last ? 0.0 : (maximize ? -1.0 : 2.0);
-              std::uint64_t best_t = kNoTransition;
-              for (std::uint64_t tr = first; tr < last; ++tr) {
-                const double acc = kernel.transition_value(tr, w, q);
-                if (maximize ? acc > best : acc < best) {
-                  best = acc;
-                  best_t = tr;
-                }
-              }
-              // NaN-capturing max: identical to std::max for finite deltas
-              // (bit-identical results) but latches NaN, which std::max
-              // would silently drop.
-              const double dev = std::fabs(best - q[s]);
-              if (!(dev <= local_delta)) local_delta = dev;
-              q_cur[s] = best;
-              if (options.extract_scheduler) decision[s] = best_t;
-              if (my_cand != nullptr && same_bits(best, q[s]) &&
-                  serial_row_closed(kernel, locked, s)) {
-                my_cand->push_back(s);
-              }
-            }
-          }
-        }
-        delta_slot[worker].value = local_delta;
-        upd_slots[worker * std::size_t{8}] += rows;
-        if (rows_out != nullptr) rows_out[worker]->add(rows);
-      });
-      if (guard != nullptr && sweep_aborted.load(std::memory_order_relaxed)) {
-        // The sweep for step i was abandoned mid-flight: q_cur is partially
-        // written, so the partial result is the last *completed* iterate in
-        // q_next and step i counts as unconsumed.
-        stopped = true;
-        result.residual_bound = partial_residual(psi, i, plan.window_epsilon);
-        break;
-      }
-      const double delta = WorkerPool::reduce_max(delta_slot);
-      if (!std::isfinite(delta)) {
-        throw NumericError("timed_reachability: non-finite update at step " + std::to_string(i) +
-                           " (NaN/Inf reached the iterate)");
-      }
-      q_cur.swap(q_next);  // q_next now holds q_i for the next round
-      ++executed;
-
-      if (lock_sweep) {
-        // Applied only after the barrier and the NaN check: candidacy was
-        // judged against the pre-sweep locked set on every worker, so the
-        // resulting set is identical for every thread count.
-        for (std::vector<StateId>& c : cand) {
-          for (const StateId s : c) locked.set(s);
-          locked_count += c.size();
-          c.clear();
-        }
-      }
-
-      if (record_all_decisions) result.decisions[i - 1] = decision;
-      if (options.extract_scheduler && i == 1) result.initial_decision = decision;
-
-      if (guard != nullptr && guard->wants_checkpoint(executed)) {
-        guard->checkpoint("timed_reachability", executed, k,
-                          partial_residual(psi, i - 1, plan.window_epsilon),
-                          std::span<double>(q_next.data(), q_next.size()));
-        // The callback writes through the span (checkpoint persistence, fault
-        // injection), so the iterate is untrusted on return.  A non-finite
-        // entry would be silently dropped by the action comparisons above —
-        // NaN compares false both ways — leaving finite wrong values, so it
-        // must be rejected here at the trust boundary.
-        require_finite_values(q_next, "timed_reachability checkpoint");
-        // The writer may also have changed a locked row, whose twin buffer
-        // would then be stale — drop every lock and let candidacy
-        // re-establish them from the (possibly rewritten) iterate.
-        if (locked_count != 0) {
-          locked.assign(n, false);
-          locked_count = 0;
-        }
-      }
-
-      if (options.early_termination && i > 1) {
-        // Below the Poisson window no further psi mass arrives; once the
-        // vector stops moving the remaining iterations are no-ops up to
-        // early_termination_delta.  Gate on the window bound only: inside
-        // the window every stored weight is strictly positive by
-        // construction (PoissonWindow::compute throws at the underflow
-        // frontier), so a psi(i-1) == 0.0 test is at best redundant — and
-        // if an interior weight ever *could* underflow, firing on it would
-        // silently skip steps that still carry mass, widening the achieved
-        // epsilon without being reported in residual_bound.
-        if (i - 1 < psi.left()) {
-          if (delta <= options.early_termination_delta) {
-            if (options.extract_scheduler) result.initial_decision = decision;
-            early_fired = true;
-            early_step = i;
-            break;
-          }
-        }
-      }
-
-      // Exact fixpoint below the window: delta == 0 means q_i and q_{i+1}
-      // are bit-identical, and with w == 0 every remaining sweep applies
-      // the same operator to the same vector — provable no-ops.  Zero
-      // extra error, so the converged residual stays untouched.
-      if (locking && i > 1 && i <= psi.left() && delta == 0.0) {
-        result.exact_fixpoint = true;
-        break;
-      }
-
-      // Lyapunov certificate: advance the survival iterate, and below the
-      // window test whether the forfeited tail delta * series_bound fits
-      // under stop_epsilon.  i == 1 is excluded (nothing left to skip).
-      if (cert_active && i > 1 && i < psi.left()) {
-        series.record(survival_step_serial(kernel, goal, options.avoid, pool, u_slot, u, u_next));
-        u.swap(u_next);
-        const std::uint64_t age = psi.left() - i;
-        if (series.should_disengage(age)) {
-          cert_active = false;
-          u = std::vector<double>();
-          u_next = std::vector<double>();
-        } else if (series.certifies(delta, age)) {
-          lyap_fired = true;
-          lyap_error = series.stop_error(delta, age);
-          result.k_lyapunov = executed;
-          break;
-        }
-      }
-    }
-    result.iterations_executed = executed;
-    result.state_updates = 0;
-    for (std::size_t wkr = 0; wkr < pool.size(); ++wkr) {
-      result.state_updates += upd_slots[wkr * std::size_t{8}];
-    }
-    result.locked_final = locked_count;
-
-    if (stopped) {
-      result.status = guard->status();
-      result.iterate = q_next;  // raw iterate, resumable
-    } else if (lyap_fired) {
-      result.residual_bound = plan.window_epsilon + lyap_error;
-    } else {
-      result.residual_bound =
-          plan.window_epsilon + (early_fired ? options.early_termination_delta : 0.0);
-    }
-
-    require_finite_values(q_next, "timed_reachability");
-    result.values = std::move(q_next);
+    threads = sweep_horizons(SerialRows(kernel, goal, options.avoid, maximize), horizons, results,
+                             options);
   } else {
-    // ---- Dense (simd) engine: sweep only the non-goal, non-avoided rows
-    // with the branching mass into B folded into the scalar goal iterate
-    // G_i = psi(i) + G_{i+1} (see DenseKernel).  Same guard blocks,
-    // checkpoint points and delta semantics as the serial engine; the
-    // external contract (checkpoint spans, resume iterates) stays in
-    // full-state vectors via DenseBridge, so partial results interoperate
-    // across backends.
     std::optional<DenseKernel> own_kernel;
     if (options.dense_kernel == nullptr) own_kernel.emplace(model, goal, options.avoid);
     const DenseKernel& kernel =
@@ -620,227 +757,79 @@ TimedReachabilityResult timed_reachability(const Ctmdp& model, const BitVector& 
     if (kernel.dense_index.size() != n) {
       throw ModelError("timed_reachability: injected dense kernel does not fit the model");
     }
-    const KernelOps& ops = kernel_ops(backend);
-    const DenseKernelView view = kernel.view();
-    const DenseBridge bridge{kernel, goal};
-    const std::uint64_t rows = kernel.num_rows();
-
-    std::vector<double> dq_next(rows, 0.0);
-    std::vector<double> dq_cur(rows, 0.0);
-    std::vector<std::uint64_t> ddec(options.extract_scheduler ? rows : 0, kNoTransition);
-    std::uint64_t* const ddec_ptr = options.extract_scheduler ? ddec.data() : nullptr;
-    std::vector<double> q_full(n, 0.0);
-    double goal_value = 0.0;  // G_{i+1}, starting from q_{k+1} = 0
-
-    if (options.resume != nullptr) {
-      q_full = options.resume->iterate;
-      require_finite_values(q_full, "timed_reachability resume");
-      goal_value = bridge.ingest(q_full, dq_next);
-    }
-
-    WorkerPool pool = make_worker_pool(options.threads, rows);
-    pool_size = pool.size();
-    std::vector<WorkerPool::Slot> delta_slot(pool.size());
-    const std::vector<Counter*> row_counters =
-        worker_row_counters(options.telemetry, "reachability.rows.worker", pool.size());
-    Counter* const* const rows_out = row_counters.empty() ? nullptr : row_counters.data();
-
-    // Locking + certificate state over *dense* rows; same invariants as the
-    // serial engine (goal/avoided rows are not materialized here, so the
-    // big goal-plateau freeze is a serial-engine property — dense already
-    // never sweeps those rows).  Below the window the folded goal value
-    // G_i stays constant (psi == 0), so bitwise-stable closed rows are
-    // exact fixpoints of their relaxation.
-    const bool locking = options.locking && !options.extract_scheduler;
-    BitVector locked;
-    std::size_t locked_count = 0;
-    std::vector<std::vector<StateId>> cand;
-    if (locking) {
-      locked.assign(rows, false);
-      cand.resize(pool.size());
-    }
-    std::vector<std::uint64_t> upd_slots(pool.size() * std::size_t{8}, 0);
-
-    LyapunovSeries series(plan.stop_epsilon);
-    bool cert_active = plan.engaged();
-    bool lyap_fired = false;
-    double lyap_error = 0.0;
-    std::vector<double> u;
-    std::vector<double> u_next;
-    std::vector<WorkerPool::Slot> u_slot;
-    if (cert_active) {
-      u.assign(rows, 1.0);  // dense rows are exactly the non-goal, non-avoided states
-      u_next.assign(rows, 0.0);
-      u_slot.resize(pool.size());
-      const std::uint64_t replay = psi.left() > start_i + 1 ? psi.left() - start_i - 1 : 0;
-      for (std::uint64_t j = 0; j < replay && cert_active; ++j) {
-        series.record(survival_step_dense(ops, view, pool, u_slot, u, u_next));
-        u.swap(u_next);
-        if (series.should_disengage(series.size())) {
-          cert_active = false;
-          u = std::vector<double>();
-          u_next = std::vector<double>();
-        }
-      }
-    }
-
-    for (std::uint64_t i = start_i; i >= 1; --i) {
-      if (guard != nullptr && guard->poll() != RunStatus::Converged) {
-        stopped = true;
-        result.residual_bound = partial_residual(psi, i, plan.window_epsilon);
-        break;
-      }
-      const double gi = psi.psi(i) + goal_value;  // G_i, the goal value of q_i
-      const bool lock_sweep = locking && i < psi.left();
-      pool.run(rows, [&](unsigned worker, std::size_t begin, std::size_t end) {
-        const double* q = dq_next.data();
-        double local_delta = 0.0;
-        std::uint64_t swept = 0;
-        const BitVector* const lockp = locked_count != 0 || lock_sweep ? &locked : nullptr;
-        std::vector<StateId>* const my_cand = lock_sweep ? &cand[worker] : nullptr;
-        for (std::size_t blk = begin; blk < end; blk += kGuardBlock) {
-          if (guard != nullptr && guard->should_abort_sweep()) {
-            sweep_aborted.store(true, std::memory_order_relaxed);
-            break;
-          }
-          const std::size_t blk_end = std::min(end, blk + kGuardBlock);
-          double d;
-          if (lockp != nullptr) {
-            d = relax_dense_block(ops, view, gi, maximize, q, dq_cur.data(), ddec_ptr, blk,
-                                  blk_end, lockp, my_cand, swept);
-          } else {
-            swept += blk_end - blk;
-            d = ops.relax_rows(view, gi, maximize, q, dq_cur.data(), ddec_ptr, blk, blk_end);
-          }
-          if (!(d <= local_delta)) local_delta = d;  // NaN-capturing max
-        }
-        delta_slot[worker].value = local_delta;
-        upd_slots[worker * std::size_t{8}] += swept;
-        if (rows_out != nullptr) rows_out[worker]->add(swept);
-      });
-      if (guard != nullptr && sweep_aborted.load(std::memory_order_relaxed)) {
-        stopped = true;
-        result.residual_bound = partial_residual(psi, i, plan.window_epsilon);
-        break;
-      }
-      const double delta = WorkerPool::reduce_max(delta_slot);
-      if (!std::isfinite(delta)) {
-        throw NumericError("timed_reachability: non-finite update at step " + std::to_string(i) +
-                           " (NaN/Inf reached the iterate)");
-      }
-      dq_cur.swap(dq_next);
-      goal_value = gi;
-      ++executed;
-
-      if (lock_sweep) {
-        for (std::vector<StateId>& c : cand) {
-          for (const StateId s : c) locked.set(s);
-          locked_count += c.size();
-          c.clear();
-        }
-      }
-
-      if (record_all_decisions) result.decisions[i - 1] = bridge.expand_decisions(ddec);
-      if (options.extract_scheduler && i == 1) {
-        result.initial_decision = bridge.expand_decisions(ddec);
-      }
-
-      if (guard != nullptr && guard->wants_checkpoint(executed)) {
-        bridge.materialize(dq_next, goal_value, q_full);
-        guard->checkpoint("timed_reachability", executed, k,
-                          partial_residual(psi, i - 1, plan.window_epsilon),
-                          std::span<double>(q_full.data(), q_full.size()));
-        // Same trust boundary as the serial engine: the span is writable by
-        // external code, so validate and re-ingest whatever came back.
-        require_finite_values(q_full, "timed_reachability checkpoint");
-        goal_value = bridge.ingest(q_full, dq_next);
-        // Re-ingesting rewrites dq_next wholesale, so every lock's
-        // both-buffers-agree invariant is void — drop them all.
-        if (locked_count != 0) {
-          locked.assign(rows, false);
-          locked_count = 0;
-        }
-      }
-
-      // Window-bound-only gate; see the serial engine for why psi == 0 must
-      // not participate.
-      if (options.early_termination && i > 1 && i - 1 < psi.left() &&
-          delta <= options.early_termination_delta) {
-        if (options.extract_scheduler) result.initial_decision = bridge.expand_decisions(ddec);
-        early_fired = true;
-        early_step = i;
-        break;
-      }
-
-      // Exact fixpoint / Lyapunov certificate — same derivations as the
-      // serial engine (below the window G stays constant, so the dense
-      // relaxation is the same operator every remaining sweep).
-      if (locking && i > 1 && i <= psi.left() && delta == 0.0) {
-        result.exact_fixpoint = true;
-        break;
-      }
-      if (cert_active && i > 1 && i < psi.left()) {
-        series.record(survival_step_dense(ops, view, pool, u_slot, u, u_next));
-        u.swap(u_next);
-        const std::uint64_t age = psi.left() - i;
-        if (series.should_disengage(age)) {
-          cert_active = false;
-          u = std::vector<double>();
-          u_next = std::vector<double>();
-        } else if (series.certifies(delta, age)) {
-          lyap_fired = true;
-          lyap_error = series.stop_error(delta, age);
-          result.k_lyapunov = executed;
-          break;
-        }
-      }
-    }
-    result.iterations_executed = executed;
-    result.state_updates = 0;
-    for (std::size_t wkr = 0; wkr < pool.size(); ++wkr) {
-      result.state_updates += upd_slots[wkr * std::size_t{8}];
-    }
-    result.locked_final = locked_count;
-
-    bridge.materialize(dq_next, goal_value, q_full);
-    if (stopped) {
-      result.status = guard->status();
-      result.iterate = q_full;  // full-state raw iterate, resumable by any backend
-    } else if (lyap_fired) {
-      result.residual_bound = plan.window_epsilon + lyap_error;
-    } else {
-      result.residual_bound =
-          plan.window_epsilon + (early_fired ? options.early_termination_delta : 0.0);
-    }
-
-    require_finite_values(q_full, "timed_reachability");
-    result.values = std::move(q_full);
-    if (span) span->metric("dense_rows", rows);
+    threads = sweep_horizons(DenseRows(kernel, backend, goal, options.avoid, maximize), horizons,
+                             results, options);
+    if (span) span->metric("dense_rows", kernel.num_rows());
   }
 
-  for (StateId s = 0; s < n; ++s) {
-    result.values[s] = goal[s] ? 1.0 : clamp01(result.values[s]);
+  if (!span) return results;
+  span->metric("states", n);
+  span->metric("transitions", model.num_transitions());
+  span->metric("uniform_rate", e);
+  if (single) {
+    const Horizon& h = horizons[0];
+    const TimedReachabilityResult& r = results[0];
+    span->metric("lambda", r.lambda);
+    span->metric("poisson_left", h.psi.left());
+    span->metric("poisson_right", h.k);
+    span->metric("poisson_width", h.k - h.psi.left() + 1);
+    span->metric("iterations_planned", h.k);
+    span->metric("iterations_executed", h.executed);
+    span->metric("early_termination_step", h.early_step);
+    span->metric("threads", threads);
+    span->metric("residual_bound", r.residual_bound);
+    span->metric("truncation.k_fox_glynn", h.fox_glynn_right);
+    span->metric("truncation.k_effective", h.executed);
+    span->metric("truncation.k_lyapunov", r.k_lyapunov);
+    span->metric("truncation.locked_final", r.locked_final);
+    span->metric("truncation.state_updates", r.state_updates);
+    return results;
   }
-  if (span) {
-    span->metric("states", n);
-    span->metric("transitions", model.num_transitions());
-    span->metric("uniform_rate", e);
-    span->metric("lambda", result.lambda);
-    span->metric("poisson_left", psi.left());
-    span->metric("poisson_right", k);
-    span->metric("poisson_width", k - psi.left() + 1);
-    span->metric("iterations_planned", k);
-    span->metric("iterations_executed", executed);
-    span->metric("early_termination_step", early_step);
-    span->metric("threads", pool_size);
-    span->metric("residual_bound", result.residual_bound);
-    span->metric("truncation.k_fox_glynn", plan.fox_glynn_right);
-    span->metric("truncation.k_effective", executed);
-    span->metric("truncation.k_lyapunov", result.k_lyapunov);
-    span->metric("truncation.locked_final", result.locked_final);
-    span->metric("truncation.state_updates", result.state_updates);
+  span->metric("horizons", times.size());
+  span->metric("iterations_planned_max", k_max);
+  span->metric("threads", threads);
+  // Per-horizon child spans in input order, emitted after the fused loop
+  // (the registry's span stack is coordinating-thread-only, so horizon
+  // spans must not interleave with sweeps).
+  for (std::size_t j = 0; j < times.size(); ++j) {
+    const Horizon& h = horizons[j];
+    const TimedReachabilityResult& r = results[j];
+    Telemetry::Span hspan = options.telemetry->span("reachability_batch.horizon");
+    hspan.metric("t", times[j]);
+    hspan.metric("lambda", r.lambda);
+    hspan.metric("poisson_left", h.psi.left());
+    hspan.metric("poisson_right", h.k);
+    hspan.metric("iterations_planned", h.k);
+    hspan.metric("iterations_executed", h.executed);
+    hspan.metric("early_termination_step", h.early_step);
+    hspan.metric("residual_bound", r.residual_bound);
+    hspan.metric("truncation.k_fox_glynn", h.fox_glynn_right);
+    hspan.metric("truncation.k_effective", h.executed);
+    hspan.metric("truncation.k_lyapunov", r.k_lyapunov);
+    hspan.metric("truncation.locked_final", h.locked_count);
+    hspan.metric("truncation.state_updates", r.state_updates);
   }
-  return result;
+  return results;
+}
+
+/// The uniform rate of a solve; rejects non-uniform models.
+double uniform_rate_of(const Ctmdp& model, const char* who) {
+  const auto uniform = model.uniform_rate(1e-6);
+  if (!uniform) {
+    throw UniformityError(std::string(who) +
+                          ": model is not uniform; construct it uniformly or uniformize first");
+  }
+  return *uniform;
+}
+
+}  // namespace
+
+TimedReachabilityResult timed_reachability(const Ctmdp& model, const BitVector& goal,
+                                           double t, const TimedReachabilityOptions& options) {
+  check_inputs(model, goal);
+  if (!(t >= 0.0)) throw ModelError("timed_reachability: negative time bound");
+  const double e = uniform_rate_of(model, "timed_reachability");
+  return std::move(solve(model, goal, e, {t}, options, true)[0]);
 }
 
 std::vector<TimedReachabilityResult> timed_reachability_batch(
@@ -855,859 +844,46 @@ std::vector<TimedReachabilityResult> timed_reachability_batch(
   for (const double t : times) {
     if (!(t >= 0.0)) throw ModelError("timed_reachability_batch: negative time bound");
   }
-  const auto uniform = model.uniform_rate(1e-6);
-  if (!uniform) {
-    throw UniformityError(
-        "timed_reachability_batch: model is not uniform; construct it uniformly or uniformize "
-        "first");
-  }
-  const double e = *uniform;
-  const std::size_t n = model.num_states();
-  const bool maximize = options.objective == Objective::Maximize;
-  const Backend backend = resolve_backend(options.backend);
-  if (!options.avoid.empty() && options.avoid.size() != n) {
-    throw ModelError("timed_reachability_batch: avoid vector size mismatch");
-  }
-  auto avoided = [&](StateId s) {
-    return !options.avoid.empty() && options.avoid[s] && !goal[s];
-  };
-
-  const std::size_t num_horizons = times.size();
-  std::vector<TimedReachabilityResult> results(num_horizons);
-  if (num_horizons == 0) return results;
-
-  std::optional<Telemetry::Span> span;
-  if (options.telemetry != nullptr) span.emplace(options.telemetry->span("reachability_batch"));
-
-  // Every horizon keeps its own window and iterate: the iterate of a larger
-  // horizon is *not* reusable for a smaller one (it weights the m-th future
-  // jump by psi(m + i, lambda_max) where the smaller bound needs
-  // psi(m, lambda_j) — a shifted-weight sum, the same observation behind
-  // partial_residual above).  What the batch shares is everything around
-  // the per-horizon arithmetic: the kernel (built and streamed once per
-  // block for all active horizons), the worker pool, and the guard.
-  struct Horizon {
-    std::size_t idx = 0;  // position in `times` (and the delta-slot index)
-    PoissonWindow psi;
-    std::uint64_t k = 0;
-    bool record_all = false;
-    bool done = false;
-    bool early_fired = false;
-    std::uint64_t early_step = 0;
-    std::uint64_t executed = 0;
-    double weight = 0.0;      // serial: psi(g); dense: G_g
-    double goal_value = 0.0;  // dense engine: G_{g+1}
-    std::vector<double> q_next, q_cur;    // per-horizon iterates
-    std::vector<std::uint64_t> decision;  // per-sweep scheduler scratch
-    // Per-horizon truncation plan (each horizon has its own window and may
-    // or may not engage the certificate) — see DESIGN.md Sec. 14.
-    double window_epsilon = 0.0;
-    std::uint64_t fox_glynn_right = 0;
-    bool engaged = false;
-    bool cert_ok = true;  // certificate still live for this horizon
-    bool lyap_fired = false;
-    double lyap_error = 0.0;
-    bool fixpoint = false;
-    // Per-horizon locking state (each horizon has its own iterate, hence
-    // its own frozen set).
-    BitVector locked;
-    std::size_t locked_count = 0;
-    std::vector<std::vector<StateId>> cand;  // per-worker staging
-  };
-
-  std::vector<Horizon> horizons(num_horizons);
-  std::uint64_t k_max = 0;
-  for (std::size_t j = 0; j < num_horizons; ++j) {
-    Horizon& h = horizons[j];
-    h.idx = j;
-    const TruncationPlan hplan = plan_truncation(
-        options.extract_scheduler ? Truncation::FoxGlynn : options.truncation, e * times[j],
-        options.epsilon);
-    h.psi = hplan.window;
-    h.k = h.psi.right();
-    h.window_epsilon = hplan.window_epsilon;
-    h.fox_glynn_right = hplan.fox_glynn_right;
-    h.engaged = hplan.engaged();
-    results[j].truncation = hplan.resolved;
-    k_max = std::max(k_max, h.k);
-    h.record_all =
-        options.extract_scheduler &&
-        saturating_mul(h.k, static_cast<std::uint64_t>(n)) <= options.max_decision_entries;
-    TimedReachabilityResult& r = results[j];
-    r.uniform_rate = e;
-    r.lambda = e * times[j];
-    r.iterations_planned = h.k;
-    if (options.extract_scheduler) {
-      r.initial_decision.assign(n, kNoTransition);
-      if (h.record_all) r.decisions.resize(h.k);
-    }
-  }
-
-  // Bottom-aligned fusion: all horizons end at step 1 together, so horizon
-  // j participates in global steps g = k_j .. 1 and its local step index
-  // *is* g — its per-state operation sequence is exactly its single-t
-  // run's.  Descending-k order makes the set of started horizons a prefix.
-  std::vector<Horizon*> by_k(num_horizons);
-  for (std::size_t j = 0; j < num_horizons; ++j) by_k[j] = &horizons[j];
-  std::stable_sort(by_k.begin(), by_k.end(),
-                   [](const Horizon* a, const Horizon* b) { return a->k > b->k; });
-
-  RunGuard* const guard = options.guard;
-  std::atomic<bool> sweep_aborted{false};
-  bool stopped = false;
-  std::uint64_t stop_step = 0;
-  unsigned pool_size = 0;
-  std::vector<Horizon*> active;
-  active.reserve(num_horizons);
-
-  if (backend == Backend::Serial) {
-    std::optional<DiscreteKernel> own_kernel;
-    if (options.discrete_kernel == nullptr) own_kernel.emplace(model, goal);
-    const DiscreteKernel& kernel =
-        options.discrete_kernel != nullptr ? *options.discrete_kernel : *own_kernel;
-    if (kernel.state_first.size() != n + 1) {
-      throw ModelError("timed_reachability_batch: injected discrete kernel does not fit the model");
-    }
-
-    for (Horizon& h : horizons) {
-      h.q_next.assign(n, 0.0);
-      h.q_cur.assign(n, 0.0);
-      if (options.extract_scheduler) h.decision.assign(n, kNoTransition);
-    }
-
-    WorkerPool pool = make_worker_pool(options.threads, n);
-    pool_size = pool.size();
-    std::vector<std::vector<WorkerPool::Slot>> delta_slot(num_horizons);
-    for (auto& slots : delta_slot) slots.resize(pool.size());
-    const std::vector<Counter*> row_counters =
-        worker_row_counters(options.telemetry, "reachability.rows.worker", pool.size());
-    Counter* const* const rows_out = row_counters.empty() ? nullptr : row_counters.data();
-
-    // Locking (per horizon — each has its own iterate) and the shared
-    // Lyapunov record: the survival sup sequence is a pure function of the
-    // kernel, not of the horizon, so one iterate serves every engaged
-    // horizon at its own age (left_h - g).  Stop decisions are therefore
-    // bit-identical to each horizon's single-t run.
-    const bool locking = options.locking && !options.extract_scheduler;
-    bool any_engaged = false;
-    for (Horizon& h : horizons) {
-      if (locking) {
-        h.locked.assign(n, false);
-        h.cand.resize(pool.size());
-      }
-      any_engaged = any_engaged || h.engaged;
-    }
-    std::vector<std::vector<std::uint64_t>> upd_slots(
-        num_horizons, std::vector<std::uint64_t>(pool.size() * std::size_t{8}, 0));
-    LyapunovSeries series(options.epsilon / 2.0);
-    bool cert_disengaged = false;
-    std::vector<double> u;
-    std::vector<double> u_next;
-    std::vector<WorkerPool::Slot> u_slot;
-    if (any_engaged) {
-      u.assign(n, 0.0);
-      u_next.assign(n, 0.0);
-      for (StateId s = 0; s < n; ++s) u[s] = (goal[s] || avoided(s)) ? 0.0 : 1.0;
-      u_slot.resize(pool.size());
-    }
-
-    std::size_t started = 0;  // prefix of by_k with k >= g
-    for (std::uint64_t g = k_max; g >= 1; --g) {
-      while (started < num_horizons && by_k[started]->k >= g) ++started;
-      active.clear();
-      for (std::size_t a = 0; a < started; ++a) {
-        if (!by_k[a]->done) active.push_back(by_k[a]);
-      }
-      if (active.empty()) {
-        // Everything in flight terminated early; fast-forward to the next
-        // (strictly smaller) horizon start, or stop when none remain.
-        if (started == num_horizons) break;
-        g = by_k[started]->k + 1;
-        continue;
-      }
-      if (guard != nullptr && guard->poll() != RunStatus::Converged) {
-        stopped = true;
-        stop_step = g;
-        break;
-      }
-      for (Horizon* h : active) h->weight = h->psi.psi(g);
-      Horizon* const* const act = active.data();
-      const std::size_t num_active = active.size();
-      pool.run(n, [&](unsigned worker, std::size_t begin, std::size_t end) {
-        std::uint64_t rows = 0;
-        for (std::size_t a = 0; a < num_active; ++a) {
-          delta_slot[act[a]->idx][worker].value = 0.0;
-        }
-        for (std::size_t blk = begin; blk < end; blk += kGuardBlock) {
-          if (guard != nullptr && guard->should_abort_sweep()) {
-            sweep_aborted.store(true, std::memory_order_relaxed);
-            break;
-          }
-          const std::size_t blk_end = std::min(end, blk + kGuardBlock);
-          // Kernel rows for this block stay cache-hot across the horizon
-          // loop — the batch streams the kernel once per block, not once
-          // per horizon.
-          for (std::size_t a = 0; a < num_active; ++a) {
-            Horizon& h = *act[a];
-            const double w = h.weight;
-            const double* q = h.q_next.data();
-            double* out = h.q_cur.data();
-            std::uint64_t* dec = options.extract_scheduler ? h.decision.data() : nullptr;
-            const bool skip_locked = h.locked_count != 0;
-            std::vector<StateId>* const my_cand =
-                locking && g < h.psi.left() ? &h.cand[worker] : nullptr;
-            double local_delta = delta_slot[h.idx][worker].value;
-            std::uint64_t h_rows = 0;
-            for (StateId s = blk; s < blk_end; ++s) {
-              if (skip_locked && h.locked[s]) continue;  // frozen: both buffers agree
-              ++h_rows;
-              if (goal[s]) {
-                out[s] = w + q[s];
-                if (dec != nullptr) dec[s] = kNoTransition;
-                if (my_cand != nullptr && same_bits(out[s], q[s])) my_cand->push_back(s);
-              } else if (avoided(s)) {
-                out[s] = 0.0;
-                if (dec != nullptr) dec[s] = kNoTransition;
-                if (my_cand != nullptr && same_bits(0.0, q[s])) my_cand->push_back(s);
-              } else {
-                const std::uint64_t first = kernel.state_first[s];
-                const std::uint64_t last = kernel.state_first[s + 1];
-                double best = first == last ? 0.0 : (maximize ? -1.0 : 2.0);
-                std::uint64_t best_t = kNoTransition;
-                for (std::uint64_t tr = first; tr < last; ++tr) {
-                  const double acc = kernel.transition_value(tr, w, q);
-                  if (maximize ? acc > best : acc < best) {
-                    best = acc;
-                    best_t = tr;
-                  }
-                }
-                // NaN-capturing max, as in the single-horizon engine.
-                const double dev = std::fabs(best - q[s]);
-                if (!(dev <= local_delta)) local_delta = dev;
-                out[s] = best;
-                if (dec != nullptr) dec[s] = best_t;
-                if (my_cand != nullptr && same_bits(best, q[s]) &&
-                    serial_row_closed(kernel, h.locked, s)) {
-                  my_cand->push_back(s);
-                }
-              }
-            }
-            delta_slot[h.idx][worker].value = local_delta;
-            upd_slots[h.idx][worker * std::size_t{8}] += h_rows;
-            rows += h_rows;
-          }
-        }
-        if (rows_out != nullptr) rows_out[worker]->add(rows);
-      });
-      if (guard != nullptr && sweep_aborted.load(std::memory_order_relaxed)) {
-        stopped = true;
-        stop_step = g;
-        break;
-      }
-      // Advance the shared survival record to the deepest age any engaged
-      // horizon checks this step.  Entries are horizon-independent, so the
-      // record (and the probe-cap disengage at its tail) replays exactly
-      // what each single-t run would compute.
-      if (any_engaged && !cert_disengaged && g > 1) {
-        std::uint64_t needed = 0;
-        for (Horizon* hp : active) {
-          const Horizon& h = *hp;
-          if (h.engaged && h.cert_ok && g < h.psi.left()) {
-            needed = std::max(needed, h.psi.left() - g);
-          }
-        }
-        while (!cert_disengaged && series.size() < needed) {
-          series.record(survival_step_serial(kernel, goal, options.avoid, pool, u_slot, u, u_next));
-          u.swap(u_next);
-          if (series.should_disengage(series.size())) {
-            cert_disengaged = true;
-            u = std::vector<double>();
-            u_next = std::vector<double>();
-          }
-        }
-      }
-      for (Horizon* hp : active) {
-        Horizon& h = *hp;
-        const double delta = WorkerPool::reduce_max(delta_slot[h.idx]);
-        if (!std::isfinite(delta)) {
-          throw NumericError("timed_reachability: non-finite update at step " +
-                             std::to_string(g) + " (NaN/Inf reached the iterate)");
-        }
-        h.q_cur.swap(h.q_next);
-        ++h.executed;
-        if (locking && g < h.psi.left()) {
-          for (std::vector<StateId>& c : h.cand) {
-            for (const StateId s : c) h.locked.set(s);
-            h.locked_count += c.size();
-            c.clear();
-          }
-        }
-        if (h.record_all) results[h.idx].decisions[g - 1] = h.decision;
-        if (options.extract_scheduler && g == 1) results[h.idx].initial_decision = h.decision;
-        if (options.early_termination && g > 1 && g - 1 < h.psi.left() &&
-            delta <= options.early_termination_delta) {
-          if (options.extract_scheduler) results[h.idx].initial_decision = h.decision;
-          h.early_fired = true;
-          h.early_step = g;
-          h.done = true;
-        }
-        // Same check order as the single-horizon engine: early termination,
-        // then exact fixpoint, then certificate.
-        if (!h.done && locking && g > 1 && g <= h.psi.left() && delta == 0.0) {
-          h.fixpoint = true;
-          h.done = true;
-        }
-        if (!h.done && h.engaged && h.cert_ok && g > 1 && g < h.psi.left()) {
-          const std::uint64_t age = h.psi.left() - g;
-          if (age > series.size() || series.should_disengage(age)) {
-            // The record stopped at the probe cap (or this age is past it):
-            // the single-t run disengaged at exactly this point too.
-            h.cert_ok = false;
-          } else if (series.certifies(delta, age)) {
-            h.lyap_fired = true;
-            h.lyap_error = series.stop_error(delta, age);
-            results[h.idx].k_lyapunov = h.executed;
-            h.done = true;
-          }
-        }
-      }
-    }
-
-    for (Horizon& h : horizons) {
-      TimedReachabilityResult& r = results[h.idx];
-      r.iterations_executed = h.executed;
-      r.exact_fixpoint = h.fixpoint;
-      r.locked_final = h.locked_count;
-      for (std::size_t wkr = 0; wkr < pool.size(); ++wkr) {
-        r.state_updates += upd_slots[h.idx][wkr * std::size_t{8}];
-      }
-      if (!h.done && stopped) {
-        r.status = guard->status();
-        r.residual_bound = partial_residual(h.psi, std::min(stop_step, h.k), h.window_epsilon);
-        r.iterate = h.q_next;
-      } else if (h.lyap_fired) {
-        r.residual_bound = h.window_epsilon + h.lyap_error;
-      } else {
-        r.residual_bound =
-            h.window_epsilon + (h.early_fired ? options.early_termination_delta : 0.0);
-      }
-      require_finite_values(h.q_next, "timed_reachability");
-      r.values = std::move(h.q_next);
-      for (StateId s = 0; s < n; ++s) {
-        r.values[s] = goal[s] ? 1.0 : clamp01(r.values[s]);
-      }
-      h.q_cur = std::vector<double>();
-    }
-  } else {
-    std::optional<DenseKernel> own_kernel;
-    if (options.dense_kernel == nullptr) own_kernel.emplace(model, goal, options.avoid);
-    const DenseKernel& kernel =
-        options.dense_kernel != nullptr ? *options.dense_kernel : *own_kernel;
-    if (kernel.dense_index.size() != n) {
-      throw ModelError("timed_reachability_batch: injected dense kernel does not fit the model");
-    }
-    const KernelOps& ops = kernel_ops(backend);
-    const DenseKernelView view = kernel.view();
-    const DenseBridge bridge{kernel, goal};
-    const std::uint64_t rows = kernel.num_rows();
-
-    for (Horizon& h : horizons) {
-      h.q_next.assign(rows, 0.0);
-      h.q_cur.assign(rows, 0.0);
-      if (options.extract_scheduler) h.decision.assign(rows, kNoTransition);
-    }
-
-    WorkerPool pool = make_worker_pool(options.threads, rows);
-    pool_size = pool.size();
-    std::vector<std::vector<WorkerPool::Slot>> delta_slot(num_horizons);
-    for (auto& slots : delta_slot) slots.resize(pool.size());
-    const std::vector<Counter*> row_counters =
-        worker_row_counters(options.telemetry, "reachability.rows.worker", pool.size());
-    Counter* const* const rows_out = row_counters.empty() ? nullptr : row_counters.data();
-
-    // Locking and shared certificate state, as in the serial batch engine
-    // but over dense rows.
-    const bool locking = options.locking && !options.extract_scheduler;
-    bool any_engaged = false;
-    for (Horizon& h : horizons) {
-      if (locking) {
-        h.locked.assign(rows, false);
-        h.cand.resize(pool.size());
-      }
-      any_engaged = any_engaged || h.engaged;
-    }
-    std::vector<std::vector<std::uint64_t>> upd_slots(
-        num_horizons, std::vector<std::uint64_t>(pool.size() * std::size_t{8}, 0));
-    LyapunovSeries series(options.epsilon / 2.0);
-    bool cert_disengaged = false;
-    std::vector<double> u;
-    std::vector<double> u_next;
-    std::vector<WorkerPool::Slot> u_slot;
-    if (any_engaged) {
-      u.assign(rows, 1.0);
-      u_next.assign(rows, 0.0);
-      u_slot.resize(pool.size());
-    }
-
-    std::size_t started = 0;
-    for (std::uint64_t g = k_max; g >= 1; --g) {
-      while (started < num_horizons && by_k[started]->k >= g) ++started;
-      active.clear();
-      for (std::size_t a = 0; a < started; ++a) {
-        if (!by_k[a]->done) active.push_back(by_k[a]);
-      }
-      if (active.empty()) {
-        if (started == num_horizons) break;
-        g = by_k[started]->k + 1;
-        continue;
-      }
-      if (guard != nullptr && guard->poll() != RunStatus::Converged) {
-        stopped = true;
-        stop_step = g;
-        break;
-      }
-      for (Horizon* h : active) h->weight = h->psi.psi(g) + h->goal_value;  // G_g
-      Horizon* const* const act = active.data();
-      const std::size_t num_active = active.size();
-      pool.run(rows, [&](unsigned worker, std::size_t begin, std::size_t end) {
-        std::uint64_t swept = 0;
-        for (std::size_t a = 0; a < num_active; ++a) {
-          delta_slot[act[a]->idx][worker].value = 0.0;
-        }
-        for (std::size_t blk = begin; blk < end; blk += kGuardBlock) {
-          if (guard != nullptr && guard->should_abort_sweep()) {
-            sweep_aborted.store(true, std::memory_order_relaxed);
-            break;
-          }
-          const std::size_t blk_end = std::min(end, blk + kGuardBlock);
-          for (std::size_t a = 0; a < num_active; ++a) {
-            Horizon& h = *act[a];
-            std::uint64_t* const dec = options.extract_scheduler ? h.decision.data() : nullptr;
-            const bool lock_sweep_h = locking && g < h.psi.left();
-            double d;
-            std::uint64_t h_swept = 0;
-            if (h.locked_count != 0 || lock_sweep_h) {
-              d = relax_dense_block(ops, view, h.weight, maximize, h.q_next.data(),
-                                    h.q_cur.data(), dec, blk, blk_end, &h.locked,
-                                    lock_sweep_h ? &h.cand[worker] : nullptr, h_swept);
-            } else {
-              h_swept = blk_end - blk;
-              d = ops.relax_rows(view, h.weight, maximize, h.q_next.data(), h.q_cur.data(), dec,
-                                 blk, blk_end);
-            }
-            WorkerPool::Slot& slot = delta_slot[h.idx][worker];
-            if (!(d <= slot.value)) slot.value = d;  // NaN-capturing max
-            upd_slots[h.idx][worker * std::size_t{8}] += h_swept;
-            swept += h_swept;
-          }
-        }
-        if (rows_out != nullptr) rows_out[worker]->add(swept);
-      });
-      if (guard != nullptr && sweep_aborted.load(std::memory_order_relaxed)) {
-        stopped = true;
-        stop_step = g;
-        break;
-      }
-      if (any_engaged && !cert_disengaged && g > 1) {
-        std::uint64_t needed = 0;
-        for (Horizon* hp : active) {
-          const Horizon& h = *hp;
-          if (h.engaged && h.cert_ok && g < h.psi.left()) {
-            needed = std::max(needed, h.psi.left() - g);
-          }
-        }
-        while (!cert_disengaged && series.size() < needed) {
-          series.record(survival_step_dense(ops, view, pool, u_slot, u, u_next));
-          u.swap(u_next);
-          if (series.should_disengage(series.size())) {
-            cert_disengaged = true;
-            u = std::vector<double>();
-            u_next = std::vector<double>();
-          }
-        }
-      }
-      for (Horizon* hp : active) {
-        Horizon& h = *hp;
-        const double delta = WorkerPool::reduce_max(delta_slot[h.idx]);
-        if (!std::isfinite(delta)) {
-          throw NumericError("timed_reachability: non-finite update at step " +
-                             std::to_string(g) + " (NaN/Inf reached the iterate)");
-        }
-        h.q_cur.swap(h.q_next);
-        h.goal_value = h.weight;
-        ++h.executed;
-        if (locking && g < h.psi.left()) {
-          for (std::vector<StateId>& c : h.cand) {
-            for (const StateId s : c) h.locked.set(s);
-            h.locked_count += c.size();
-            c.clear();
-          }
-        }
-        if (h.record_all) results[h.idx].decisions[g - 1] = bridge.expand_decisions(h.decision);
-        if (options.extract_scheduler && g == 1) {
-          results[h.idx].initial_decision = bridge.expand_decisions(h.decision);
-        }
-        if (options.early_termination && g > 1 && g - 1 < h.psi.left() &&
-            delta <= options.early_termination_delta) {
-          if (options.extract_scheduler) {
-            results[h.idx].initial_decision = bridge.expand_decisions(h.decision);
-          }
-          h.early_fired = true;
-          h.early_step = g;
-          h.done = true;
-        }
-        if (!h.done && locking && g > 1 && g <= h.psi.left() && delta == 0.0) {
-          h.fixpoint = true;
-          h.done = true;
-        }
-        if (!h.done && h.engaged && h.cert_ok && g > 1 && g < h.psi.left()) {
-          const std::uint64_t age = h.psi.left() - g;
-          if (age > series.size() || series.should_disengage(age)) {
-            h.cert_ok = false;
-          } else if (series.certifies(delta, age)) {
-            h.lyap_fired = true;
-            h.lyap_error = series.stop_error(delta, age);
-            results[h.idx].k_lyapunov = h.executed;
-            h.done = true;
-          }
-        }
-      }
-    }
-
-    for (Horizon& h : horizons) {
-      TimedReachabilityResult& r = results[h.idx];
-      r.iterations_executed = h.executed;
-      r.exact_fixpoint = h.fixpoint;
-      r.locked_final = h.locked_count;
-      for (std::size_t wkr = 0; wkr < pool.size(); ++wkr) {
-        r.state_updates += upd_slots[h.idx][wkr * std::size_t{8}];
-      }
-      if (!h.done && stopped) {
-        r.status = guard->status();
-        r.residual_bound = partial_residual(h.psi, std::min(stop_step, h.k), h.window_epsilon);
-        std::vector<double> q_full(n, 0.0);
-        bridge.materialize(h.q_next, h.goal_value, q_full);
-        require_finite_values(q_full, "timed_reachability");
-        r.iterate = q_full;
-        r.values = std::move(q_full);
-        for (StateId s = 0; s < n; ++s) {
-          r.values[s] = goal[s] ? 1.0 : clamp01(r.values[s]);
-        }
-      } else {
-        r.residual_bound =
-            h.lyap_fired
-                ? h.window_epsilon + h.lyap_error
-                : h.window_epsilon + (h.early_fired ? options.early_termination_delta : 0.0);
-        // Finite check on the dense iterate plus the goal scalar covers every
-        // value the fused write below composes, at dense-row cost instead of
-        // full-state cost.
-        require_finite_values(h.q_next, "timed_reachability");
-        if (!std::isfinite(h.goal_value)) {
-          throw NumericError("timed_reachability: non-finite goal iterate");
-        }
-        // Fused materialize + clamp.  Every state is goal, avoided or a
-        // dense row (DenseKernel's partition), so: fill 1.0 (the clamped
-        // goal value — a vectorized store stream, and on goal-heavy models
-        // like FTWC that is nearly the whole vector), scatter the clamped
-        // dense iterate, then zero the avoided states if a mask exists.
-        // Per converged horizon this is the only full-state pass of the
-        // batch, which matters when 16 horizons finalize against a dense
-        // sweep that touched a few percent of the states.
-        r.values.assign(n, 1.0);
-        double* const out = r.values.data();
-        const std::uint32_t* const dense_state = kernel.dense_state.data();
-        const double* const dq = h.q_next.data();
-        for (std::uint64_t row = 0; row < rows; ++row) {
-          out[dense_state[row]] = clamp01(dq[row]);
-        }
-        if (!options.avoid.empty()) {
-          for (StateId s = 0; s < n; ++s) {
-            if (options.avoid[s] && !goal[s]) out[s] = 0.0;
-          }
-        }
-      }
-      h.q_next = std::vector<double>();
-      h.q_cur = std::vector<double>();
-    }
-    if (span) span->metric("dense_rows", rows);
-  }
-  if (span) {
-    span->metric("states", n);
-    span->metric("transitions", model.num_transitions());
-    span->metric("uniform_rate", e);
-    span->metric("horizons", num_horizons);
-    span->metric("iterations_planned_max", k_max);
-    span->metric("threads", pool_size);
-    // Per-horizon child spans in input order, emitted after the fused loop
-    // (the registry's span stack is coordinating-thread-only, so horizon
-    // spans must not interleave with sweeps).
-    for (std::size_t j = 0; j < num_horizons; ++j) {
-      const Horizon& h = horizons[j];
-      Telemetry::Span hspan = options.telemetry->span("reachability_batch.horizon");
-      hspan.metric("t", times[j]);
-      hspan.metric("lambda", results[j].lambda);
-      hspan.metric("poisson_left", h.psi.left());
-      hspan.metric("poisson_right", h.k);
-      hspan.metric("iterations_planned", h.k);
-      hspan.metric("iterations_executed", h.executed);
-      hspan.metric("early_termination_step", h.early_step);
-      hspan.metric("residual_bound", results[j].residual_bound);
-      hspan.metric("truncation.k_fox_glynn", h.fox_glynn_right);
-      hspan.metric("truncation.k_effective", h.executed);
-      hspan.metric("truncation.k_lyapunov", results[j].k_lyapunov);
-      hspan.metric("truncation.locked_final", h.locked_count);
-      hspan.metric("truncation.state_updates", results[j].state_updates);
-    }
-  }
-  return results;
+  const double e = uniform_rate_of(model, "timed_reachability_batch");
+  return solve(model, goal, e, times, options, false);
 }
 
 TimedReachabilityResult evaluate_scheduler(const Ctmdp& model, const BitVector& goal,
                                            double t, const std::vector<std::uint64_t>& choice,
                                            const TimedReachabilityOptions& options) {
   check_inputs(model, goal);
-  if (choice.size() != model.num_states()) {
-    throw ModelError("evaluate_scheduler: choice vector size mismatch");
-  }
-  const auto uniform = model.uniform_rate(1e-6);
-  if (!uniform) throw UniformityError("evaluate_scheduler: model is not uniform");
-  const double e = *uniform;
   const std::size_t n = model.num_states();
-  const Backend backend = resolve_backend(options.backend);
+  if (choice.size() != n) throw ModelError("evaluate_scheduler: choice vector size mismatch");
+  if (!(t >= 0.0)) throw ModelError("evaluate_scheduler: negative time bound");
+  const double e = uniform_rate_of(model, "evaluate_scheduler");
 
+  // The CTMDP restricted to the policy: every state keeps exactly the
+  // transition choice[s] names, so each row's arithmetic is that
+  // transition's row in the full model.  Goal rows never read their
+  // transitions; they keep their first one, so the restricted model stays
+  // uniform at the full model's rate e.
+  std::vector<std::uint64_t> keep;
   for (StateId s = 0; s < n; ++s) {
-    if (goal[s]) continue;
     const auto [first, last] = model.transition_range(s);
     if (first == last) continue;
-    if (choice[s] < first || choice[s] >= last) {
+    const std::uint64_t tr = goal[s] ? first : choice[s];
+    if (tr < first || tr >= last) {
       throw ModelError("evaluate_scheduler: choice out of range for state");
     }
+    keep.push_back(tr);
   }
+  const Ctmdp restricted = model.restricted(keep);
 
-  TimedReachabilityResult result;
-  result.uniform_rate = e;
-  result.lambda = e * t;
-
-  std::optional<Telemetry::Span> span;
-  if (options.telemetry != nullptr) span.emplace(options.telemetry->span("evaluate_scheduler"));
-
-  const PoissonWindow psi = PoissonWindow::compute(e * t, options.epsilon);
-  const std::uint64_t k = psi.right();
-  result.iterations_planned = k;
-
-  RunGuard* const guard = options.guard;
-  std::atomic<bool> sweep_aborted{false};
-  bool stopped = false;
-  bool early_fired = false;
-  std::uint64_t early_step = 0;
-  std::uint64_t executed = 0;
-  unsigned pool_size = 0;
-
-  if (backend == Backend::Serial) {
-    const DiscreteKernel kernel(model, goal);
-
-    std::vector<double> q_next(n, 0.0);
-    std::vector<double> q_cur(n, 0.0);
-
-    WorkerPool pool = make_worker_pool(options.threads, n);
-    pool_size = pool.size();
-    std::vector<WorkerPool::Slot> delta_slot(pool.size());
-    const std::vector<Counter*> row_counters =
-        worker_row_counters(options.telemetry, "evaluate_scheduler.rows.worker", pool.size());
-    Counter* const* const rows_out = row_counters.empty() ? nullptr : row_counters.data();
-
-    for (std::uint64_t i = k; i >= 1; --i) {
-      if (guard != nullptr && guard->poll() != RunStatus::Converged) {
-        stopped = true;
-        result.residual_bound = partial_residual(psi, i, options.epsilon);
-        break;
-      }
-      const double w = psi.psi(i);
-      pool.run(n, [&](unsigned worker, std::size_t begin, std::size_t end) {
-        const double* q = q_next.data();
-        double local_delta = 0.0;
-        std::uint64_t rows = 0;
-        for (std::size_t blk = begin; blk < end; blk += kGuardBlock) {
-          if (guard != nullptr && guard->should_abort_sweep()) {
-            sweep_aborted.store(true, std::memory_order_relaxed);
-            break;
-          }
-          const std::size_t blk_end = std::min(end, blk + kGuardBlock);
-          rows += blk_end - blk;
-          for (StateId s = blk; s < blk_end; ++s) {
-            if (goal[s]) {
-              q_cur[s] = w + q[s];
-              continue;
-            }
-            if (kernel.state_first[s] == kernel.state_first[s + 1]) {
-              q_cur[s] = 0.0;
-              continue;
-            }
-            const double acc = kernel.transition_value(choice[s], w, q);
-            const double dev = std::fabs(acc - q[s]);
-            if (!(dev <= local_delta)) local_delta = dev;  // NaN-capturing max
-            q_cur[s] = acc;
-          }
-        }
-        delta_slot[worker].value = local_delta;
-        if (rows_out != nullptr) rows_out[worker]->add(rows);
-      });
-      if (guard != nullptr && sweep_aborted.load(std::memory_order_relaxed)) {
-        stopped = true;
-        result.residual_bound = partial_residual(psi, i, options.epsilon);
-        break;
-      }
-      const double delta = WorkerPool::reduce_max(delta_slot);
-      if (!std::isfinite(delta)) {
-        throw NumericError("evaluate_scheduler: non-finite update at step " + std::to_string(i) +
-                           " (NaN/Inf reached the iterate)");
-      }
-      q_cur.swap(q_next);
-      ++executed;
-      if (guard != nullptr && guard->wants_checkpoint(executed)) {
-        guard->checkpoint("evaluate_scheduler", executed, k,
-                          partial_residual(psi, i - 1, options.epsilon),
-                          std::span<double>(q_next.data(), q_next.size()));
-        // Same trust boundary as in timed_reachability: the span is writable
-        // by external code, so reject non-finite entries immediately.
-        require_finite_values(q_next, "evaluate_scheduler checkpoint");
-      }
-      // Window-bound-only gate (see timed_reachability): an interior
-      // psi == 0 cannot occur by construction, and firing on one would
-      // silently skip mass-carrying steps.
-      if (options.early_termination && i > 1 && i - 1 < psi.left() &&
-          delta <= options.early_termination_delta) {
-        early_fired = true;
-        early_step = i;
-        break;
-      }
-    }
-    result.iterations_executed = executed;
-    if (stopped) {
-      result.status = guard->status();
-      result.iterate = q_next;
-    } else {
-      result.residual_bound =
-          options.epsilon + (early_fired ? options.early_termination_delta : 0.0);
-    }
-    require_finite_values(q_next, "evaluate_scheduler");
-    result.values = std::move(q_next);
-  } else {
-    // Dense engine: evaluate ignores `avoid` exactly as the serial path
-    // does, so the kernel is built without an avoid mask.
-    const DenseKernel kernel(model, goal, BitVector{});
-    const KernelOps& ops = kernel_ops(backend);
-    const DenseKernelView view = kernel.view();
-    const DenseBridge bridge{kernel, goal};
-    const std::uint64_t rows = kernel.num_rows();
-
-    // Map the per-state choice onto dense transition indices once;
-    // transitionless states keep the 0-pinned sentinel.
-    std::vector<std::uint64_t> dchoice(rows, kNoTransition);
-    for (std::uint64_t r = 0; r < rows; ++r) {
-      const StateId s = kernel.dense_state[r];
-      const auto [first, last] = model.transition_range(s);
-      if (first == last) continue;
-      dchoice[r] = kernel.row_first[r] + (choice[s] - first);
-    }
-
-    std::vector<double> dq_next(rows, 0.0);
-    std::vector<double> dq_cur(rows, 0.0);
-    std::vector<double> q_full(n, 0.0);
-    double goal_value = 0.0;
-
-    WorkerPool pool = make_worker_pool(options.threads, rows);
-    pool_size = pool.size();
-    std::vector<WorkerPool::Slot> delta_slot(pool.size());
-    const std::vector<Counter*> row_counters =
-        worker_row_counters(options.telemetry, "evaluate_scheduler.rows.worker", pool.size());
-    Counter* const* const rows_out = row_counters.empty() ? nullptr : row_counters.data();
-
-    for (std::uint64_t i = k; i >= 1; --i) {
-      if (guard != nullptr && guard->poll() != RunStatus::Converged) {
-        stopped = true;
-        result.residual_bound = partial_residual(psi, i, options.epsilon);
-        break;
-      }
-      const double gi = psi.psi(i) + goal_value;
-      pool.run(rows, [&](unsigned worker, std::size_t begin, std::size_t end) {
-        const double* q = dq_next.data();
-        double local_delta = 0.0;
-        std::uint64_t swept = 0;
-        for (std::size_t blk = begin; blk < end; blk += kGuardBlock) {
-          if (guard != nullptr && guard->should_abort_sweep()) {
-            sweep_aborted.store(true, std::memory_order_relaxed);
-            break;
-          }
-          const std::size_t blk_end = std::min(end, blk + kGuardBlock);
-          swept += blk_end - blk;
-          const double d =
-              ops.choice_rows(view, gi, q, dchoice.data(), dq_cur.data(), blk, blk_end);
-          if (!(d <= local_delta)) local_delta = d;  // NaN-capturing max
-        }
-        delta_slot[worker].value = local_delta;
-        if (rows_out != nullptr) rows_out[worker]->add(swept);
-      });
-      if (guard != nullptr && sweep_aborted.load(std::memory_order_relaxed)) {
-        stopped = true;
-        result.residual_bound = partial_residual(psi, i, options.epsilon);
-        break;
-      }
-      const double delta = WorkerPool::reduce_max(delta_slot);
-      if (!std::isfinite(delta)) {
-        throw NumericError("evaluate_scheduler: non-finite update at step " + std::to_string(i) +
-                           " (NaN/Inf reached the iterate)");
-      }
-      dq_cur.swap(dq_next);
-      goal_value = gi;
-      ++executed;
-      if (guard != nullptr && guard->wants_checkpoint(executed)) {
-        bridge.materialize(dq_next, goal_value, q_full);
-        guard->checkpoint("evaluate_scheduler", executed, k,
-                          partial_residual(psi, i - 1, options.epsilon),
-                          std::span<double>(q_full.data(), q_full.size()));
-        require_finite_values(q_full, "evaluate_scheduler checkpoint");
-        goal_value = bridge.ingest(q_full, dq_next);
-      }
-      if (options.early_termination && i > 1 && i - 1 < psi.left() &&
-          delta <= options.early_termination_delta) {
-        early_fired = true;
-        early_step = i;
-        break;
-      }
-    }
-    result.iterations_executed = executed;
-    bridge.materialize(dq_next, goal_value, q_full);
-    if (stopped) {
-      result.status = guard->status();
-      result.iterate = q_full;
-    } else {
-      result.residual_bound =
-          options.epsilon + (early_fired ? options.early_termination_delta : 0.0);
-    }
-    require_finite_values(q_full, "evaluate_scheduler");
-    result.values = std::move(q_full);
-    if (span) span->metric("dense_rows", rows);
-  }
-
-  for (StateId s = 0; s < n; ++s) {
-    result.values[s] = goal[s] ? 1.0 : clamp01(result.values[s]);
-  }
-  if (span) {
-    span->metric("states", n);
-    span->metric("transitions", model.num_transitions());
-    span->metric("uniform_rate", e);
-    span->metric("lambda", result.lambda);
-    span->metric("poisson_left", psi.left());
-    span->metric("poisson_right", k);
-    span->metric("poisson_width", k - psi.left() + 1);
-    span->metric("iterations_planned", k);
-    span->metric("iterations_executed", executed);
-    span->metric("early_termination_step", early_step);
-    span->metric("threads", pool_size);
-    span->metric("residual_bound", result.residual_bound);
-  }
-  return result;
+  // A fixed policy has nothing to extract and no avoid set; the pure
+  // Fox-Glynn schedule keeps the historical policy-evaluation answer.
+  TimedReachabilityOptions policy = options;
+  policy.truncation = Truncation::FoxGlynn;
+  policy.avoid = BitVector{};
+  policy.extract_scheduler = false;
+  policy.resume = nullptr;
+  policy.discrete_kernel = nullptr;
+  policy.dense_kernel = nullptr;
+  return std::move(solve(restricted, goal, e, {t}, policy, true)[0]);
 }
 
 std::vector<double> step_bounded_reachability(const Ctmdp& model, const BitVector& goal,
@@ -1755,10 +931,11 @@ std::vector<double> step_bounded_reachability(const Ctmdp& model, const BitVecto
   // iterate is the constant 1 and the psi weight is 0 — relax with
   // gval = 1.0 reproduces transition_value(tr, 0.0, q) with the goal mass
   // folded.
-  const DenseKernel kernel(model, goal, BitVector{});
+  const BitVector no_avoid;
+  const DenseKernel kernel(model, goal, no_avoid);
+  const DenseRows engine(kernel, backend, goal, no_avoid, maximize);
   const KernelOps& ops = kernel_ops(backend);
   const DenseKernelView view = kernel.view();
-  const DenseBridge bridge{kernel, goal};
   const std::uint64_t rows = kernel.num_rows();
 
   std::vector<double> dq(rows, 0.0);
@@ -1773,8 +950,8 @@ std::vector<double> step_bounded_reachability(const Ctmdp& model, const BitVecto
     dq.swap(dnext);
   }
 
-  std::vector<double> v(n, 0.0);
-  bridge.materialize(dq, 1.0, v);
+  std::vector<double> v;
+  engine.expose(dq, 1.0, v);
   return v;
 }
 

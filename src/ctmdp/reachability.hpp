@@ -16,6 +16,13 @@
 //
 // The variant of Def. 1 (multiple transitions per action) only means the
 // maximum ranges over all emanating transitions instead of all actions.
+//
+// One fused sweep serves every entry point below: a list of horizons
+// fused bottom-aligned (DESIGN.md Sec. 11.1) over a row engine per backend
+// (full-state rows over DiscreteKernel for serial, dense goal-folded rows
+// over DenseKernel for the simd backends).  timed_reachability is that
+// sweep with one horizon, and evaluate_scheduler runs it on the CTMDP
+// restricted to the given policy.
 #pragma once
 
 #include <cstdint>
@@ -102,12 +109,15 @@ struct TimedReachabilityOptions {
   /// iterate size).  Iteration continues from the saved raw iterate; an
   /// uninterrupted and a resumed run produce bit-identical values.
   const TimedReachabilityResult* resume = nullptr;
-  /// Optional observability: a "reachability" (or "evaluate_scheduler")
-  /// span with states/transitions, the Poisson window (left/right/width),
-  /// iterations planned/executed and the early-termination step, plus
-  /// per-worker row counters ("reachability.rows.worker<i>") batched once
-  /// per sweep.  A live registry only observes — results stay bit-identical
-  /// with telemetry on or off.
+  /// Optional observability: a "reachability" span (one per
+  /// timed_reachability or evaluate_scheduler call; a batch reports a
+  /// "reachability_batch" span with one "reachability_batch.horizon" child
+  /// per bound) with states/transitions, the Poisson window
+  /// (left/right/width), iterations planned/executed and the
+  /// early-termination step, plus per-worker row counters
+  /// ("reachability.rows.worker<i>") batched once per sweep.  A live
+  /// registry only observes — results stay bit-identical with telemetry on
+  /// or off.
   Telemetry* telemetry = nullptr;
   /// Optional pre-built kernels (the analysis-server cache amortizes kernel
   /// construction across queries).  A supplied kernel MUST have been built
@@ -166,8 +176,9 @@ struct TimedReachabilityResult {
 
 inline constexpr std::uint64_t kNoTransition = static_cast<std::uint64_t>(-1);
 
-/// Runs Algorithm 1.  Requires a uniform CTMDP (throws UniformityError
-/// otherwise) and goal.size() == num_states().
+/// Runs Algorithm 1 — the batch solve below with the single horizon @p t,
+/// and the only entry that accepts options.resume.  Requires a uniform
+/// CTMDP (throws UniformityError otherwise) and goal.size() == num_states().
 TimedReachabilityResult timed_reachability(const Ctmdp& model, const BitVector& goal,
                                            double t, const TimedReachabilityOptions& options = {});
 
@@ -187,18 +198,24 @@ TimedReachabilityResult timed_reachability(const Ctmdp& model, const BitVector& 
 /// Guard stops produce per-horizon partial results: horizons that already
 /// finished stay Converged, the rest carry their own sound residual bound
 /// and resumable iterate.  options.resume is rejected (resume a horizon via
-/// a single-t call); guard checkpoints are not published from batch solves
-/// (there is no single iterate to publish).
+/// a single-t call).  Guard checkpoints are published per horizon — its
+/// full-state iterate, step, planned count and residual — exactly as its
+/// single-t run publishes them, and each publication drops that horizon's
+/// locks.
 std::vector<TimedReachabilityResult> timed_reachability_batch(
     const Ctmdp& model, const BitVector& goal, const std::vector<double>& times,
     const TimedReachabilityOptions& options = {});
 
 /// Policy evaluation: the same backward iteration but following the fixed
 /// stationary scheduler @p choice (a transition index per state; entries for
-/// goal or transitionless states are ignored).  The induced process is a
-/// uniform CTMC, so this equals CTMC timed reachability and serves as a
-/// cross-check in the tests.  Honours options.guard (partial results as in
-/// timed_reachability) but not options.resume.
+/// goal or transitionless states are ignored).  Solved as the CTMDP
+/// restricted to one transition per state — choice[s], and any one for goal
+/// states, so the uniform rate is unchanged — on the pure Fox-Glynn
+/// schedule, with options.avoid, extract_scheduler, resume and the
+/// injected kernels ignored.  The induced process is a uniform CTMC, so
+/// this equals CTMC timed reachability and serves as a cross-check in the
+/// tests.  Honours options.guard (partial results as in
+/// timed_reachability).
 TimedReachabilityResult evaluate_scheduler(const Ctmdp& model, const BitVector& goal,
                                            double t, const std::vector<std::uint64_t>& choice,
                                            const TimedReachabilityOptions& options = {});

@@ -82,7 +82,7 @@ inline double dot_entries(const double* prob, const std::uint32_t* col, const do
 
 #include "support/backend_kernels.inl"
 
-const KernelOps kOps = {"simd-portable", &relax_rows, &choice_rows, &gather_rows};
+const KernelOps kOps = {"simd-portable", &relax_rows, &gather_rows};
 
 }  // namespace portable
 

@@ -93,7 +93,7 @@ struct GatherView {
   const std::uint32_t* col = nullptr;
 };
 
-/// Sentinel for "no transition chosen" in decision/choice arrays; equals
+/// Sentinel for "no transition chosen" in decision arrays; equals
 /// ctmdp's kNoTransition.
 inline constexpr std::uint64_t kNoKernelChoice = static_cast<std::uint64_t>(-1);
 
@@ -114,13 +114,6 @@ struct KernelOps {
   double (*relax_rows)(const DenseKernelView& k, double gval, bool maximize,
                        const double* q, double* out, std::uint64_t* decisions,
                        std::uint64_t begin, std::uint64_t end);
-
-  /// Fixed-scheduler relax: out[r] = value of dense transition choice[r]
-  /// (kNoKernelChoice pins 0.0, the transitionless convention).  Returns
-  /// the NaN-latching sup delta as relax_rows.
-  double (*choice_rows)(const DenseKernelView& k, double gval, const double* q,
-                        const std::uint64_t* choice, double* out,
-                        std::uint64_t begin, std::uint64_t end);
 
   /// CSR-with-diagonal gather of rows [begin, end) (see GatherView).
   void (*gather_rows)(const GatherView& g, const double* x, double* out,

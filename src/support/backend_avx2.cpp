@@ -26,11 +26,15 @@ namespace avx2 {
 inline double dot_entries(const double* prob, const std::uint32_t* col, const double* q,
                           std::uint64_t first, std::uint64_t last) {
   __m256d acc4 = _mm256_setzero_pd();
+  // The masked form with an all-ones mask gathers every lane, exactly like
+  // _mm256_i32gather_pd, but from a defined (zero) source operand — the
+  // unmasked intrinsic's undefined one trips -Wmaybe-uninitialized.
+  const __m256d all_lanes = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
   std::uint64_t j = first;
   for (; j + 4 <= last; j += 4) {
     const __m128i idx = _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + j));
     const __m256d p = _mm256_loadu_pd(prob + j);
-    const __m256d v = _mm256_i32gather_pd(q, idx, 8);
+    const __m256d v = _mm256_mask_i32gather_pd(_mm256_setzero_pd(), q, idx, all_lanes, 8);
     acc4 = _mm256_add_pd(acc4, _mm256_mul_pd(p, v));
   }
   // Lanes (a0, a1, a2, a3) -> (a0 + a2, a1 + a3) -> (a0 + a2) + (a1 + a3).
@@ -44,7 +48,7 @@ inline double dot_entries(const double* prob, const std::uint32_t* col, const do
 
 #include "support/backend_kernels.inl"
 
-const KernelOps kOps = {"simd-avx2", &relax_rows, &choice_rows, &gather_rows};
+const KernelOps kOps = {"simd-avx2", &relax_rows, &gather_rows};
 
 }  // namespace avx2
 

@@ -44,9 +44,10 @@ WorkerPool::WorkerPool(unsigned threads)
     // A failed spawn (e.g. an injected allocation failure) leaves fewer
     // than size_ barrier participants alive; supply the missing arrivals
     // so the already-running workers can observe stopping_ and exit,
-    // instead of deadlocking the destructor-less unwind.
+    // instead of deadlocking the destructor-less unwind.  Nothing waits on
+    // this phase here, so its arrival token is dropped.
     stopping_ = true;
-    start_.arrive(static_cast<std::ptrdiff_t>(size_ - threads_.size()));
+    static_cast<void>(start_.arrive(static_cast<std::ptrdiff_t>(size_ - threads_.size())));
     for (std::thread& t : threads_) t.join();
     threads_.clear();
     throw;

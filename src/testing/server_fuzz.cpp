@@ -9,7 +9,6 @@
 #include <fstream>
 #include <future>
 #include <map>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -53,10 +52,15 @@ struct Ctx {
   std::uint64_t seed = 0;
   ServerFuzzReport* report = nullptr;
   const ServerFuzzLogFn* log = nullptr;
-  std::optional<ServerFuzzFailure> failure;
+  // The seed's first failure, when `failed`.  A flag rather than a
+  // std::optional: gcc 12 misreports the optional's string members as
+  // maybe-uninitialized where the loop destroys a reset Ctx.
+  bool failed = false;
+  ServerFuzzFailure failure;
 
   void fail(const std::string& scenario, const std::string& message) {
-    if (failure) return;  // keep the first failure per seed
+    if (failed) return;  // keep the first failure per seed
+    failed = true;
     failure = ServerFuzzFailure{seed, scenario, message};
   }
   void check(bool ok, const std::string& scenario, const std::string& message) {
@@ -64,10 +68,10 @@ struct Ctx {
     if (!ok) fail(scenario, message);
   }
   void flush() {
-    if (!failure) return;
-    if (log != nullptr && *log) (*log)(*failure);
-    report->failures.push_back(*failure);
-    failure.reset();
+    if (!failed) return;
+    if (log != nullptr && *log) (*log)(failure);
+    report->failures.push_back(failure);
+    failed = false;
   }
 };
 

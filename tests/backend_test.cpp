@@ -13,9 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "ctmc/transient.hpp"
@@ -473,6 +475,73 @@ TEST(SchedulerResume, MergesPreInterruptionDecisions) {
     EXPECT_EQ(resumed.values, reference.values) << "polls=" << polls;
     EXPECT_EQ(resumed.initial_decision, reference.initial_decision) << "polls=" << polls;
     EXPECT_EQ(resumed.decisions, reference.decisions) << "polls=" << polls;
+  }
+}
+
+// ------------------------------------------------- cross-backend resume
+
+/// Fast-absorbing drift model (uniform rate 4): every state feeds the
+/// absorbing goal (the last state) at rate 3 and its successor at rate 1,
+/// so the Lyapunov certificate fires within a few dozen below-window sweeps.
+Ctmdp drift_model(std::size_t n) {
+  CtmdpBuilder b;
+  b.ensure_states(n);
+  b.set_initial(0);
+  const StateId goal = static_cast<StateId>(n - 1);
+  for (StateId s = 0; s + 1 < n; ++s) {
+    b.begin_transition(s, "a");
+    b.add_rate(goal, 3.0);
+    b.add_rate(std::min<StateId>(s + 1, goal), 1.0);
+    b.begin_transition(s, "b");
+    b.add_rate(goal, 2.5);
+    b.add_rate(std::min<StateId>(s + 1, goal), 1.5);
+  }
+  return b.build();
+}
+
+TEST(CrossBackendResume, PartialResultsResumeUnderEveryBackend) {
+  // DESIGN.md Sec. 10.1: partial results are full-state, so a run
+  // interrupted under one backend resumes under any other.  Long horizon,
+  // so the certificate engages, with locking on: the resumed run replays
+  // the survival record and re-derives its locks on the resuming engine.
+  const Ctmdp c = drift_model(20);
+  BitVector goal(c.num_states());
+  goal.set(c.num_states() - 1);
+  const double t = 400.0;
+  for (Backend from : kBackends) {
+    TimedReachabilityOptions interrupted_options;
+    interrupted_options.backend = from;
+    const auto reference = timed_reachability(c, goal, t, interrupted_options);
+    ASSERT_EQ(reference.truncation, Truncation::Lyapunov);
+    ASSERT_LT(reference.iterations_executed, reference.iterations_planned);
+    for (const std::uint64_t stop_at :
+         {std::uint64_t{3}, reference.iterations_executed / 2,
+          reference.iterations_executed - 1}) {
+      RunGuard guard;
+      guard.cancel_after_polls(stop_at);
+      interrupted_options.guard = &guard;
+      const auto partial = timed_reachability(c, goal, t, interrupted_options);
+      interrupted_options.guard = nullptr;
+      ASSERT_EQ(partial.status, RunStatus::Cancelled);
+      for (Backend to : kBackends) {
+        SCOPED_TRACE(std::string(backend_name(from)) + " -> " + backend_name(to) + " at poll " +
+                     std::to_string(stop_at));
+        TimedReachabilityOptions options;
+        options.backend = to;
+        const auto uninterrupted = timed_reachability(c, goal, t, options);
+        options.resume = &partial;
+        const auto resumed = timed_reachability(c, goal, t, options);
+        ASSERT_EQ(resumed.status, RunStatus::Converged);
+        if (to == from) {
+          EXPECT_EQ(resumed.values, reference.values);
+          continue;
+        }
+        for (std::size_t s = 0; s < c.num_states(); ++s) {
+          EXPECT_LE(std::fabs(resumed.values[s] - reference.values[s]), partial.residual_bound);
+        }
+        EXPECT_LE(max_abs_diff_vec(resumed.values, uninterrupted.values), kReassocTol);
+      }
+    }
   }
 }
 

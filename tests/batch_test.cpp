@@ -8,12 +8,16 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "ctmc/transient.hpp"
 #include "ctmdp/backend.hpp"
 #include "ctmdp/reachability.hpp"
+#include "support/errors.hpp"
 #include "support/rng.hpp"
+#include "support/run_guard.hpp"
 #include "testing/generate.hpp"
 #include "testing/oracle.hpp"
 
@@ -212,6 +216,41 @@ TEST(BatchTest, CtmdpBatchRejectsBadInputs) {
   EXPECT_THROW(timed_reachability_batch(model, goal, {1.0}, bad_kernel), ModelError);
 }
 
+TEST(BatchTest, CtmdpBatchPublishesEveryHorizonsCheckpoints) {
+  // Each horizon publishes what its single-t run publishes: its own
+  // full-state iterate at every due step, under its own planned count.
+  // A pure observer drops locks at most, so values stay bitwise.
+  Rng rng(0xc4e7u);
+  gen::RandomCtmdpConfig config;
+  config.num_states = 16;
+  Ctmdp model = gen::random_uniform_ctmdp(rng, config);
+  const BitVector goal = gen::random_goal(rng, model.num_states(), 0.3);
+  const std::vector<double> times = {3.0, 1.0};
+
+  for (Backend backend : backends_under_test()) {
+    TimedReachabilityOptions options;
+    options.backend = backend;
+    const auto clean = timed_reachability_batch(model, goal, times, options);
+
+    RunGuard guard;
+    std::vector<std::uint64_t> published(times.size(), 0);
+    guard.set_checkpoint([&](const RunCheckpoint& cp) {
+      EXPECT_EQ(cp.values.size(), model.num_states());
+      for (std::size_t j = 0; j < times.size(); ++j) {
+        if (cp.planned == clean[j].iterations_planned) ++published[j];
+      }
+    });
+    options.guard = &guard;
+    const auto observed = timed_reachability_batch(model, goal, times, options);
+    for (std::size_t j = 0; j < times.size(); ++j) {
+      SCOPED_TRACE("backend " + std::string(backend_name(backend)) + " t " +
+                   std::to_string(times[j]));
+      EXPECT_EQ(published[j], observed[j].iterations_executed);
+      expect_bitwise(observed[j].values, clean[j].values, "observed values");
+    }
+  }
+}
+
 TEST(BatchTest, CtmdpBatchValuesAgreeWithDenseOracle) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     Rng rng(derive_seed(0x0aacu, seed));
@@ -374,6 +413,38 @@ TEST(BatchTest, CtmcBatchHorizonsCertifyAtDifferentSweeps) {
     }
   }
   EXPECT_NE(batch[0].iterations_executed, batch[1].iterations_executed);
+}
+
+TEST(BatchTest, CtmcBatchPublishesItsSharedIterate) {
+  // One checkpoint per shared step, and the trust boundary holds: a NaN
+  // written through it surfaces as NumericError.
+  Rng rng(0x5a4eu);
+  Ctmc chain = gen::random_ctmc(rng);
+  const BitVector goal = gen::random_goal(rng, chain.num_states(), 0.3);
+  const std::vector<double> times = {2.0, 0.5};
+  const auto clean = timed_reachability_batch(chain, goal, times);
+
+  RunGuard observer;
+  std::uint64_t published = 0;
+  observer.set_checkpoint([&](const RunCheckpoint& cp) {
+    EXPECT_EQ(cp.values.size(), chain.num_states());
+    ++published;
+  });
+  TransientOptions observed_options;
+  observed_options.guard = &observer;
+  const auto observed = timed_reachability_batch(chain, goal, times, observed_options);
+  EXPECT_EQ(published, std::max(clean[0].iterations_executed, clean[1].iterations_executed));
+  for (std::size_t j = 0; j < times.size(); ++j) {
+    expect_bitwise(observed[j].probabilities, clean[j].probabilities, "observed probabilities");
+  }
+
+  RunGuard poison;
+  poison.set_checkpoint([](const RunCheckpoint& cp) {
+    if (cp.step == 1) cp.values[0] = std::numeric_limits<double>::quiet_NaN();
+  });
+  TransientOptions poisoned_options;
+  poisoned_options.guard = &poison;
+  EXPECT_THROW(timed_reachability_batch(chain, goal, times, poisoned_options), NumericError);
 }
 
 TEST(BatchTest, CtmcBatchGuardStopKeepsFinishedHorizonsConverged) {

@@ -167,6 +167,10 @@ struct Table1Row {
   std::size_t inter_states, markov_states, inter_trans, markov_trans;
 };
 
+// Without a printer gtest names each case by the row's raw bytes, padding
+// included, so the names would change from one listing to the next.
+void PrintTo(const Table1Row& row, std::ostream* os) { *os << "n=" << row.n; }
+
 class Table1Pin : public ::testing::TestWithParam<Table1Row> {};
 
 TEST_P(Table1Pin, AlternatingImcSizesMatchThePaperExactly) {

@@ -698,6 +698,26 @@ TEST(SessionTest, SessionOutputIsDeterministic) {
   }
 }
 
+TEST(ServerTest, PoisonPlanReachesTheSolveAndIsAnsweredNumeric) {
+  // Every server solve is a batch, and every horizon of a batch publishes
+  // its checkpoints, so a poison plan lands in a live iterate — CTMDP and
+  // CTMC alike — and the request is answered with a typed Numeric error.
+  const std::vector<Fixture> fixtures = {
+      make_ctmdp_fixture(71, 14, {1.0}, Objective::Maximize),
+      make_ctmdp_fixture(72, 14, {1.0, 2.0}, Objective::Minimize),
+      make_ctmc_fixture(73, 12, {1.0, 2.0}),
+  };
+  AnalysisService service(ServiceOptions{.workers = 1});
+  for (const Fixture& fixture : fixtures) {
+    QueryRequest poisoned = request_for(fixture, "chaos", "poison");
+    poisoned.fault_poison_step = 1;
+    const QueryResponse response = service.query(std::move(poisoned));
+    EXPECT_EQ(response.error, ErrorCode::Numeric) << response.message;
+    // The damage stays in its own request.
+    expect_matches_fixture(service.query(request_for(fixture, "a", "clean")), fixture);
+  }
+}
+
 TEST(ServerTest, AllocFaultNeverFailsAConcurrentCleanRequest) {
   const Fixture fixture = make_ctmdp_fixture(87, 14, {0.8}, Objective::Maximize);
   AnalysisService service(ServiceOptions{.workers = 2});
