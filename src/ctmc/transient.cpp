@@ -380,6 +380,7 @@ std::vector<TransientResult> reach_horizons(const Ctmc& chain, const BitVector& 
     bool engaged = false;
     Truncation resolved = Truncation::FoxGlynn;
     std::uint64_t k_lyapunov = 0;
+    std::uint64_t probes = 0;  // survival sweeps the fold checks paid for
     std::uint64_t state_updates = 0;
     std::size_t locked_final = 0;
   };
@@ -428,7 +429,10 @@ std::vector<TransientResult> reach_horizons(const Ctmc& chain, const BitVector& 
   // per-state distance v_inf - v_i, so once tail_mass(i+1) * sup u_{i+1}
   // drops under epsilon/2 a horizon's whole unaccumulated window can be
   // folded onto v_{i+1} at a provably bounded cost.  u_i is a pure function
-  // of the kernel, so one iterate serves every engaged horizon.
+  // of the kernel, so one iterate serves every engaged horizon.  The probe
+  // budget: u_{i+1} is the (i+1)-th survival sweep a horizon pays for, worth
+  // it only while a fold would still skip more of its remaining
+  // right - (i+1) sweeps.
   LyapunovSeries series(options.epsilon / 2.0);
   bool cert_active = any_engaged;
   std::vector<double> u;
@@ -478,12 +482,12 @@ std::vector<TransientResult> reach_horizons(const Ctmc& chain, const BitVector& 
       }
     }
     if (remaining == 0) break;
-    const bool cert_open = cert_active && [&] {
-      for (const Horizon& h : horizons) {
-        if (!h.done && h.engaged) return true;
-      }
-      return false;
-    }();
+    const auto probing = [&](const Horizon& h) {
+      return !h.done && h.engaged &&
+             LyapunovSeries::within_budget(i + 1, h.psi.right() - (i + 1));
+    };
+    const bool cert_open =
+        cert_active && std::any_of(horizons.begin(), horizons.end(), probing);
     if (locking && locked_count == n && guard == nullptr && !options.early_termination &&
         !cert_open) {
       // Every row is frozen: P cur == cur bitwise, so the sweep and swap are
@@ -556,31 +560,32 @@ std::vector<TransientResult> reach_horizons(const Ctmc& chain, const BitVector& 
         if (!(u[s] <= ub)) ub = u[s];  // NaN-latching sup
       }
       series.record(ub);
-      if (series.should_disengage(series.size())) {
-        // Not contracting within the probe budget — stop paying for the
-        // second sweep; every horizon continues on its pure window.
+      // Not contracting within the probe cap: stop paying for the second
+      // sweep; every horizon continues on its pure window.
+      const bool disengage = series.should_disengage(series.size());
+      for (Horizon& h : horizons) {
+        if (!probing(h)) continue;
+        h.probes = i + 1;
+        const double tail = h.psi.tail_mass(i + 1);
+        if (!disengage && tail * ub <= options.epsilon / 2.0) {
+          // sum_{j>i} psi(j) (v_j - v_{i+1}) <= tail * sup u_{i+1}: fold
+          // the whole remaining window onto v_{i+1}.
+          double* acc = h.acc.data();
+          for (std::size_t s = 0; s < n; ++s) acc[s] += tail * next[s];
+          h.residual += tail * ub;
+          h.k_lyapunov = executed;
+          close(h);
+          --remaining;
+        }
+      }
+      if (disengage) {
         cert_active = false;
         u = std::vector<double>();
         u_next = std::vector<double>();
-      } else {
-        for (Horizon& h : horizons) {
-          if (h.done || !h.engaged) continue;
-          const double tail = h.psi.tail_mass(i + 1);
-          if (tail * ub <= options.epsilon / 2.0) {
-            // sum_{j>i} psi(j) (v_j - v_{i+1}) <= tail * sup u_{i+1}: fold
-            // the whole remaining window onto v_{i+1}.
-            double* acc = h.acc.data();
-            for (std::size_t s = 0; s < n; ++s) acc[s] += tail * next[s];
-            h.residual += tail * ub;
-            h.k_lyapunov = executed;
-            close(h);
-            --remaining;
-          }
-        }
-        if (remaining == 0) {
-          cur.swap(next);
-          break;
-        }
+      }
+      if (remaining == 0) {
+        cur.swap(next);
+        break;
       }
     }
     cur.swap(next);
@@ -595,6 +600,7 @@ std::vector<TransientResult> reach_horizons(const Ctmc& chain, const BitVector& 
     r.residual_bound = h.residual;
     r.truncation = h.resolved;
     r.k_lyapunov = h.k_lyapunov;
+    r.lyapunov_probes = h.probes;
     // Shared sweeps: per horizon this counts the relaxations performed
     // while that horizon was still open (work metrics, not part of the
     // bit-identity contract).
@@ -619,6 +625,7 @@ std::vector<TransientResult> reach_horizons(const Ctmc& chain, const BitVector& 
     span->metric("truncation.k_fox_glynn", h.fox_glynn_right);
     span->metric("truncation.k_effective", h.executed);
     span->metric("truncation.k_lyapunov", h.k_lyapunov);
+    if (h.engaged) span->metric("truncation.probes", h.probes);
     span->metric("truncation.locked_final", h.locked_final);
     span->metric("truncation.state_updates", h.state_updates);
     return results;
@@ -640,6 +647,7 @@ std::vector<TransientResult> reach_horizons(const Ctmc& chain, const BitVector& 
     hspan.metric("truncation.k_fox_glynn", h.fox_glynn_right);
     hspan.metric("truncation.k_effective", h.executed);
     hspan.metric("truncation.k_lyapunov", h.k_lyapunov);
+    if (h.engaged) hspan.metric("truncation.probes", h.probes);
     hspan.metric("truncation.locked_final", h.locked_final);
     hspan.metric("truncation.state_updates", h.state_updates);
   }

@@ -29,7 +29,10 @@ struct TransientOptions {
   /// see TimedReachabilityOptions::truncation and DESIGN.md Sec. 14.  When
   /// the certificate engages, epsilon is split: the window runs at
   /// epsilon/2 and the remaining mass is folded onto the current iterate
-  /// once tail_mass * ubar drops under the other epsilon/2.
+  /// once tail_mass * ubar drops under the other epsilon/2.  The fold is
+  /// checked after sweep j only while those j survival sweeps are fewer
+  /// than the right - j sweeps it would skip; one that never fires leaves
+  /// the solve bitwise the FoxGlynn solve at epsilon/2.
   /// transient_distribution and the phase-B propagation of
   /// interval_reachability ignore this (their iterate is not monotone
   /// toward an absorbing fixpoint); interval phase A is a plain
@@ -54,10 +57,10 @@ struct TransientOptions {
   /// accumulation order per state.
   unsigned threads = 0;
   /// Compute backend for the matrix sweeps.  Auto resolves via
-  /// UNICON_BACKEND (else Serial).  Serial keeps the historical sequential
-  /// per-row accumulation; Simd runs the striped-lane gather kernel (AVX2
-  /// when available, portable stripes otherwise) and differs from Serial
-  /// by FP reassociation only (DESIGN.md Sec. 10).  Every backend is
+  /// UNICON_BACKEND (else Simd).  Simd runs the striped-lane gather kernel
+  /// (AVX2 when available, portable stripes otherwise); Serial keeps the
+  /// historical sequential per-row accumulation.  They differ by FP
+  /// reassociation only (DESIGN.md Sec. 10).  Every backend is
   /// bit-identical to itself across all thread counts.
   Backend backend = Backend::Auto;
   /// Optional execution control, polled per uniformization step and every
@@ -99,6 +102,9 @@ struct TransientResult {
   /// Step at which the Lyapunov fold fired (effective truncation
   /// k_lyapunov); 0 when it never did.
   std::uint64_t k_lyapunov = 0;
+  /// Survival sweeps this horizon's fold checks paid for (bounded by the
+  /// probe budget, about right/2); 0 when the certificate was not engaged.
+  std::uint64_t lyapunov_probes = 0;
   /// Row relaxations actually performed across the executed sweeps (rows
   /// skipped by convergence locking excluded).
   std::uint64_t state_updates = 0;

@@ -386,8 +386,9 @@ struct Horizon {
   bool fixpoint = false;
   std::uint64_t early_step = 0;
   std::uint64_t executed = 0;
-  double weight = 0.0;      // psi(g), or G_g for goal-folded engines
-  double goal_value = 0.0;  // G_{g+1} (goal-folded engines)
+  std::uint64_t probes = 0;  // survival ages the certificate checks paid for
+  double weight = 0.0;       // psi(g), or G_g for goal-folded engines
+  double goal_value = 0.0;   // G_{g+1} (goal-folded engines)
   double lyap_error = 0.0;
   std::vector<double> q_next, q_cur;  // q_{g+1} in hand, q_g being written
   std::vector<std::uint64_t> decision;
@@ -396,6 +397,16 @@ struct Horizon {
   std::vector<std::vector<StateId>> cand;  // per-worker lock staging
   std::vector<WorkerPool::Slot> delta;     // per-worker sweep delta
   std::vector<std::uint64_t> updates;      // per-worker row relaxations
+
+  /// The survival age the certificate checks after sweeping step @p g, or 0
+  /// when it does not check there: below the window with a sweep left to
+  /// skip, and within the probe budget — the left - g survival sweeps paid
+  /// for must be fewer than the g - 1 sweeps a stop would skip.
+  std::uint64_t cert_age(std::uint64_t g) const {
+    if (!engaged || !cert_ok || g <= 1 || g >= psi.left()) return 0;
+    const std::uint64_t age = psi.left() - g;
+    return LyapunovSeries::within_budget(age, g - 1) ? age : 0;
+  }
 };
 
 /// Algorithm 1 for every horizon at once, fused bottom-aligned: all
@@ -448,8 +459,9 @@ unsigned sweep_horizons(const Rows& rows, std::vector<Horizon>& horizons,
 
   // The survival record is a pure function of the kernel, not of the
   // horizon, so one iterate serves every engaged horizon at its own age
-  // (left_h - g); a resumed horizon catches up on the ages it missed.  Stop
-  // decisions are therefore identical to each horizon's solo run.
+  // (left_h - g); a resumed horizon still within its probe budget catches
+  // up on the ages it missed.  Stop decisions are therefore identical to
+  // each horizon's solo run.
   LyapunovSeries series(options.epsilon / 2.0);
   bool cert_live = any_engaged;
   std::vector<double> u;
@@ -533,16 +545,12 @@ unsigned sweep_horizons(const Rows& rows, std::vector<Horizon>& horizons,
       stop_step = g;
       break;
     }
-    // Advance the shared survival record to the deepest age any engaged
-    // horizon checks this step; the probe-cap disengage at its tail fires
-    // exactly where each solo run's would.
-    if (cert_live && g > 1) {
+    // Advance the shared survival record to the deepest age any horizon
+    // checks this step; the probe-cap disengage at its tail fires exactly
+    // where each solo run's would.
+    if (cert_live) {
       std::uint64_t needed = 0;
-      for (const Horizon* h : active) {
-        if (h->engaged && h->cert_ok && g < h->psi.left()) {
-          needed = std::max(needed, h->psi.left() - g);
-        }
-      }
+      for (const Horizon* h : active) needed = std::max(needed, h->cert_age(g));
       while (cert_live && series.size() < needed) {
         series.record(rows.survival_step(pool, u_slot, u, u_next));
         u.swap(u_next);
@@ -620,11 +628,12 @@ unsigned sweep_horizons(const Rows& rows, std::vector<Horizon>& horizons,
         h.fixpoint = true;
         h.done = true;
       }
-      // Lyapunov certificate: below the window, stop once the forfeited
-      // tail delta * series_bound fits under the stop budget.  g == 1 is
-      // excluded (nothing left to skip).
-      if (!h.done && h.engaged && h.cert_ok && g > 1 && g < h.psi.left()) {
-        const std::uint64_t age = h.psi.left() - g;
+      // Lyapunov certificate: below the window and within the probe budget,
+      // stop once the forfeited tail delta * series_bound fits under the
+      // stop budget.
+      const std::uint64_t age = h.done ? 0 : h.cert_age(g);
+      if (age != 0) {
+        h.probes = std::min(age, series.size());
         if (age > series.size() || series.should_disengage(age)) {
           h.cert_ok = false;  // the record stopped at the probe cap
         } else if (series.certifies(delta, age)) {
@@ -640,6 +649,7 @@ unsigned sweep_horizons(const Rows& rows, std::vector<Horizon>& horizons,
   for (Horizon& h : horizons) {
     TimedReachabilityResult& r = results[h.idx];
     r.iterations_executed = h.executed;
+    r.lyapunov_probes = h.probes;
     r.exact_fixpoint = h.fixpoint;
     r.locked_final = h.locked_count;
     for (std::size_t w = 0; w < pool.size(); ++w) r.state_updates += h.updates[w * kSlotStride];
@@ -781,6 +791,7 @@ std::vector<TimedReachabilityResult> solve(const Ctmdp& model, const BitVector& 
     span->metric("truncation.k_fox_glynn", h.fox_glynn_right);
     span->metric("truncation.k_effective", h.executed);
     span->metric("truncation.k_lyapunov", r.k_lyapunov);
+    if (h.engaged) span->metric("truncation.probes", r.lyapunov_probes);
     span->metric("truncation.locked_final", r.locked_final);
     span->metric("truncation.state_updates", r.state_updates);
     return results;
@@ -806,6 +817,7 @@ std::vector<TimedReachabilityResult> solve(const Ctmdp& model, const BitVector& 
     hspan.metric("truncation.k_fox_glynn", h.fox_glynn_right);
     hspan.metric("truncation.k_effective", h.executed);
     hspan.metric("truncation.k_lyapunov", r.k_lyapunov);
+    if (h.engaged) hspan.metric("truncation.probes", r.lyapunov_probes);
     hspan.metric("truncation.locked_final", h.locked_count);
     hspan.metric("truncation.state_updates", r.state_updates);
   }

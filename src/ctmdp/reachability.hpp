@@ -52,10 +52,14 @@ struct TimedReachabilityOptions {
   /// historical pure Poisson-window schedule.  `Lyapunov` splits epsilon:
   /// the window is computed at epsilon/2 and the survival certificate may
   /// stop the below-window iteration once the forfeited error is provably
-  /// under the other epsilon/2.  `Auto` engages the certificate only for
-  /// long horizons (window left point > kLyapunovAutoEngageLeft), so short
-  /// queries stay bit-identical to FoxGlynn.  The certificate never fires
-  /// when extract_scheduler is set (the decision table must stay faithful).
+  /// under the other epsilon/2.  The certificate is checked at step g only
+  /// while its left - g survival sweeps are fewer than the g - 1 sweeps a
+  /// stop would skip, so one that never fires costs at most what it could
+  /// have saved, and the solve is then bitwise the FoxGlynn solve at
+  /// epsilon/2.  `Auto` engages the certificate only for long horizons
+  /// (window left point > kLyapunovAutoEngageLeft), so short queries stay
+  /// bit-identical to FoxGlynn.  The certificate never fires when
+  /// extract_scheduler is set (the decision table must stay faithful).
   Truncation truncation = Truncation::Auto;
   /// On-the-fly convergence locking: states whose recomputed value is
   /// bitwise unchanged and whose successors are all locked are skipped in
@@ -71,12 +75,12 @@ struct TimedReachabilityOptions {
   /// a state is flagged in both.  Must be empty or num_states() long.
   BitVector avoid;
   /// Compute backend for the sweep.  Auto resolves via UNICON_BACKEND
-  /// (else Serial).  Serial is the historical scalar engine, bit-identical
-  /// to the pre-backend solver; Simd runs the dense goal-folded kernel
-  /// (AVX2 inner loop when available, portable striped lanes otherwise)
-  /// and differs from Serial by FP reassociation only — see DESIGN.md
-  /// Sec. 10 for the exact contract.  Each backend is bit-identical to
-  /// itself across all thread counts.
+  /// (else Simd).  Simd runs the dense goal-folded kernel (AVX2 inner loop
+  /// when available, portable striped lanes otherwise); Serial is the
+  /// historical scalar engine, bit-identical to the pre-backend solver and
+  /// the reference engine.  The two differ by FP reassociation
+  /// only — see DESIGN.md Sec. 10 for the exact contract.  Each backend is
+  /// bit-identical to itself across all thread counts.
   Backend backend = Backend::Auto;
   /// Stop iterating once the Poisson window is exhausted (no further psi
   /// mass below the current step) and the value vector has converged to
@@ -158,6 +162,11 @@ struct TimedReachabilityResult {
   /// Step count at which the Lyapunov certificate stopped the iteration
   /// (the effective truncation k_lyapunov); 0 when it never fired.
   std::uint64_t k_lyapunov = 0;
+  /// Survival sweeps this horizon's certificate paid for: the deepest age
+  /// it checked (bounded by the probe budget, about left/2); 0 when the
+  /// certificate was not engaged or, on resume, when the resume point lies
+  /// past the budget's cutoff.
+  std::uint64_t lyapunov_probes = 0;
   /// True when the iteration reached an exact fixpoint below the Poisson
   /// window (sweep delta exactly 0) and the remaining sweeps were skipped
   /// as provable no-ops.

@@ -5,12 +5,13 @@
 // probabilities, max/min-reduce over the row's transitions.  This header
 // defines the backend vocabulary shared by the CTMDP and CTMC solvers:
 //
-//  - Backend: which engine runs the sweep.  `Serial` is the historical
-//    scalar path, kept bit-identical to the pre-backend code and used by
-//    default.  `Simd` is the dense-kernel engine with an AVX2 inner loop
-//    (portable striped-scalar fallback when AVX2 is unavailable at build or
-//    run time).  `SimdPortable` forces that fallback — it exists so the
-//    tests can prove the AVX2 and portable kernels are bit-identical.
+//  - Backend: which engine runs the sweep.  `Simd`, the default, is the
+//    dense-kernel engine with an AVX2 inner loop (portable striped-scalar
+//    fallback when AVX2 is unavailable at build or run time).  `Serial` is
+//    the historical scalar path, kept bit-identical to the pre-backend code
+//    as the reference engine.  `SimdPortable` forces the fallback — it
+//    exists so the tests can prove the AVX2 and portable kernels are
+//    bit-identical.
 //  - KernelOps: the block-level function-pointer table a backend supplies.
 //    Granularity is a row range, not a row — the per-row virtual-call cost
 //    of a finer interface would eat the SIMD win.
@@ -34,7 +35,7 @@
 namespace unicon {
 
 enum class Backend : std::uint8_t {
-  Auto,          ///< resolve via UNICON_BACKEND, else Serial
+  Auto,          ///< resolve via UNICON_BACKEND, else Simd
   Serial,        ///< historical scalar sweep (bit-identical to the seed)
   Simd,          ///< dense kernel; AVX2 when available, else portable stripes
   SimdPortable,  ///< dense kernel, striped scalar lanes (testing / no-AVX2)
@@ -49,7 +50,7 @@ Backend parse_backend(const std::string& name);
 
 /// Resolves Auto: the UNICON_BACKEND environment variable when set (parsed
 /// like --backend; an invalid value throws, deliberately loud for CI
-/// overrides), Serial otherwise.  Non-Auto values pass through unchanged.
+/// overrides), Simd otherwise.  Non-Auto values pass through unchanged.
 Backend resolve_backend(Backend requested);
 
 /// True when the running CPU supports AVX2 (independent of whether the

@@ -34,9 +34,12 @@
 // The requested epsilon is split in half when the certificate engages:
 // the Poisson window is recomputed at epsilon/2 and the certified stop may
 // spend the other epsilon/2, so the reported residual_bound stays <=
-// epsilon.  Advancing u costs one extra sweep per step; a probe cap
-// disengages the certificate (and frees u) when the model shows no
-// contraction, bounding the overhead on slow-mixing models.
+// epsilon.  Advancing u costs one extra sweep per step, so a horizon only
+// probes while the sweeps it has paid for are fewer than the sweeps a stop
+// could still skip (LyapunovSeries::within_budget): a certificate that
+// never fires costs at most the sweeps it could have saved.  On top of
+// that a probe cap disengages the certificate (and frees u) when the model
+// shows no contraction.
 #pragma once
 
 #include <cstdint>
@@ -150,9 +153,19 @@ class LyapunovSeries {
   }
 
   /// True when a run reaching @p age should give up on the certificate:
-  /// the probe budget is spent and the model has shown no contraction.
+  /// the probe cap is reached and the model has shown no contraction.
   bool should_disengage(std::uint64_t age) const {
     return age >= probe_cap_ && !(ubar_[probe_cap_ - 1] <= 0.5);
+  }
+
+  /// The probe budget: a horizon that has paid for @p probes survival
+  /// sweeps checks the certificate (and advances the record) only while
+  /// they are fewer than the @p skippable value sweeps a stop would still
+  /// save.  Probes grow and skippable sweeps shrink step by step, so once
+  /// false it stays false; and it depends on the step alone, so batch,
+  /// single-t and resumed solves probe and stop at the same steps.
+  static bool within_budget(std::uint64_t probes, std::uint64_t skippable) {
+    return probes < skippable;
   }
 
  private:

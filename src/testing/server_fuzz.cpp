@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <map>
@@ -798,6 +799,15 @@ ServerFuzzReport run_server_fuzz(const ServerFuzzConfig& config, const ServerFuz
 
 ServerFuzzReport run_server_chaos(const ServerFuzzConfig& config, const ServerFuzzLogFn& log) {
   ServerFuzzReport report;
+  // The snapshot legs write their scratch files here.
+  std::error_code error;
+  std::filesystem::create_directories(config.scratch_dir, error);
+  if (error) {
+    report.failures.push_back(
+        {config.base_seed, "snapshot-dir",
+         "cannot create '" + config.scratch_dir + "': " + error.message()});
+    if (log) log(report.failures.back());
+  }
   for (std::uint64_t s = 0; s < config.num_seeds; ++s) {
     Ctx ctx;
     ctx.seed = config.base_seed + s;

@@ -36,7 +36,8 @@ struct ServerFuzzConfig {
   std::uint64_t num_seeds = 20;
   /// Mutations applied per request stream (wire fuzz only).
   unsigned mutations_per_stream = 4;
-  /// Directory for the chaos snapshot legs' scratch files.
+  /// Directory for the chaos snapshot legs' scratch files (created by
+  /// run_server_chaos when missing).
   std::string scratch_dir = ".";
 };
 

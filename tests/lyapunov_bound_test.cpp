@@ -134,3 +134,16 @@ TEST(LyapunovSeries, DisengagesAtProbeCapWithoutContraction) {
   for (int i = 0; i < 4; ++i) fast.record(0.4);
   EXPECT_FALSE(fast.should_disengage(4));  // contracted: keep certifying
 }
+
+TEST(LyapunovSeries, ProbeBudgetStopsWhereProbesCatchUpWithSkippableSweeps) {
+  // CTMDP at step g of a window with left point L: age L - g against the
+  // g - 1 sweeps a stop would skip.  L = 2750 admits ages up to 1374.
+  const std::uint64_t left = 2750;
+  EXPECT_TRUE(LyapunovSeries::within_budget(left - 1376, 1376 - 1));
+  EXPECT_FALSE(LyapunovSeries::within_budget(left - 1375, 1375 - 1));
+  // Monotone: once past the cutoff, every later (smaller) step stays past.
+  for (std::uint64_t g = 1375; g >= 2; --g) {
+    EXPECT_FALSE(LyapunovSeries::within_budget(left - g, g - 1)) << g;
+  }
+  EXPECT_FALSE(LyapunovSeries::within_budget(0, 0));
+}

@@ -26,7 +26,7 @@
 //
 // Common execution-control flags (every mode):
 //   --backend NAME     compute backend for the solver sweeps: auto (default;
-//                      honours UNICON_BACKEND, else serial), serial, simd,
+//                      honours UNICON_BACKEND, else simd), serial, simd,
 //                      or simd-portable — see DESIGN.md Sec. 10
 //   --truncation NAME  truncation-bound provider: auto (default; Lyapunov
 //                      certificate on long horizons, Fox–Glynn otherwise),
@@ -257,11 +257,18 @@ bool parse_common_flag(int argc, char** argv, int& i, GuardFlags& flags) {
 
 /// Printed after the iteration counts of a single-bound solve, only when
 /// the Lyapunov provider was actually resolved (auto stays silent on the
-/// Fox–Glynn path so historical output is unchanged).
-void report_truncation(Truncation resolved, std::uint64_t k_lyapunov) {
-  if (resolved != Truncation::Lyapunov) return;
-  std::printf("truncation: lyapunov (certificate stop at step %llu)\n",
-              static_cast<unsigned long long>(k_lyapunov));
+/// Fox–Glynn path so historical output is unchanged), with the survival
+/// sweeps the certificate paid for.  @p r is a CTMDP or CTMC result.
+template <class Result>
+void report_truncation(const Result& r) {
+  if (r.truncation != Truncation::Lyapunov) return;
+  const auto probes = static_cast<unsigned long long>(r.lyapunov_probes);
+  if (r.k_lyapunov == 0) {
+    std::printf("truncation: lyapunov (no certificate stop, %llu probes)\n", probes);
+    return;
+  }
+  std::printf("truncation: lyapunov (certificate stop at step %llu, %llu probes)\n",
+              static_cast<unsigned long long>(r.k_lyapunov), probes);
 }
 
 using telemetry::json_escape;
@@ -467,7 +474,7 @@ int run_model(const std::string& path, double t, const std::string& goal_name, b
               static_cast<unsigned long long>(result.reachability.iterations_planned),
               static_cast<unsigned long long>(result.reachability.iterations_executed),
               total.seconds());
-  report_truncation(result.reachability.truncation, result.reachability.k_lyapunov);
+  report_truncation(result.reachability);
   if (!scheduler_path.empty()) {
     export_scheduler_artifact(scheduler_path, result,
                               minimize_flag ? Objective::Minimize : Objective::Maximize, t, eps);
@@ -541,7 +548,7 @@ int run_dft(const std::string& path, double t, bool minimize_flag, bool minimize
               static_cast<unsigned long long>(result.reachability.iterations_planned),
               static_cast<unsigned long long>(result.reachability.iterations_executed),
               total.seconds());
-  report_truncation(result.reachability.truncation, result.reachability.k_lyapunov);
+  report_truncation(result.reachability);
   if (!scheduler_path.empty()) {
     export_scheduler_artifact(scheduler_path, result,
                               minimize_flag ? Objective::Minimize : Objective::Maximize, t, eps);
@@ -670,7 +677,7 @@ int main(int argc, char** argv) {
       std::printf("iterations: %llu planned, %llu executed, %.3f s\n",
                   static_cast<unsigned long long>(result.iterations_planned),
                   static_cast<unsigned long long>(result.iterations_executed), timer.seconds());
-      report_truncation(result.truncation, result.k_lyapunov);
+      report_truncation(result);
       if (scheduler && result.status == RunStatus::Converged) {
         std::printf("optimal first decisions (states with a real choice):\n");
         for (StateId s = 0; s < model.num_states(); ++s) {
@@ -717,7 +724,7 @@ int main(int argc, char** argv) {
       std::printf("iterations: %llu planned, %llu executed, %.3f s\n",
                   static_cast<unsigned long long>(result.iterations),
                   static_cast<unsigned long long>(result.iterations_executed), timer.seconds());
-      report_truncation(result.truncation, result.k_lyapunov);
+      report_truncation(result);
       return report_partial(result.status, result.residual_bound, flags);
     } else {
       usage();

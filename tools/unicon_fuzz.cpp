@@ -18,7 +18,7 @@
 //   --self-check   verify the driver catches every mutation on a small
 //                  corpus, then run the clean corpus
 //   --backend B    force the solver backend (serial, simd, simd-portable;
-//                  default auto = UNICON_BACKEND env or serial) in every
+//                  default auto = UNICON_BACKEND env or simd) in every
 //                  differential solve — run the self-check once per backend
 //                  to differentially certify each kernel implementation
 //   --out DIR      write shrunk counterexample models (.imc/.ctmdp/.tra +
@@ -50,7 +50,7 @@
 //                  failure, NaN poisoning, worker death), torn and pristine
 //                  cache snapshots, and overload + drain into live services
 //                  (see testing/server_fuzz.hpp); --out sets the snapshot
-//                  scratch directory
+//                  scratch directory (created when missing)
 //   --batch        run the multi-horizon differential instead: per seed a
 //                  random CTMDP (sup and inf) and CTMC are solved through
 //                  timed_reachability_batch on a random bound set (unsorted,
