@@ -4,7 +4,9 @@
 // (ETMCC-style CTMC model checking): the transient distribution at time t is
 //     pi(t) = sum_n psi(n, E t) * pi(0) P^n
 // for the uniformized jump matrix P, and time-bounded reachability of a goal
-// set B is the transient mass in B after making B absorbing.
+// set B is the transient mass in B after making B absorbing.  Every analysis
+// below is a run of one uniformization driver: v_{i+1} = P v_i (or v_i P)
+// from a start vector, with psi(i) v_i accumulated per time bound.
 #pragma once
 
 #include <cstdint>
@@ -38,11 +40,13 @@ struct TransientOptions {
   /// toward an absorbing fixpoint); interval phase A is a plain
   /// timed_reachability call and honours it.
   Truncation truncation = Truncation::Auto;
-  /// On-the-fly convergence locking for the backward reachability sweeps:
-  /// rows whose value is bitwise unchanged with all successors locked are
-  /// skipped from then on.  Values are bit-identical with locking on or
-  /// off; once every row is locked the matrix sweeps stop entirely and
-  /// only the Poisson accumulation continues.
+  /// On-the-fly convergence locking for every sweep of every analysis
+  /// (reachability, transient_distribution, interval_reachability): rows
+  /// whose value is bitwise unchanged with all their columns locked — the
+  /// successors of a backward row, the predecessors of a forward one — are
+  /// skipped from then on.  Values and iteration counts are bit-identical
+  /// with locking on or off; once every row is locked the matrix sweeps
+  /// stop entirely and only the Poisson accumulation continues.
   bool locking = true;
   /// Steady-state detection: once the iteration vector has converged to
   /// within early_termination_delta in sup norm, the remaining Poisson mass
@@ -106,13 +110,18 @@ struct TransientResult {
   /// probe budget, about right/2); 0 when the certificate was not engaged.
   std::uint64_t lyapunov_probes = 0;
   /// Row relaxations actually performed across the executed sweeps (rows
-  /// skipped by convergence locking excluded).
+  /// skipped by convergence locking excluded); reported by every analysis,
+  /// and for interval_reachability summed over both phases like
+  /// iterations_executed.
   std::uint64_t state_updates = 0;
-  /// Rows locked by on-the-fly convergence detection at the end.
+  /// Rows locked by on-the-fly convergence detection at the end (of the
+  /// last phase, for interval_reachability).
   std::uint64_t locked_final = 0;
 };
 
-/// Distribution over states at time @p t, starting from the initial state.
+/// Distribution over states at time @p t, starting from the initial state:
+/// the uniformization driver over the forward rows from the initial point
+/// mass, normalized by the Poisson window mass.
 TransientResult transient_distribution(const Ctmc& chain, double t,
                                        const TransientOptions& options = {});
 

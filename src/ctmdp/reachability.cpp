@@ -416,11 +416,15 @@ struct Horizon {
 /// is what makes a batch bit-identical to its single-horizon runs
 /// (DESIGN.md Sec. 11.1).  What the horizons share is everything around
 /// that arithmetic: the kernel, streamed once per block for all active
-/// horizons, the worker pool, the guard and the survival record.
+/// horizons, the worker pool, the guard and the survival record.  @p seed,
+/// when given, is the first horizon's full-state q_{start+1} (a resume
+/// iterate, or the goal indicator of a step-bounded run) instead of 0.
+/// Checkpoints are published as @p stage; null publishes none.
 template <class Rows>
-unsigned sweep_horizons(const Rows& rows, std::vector<Horizon>& horizons,
+unsigned sweep_horizons(const Rows& rows, const std::vector<double>* seed,
+                        std::vector<Horizon>& horizons,
                         std::vector<TimedReachabilityResult>& results,
-                        const TimedReachabilityOptions& options) {
+                        const TimedReachabilityOptions& options, const char* stage) {
   const std::size_t n = rows.rows();
   WorkerPool pool = make_worker_pool(options.threads, n);
   const std::vector<Counter*> row_counters =
@@ -449,12 +453,12 @@ unsigned sweep_horizons(const Rows& rows, std::vector<Horizon>& horizons,
     h.updates.assign(pool.size() * kSlotStride, 0);
     any_engaged = any_engaged || h.engaged;
   }
-  if (options.resume != nullptr) {
+  if (seed != nullptr) {
     // A resume iterate is external input just like a checkpoint write; a
     // non-finite entry would corrupt the result without tripping the
     // per-sweep delta check.
-    require_finite(options.resume->iterate, "timed_reachability resume");
-    horizons[0].goal_value = rows.ingest(options.resume->iterate, horizons[0].q_next);
+    require_finite(*seed, "timed_reachability resume");
+    horizons[0].goal_value = rows.ingest(*seed, horizons[0].q_next);
   }
 
   // The survival record is a pure function of the kernel, not of the
@@ -585,9 +589,9 @@ unsigned sweep_horizons(const Rows& rows, std::vector<Horizon>& horizons,
       if (h.record_all) r.decisions[g - 1] = rows.decisions(h.decision);
       if (options.extract_scheduler && g == 1) r.initial_decision = rows.decisions(h.decision);
 
-      if (guard != nullptr && guard->wants_checkpoint(h.executed)) {
+      if (guard != nullptr && stage != nullptr && guard->wants_checkpoint(h.executed)) {
         std::vector<double>& full = rows.expose(h.q_next, h.goal_value, scratch);
-        guard->checkpoint("timed_reachability", h.executed, h.k,
+        guard->checkpoint(stage, h.executed, h.k,
                           partial_residual(h.psi, g - 1, h.window_epsilon),
                           std::span<double>(full.data(), full.size()));
         // The callback writes through the span (checkpoint persistence,
@@ -671,10 +675,38 @@ unsigned sweep_horizons(const Rows& rows, std::vector<Horizon>& horizons,
   return pool.size();
 }
 
-/// Plans every horizon, builds the backend's row engine over the (cached or
-/// own) kernel and runs the fused sweep.  @p e is the uniform rate of the
-/// solve; @p single selects the `reachability` span of a one-horizon solve
-/// over the `reachability_batch` tree.
+/// Runs @p fn on the backend's row engine over the injected kernel, or one
+/// built for this (model, goal, avoid).
+template <class Fn>
+void with_rows(const Ctmdp& model, const BitVector& goal, const TimedReachabilityOptions& options,
+               Fn&& fn) {
+  const std::size_t n = model.num_states();
+  const bool maximize = options.objective == Objective::Maximize;
+  const Backend backend = resolve_backend(options.backend);
+  if (backend == Backend::Serial) {
+    std::optional<DiscreteKernel> own_kernel;
+    if (options.discrete_kernel == nullptr) own_kernel.emplace(model, goal);
+    const DiscreteKernel& kernel =
+        options.discrete_kernel != nullptr ? *options.discrete_kernel : *own_kernel;
+    if (kernel.state_first.size() != n + 1) {
+      throw ModelError("timed_reachability: injected discrete kernel does not fit the model");
+    }
+    fn(SerialRows(kernel, goal, options.avoid, maximize));
+    return;
+  }
+  std::optional<DenseKernel> own_kernel;
+  if (options.dense_kernel == nullptr) own_kernel.emplace(model, goal, options.avoid);
+  const DenseKernel& kernel = options.dense_kernel != nullptr ? *options.dense_kernel : *own_kernel;
+  if (kernel.dense_index.size() != n) {
+    throw ModelError("timed_reachability: injected dense kernel does not fit the model");
+  }
+  fn(DenseRows(kernel, backend, goal, options.avoid, maximize));
+}
+
+/// Plans every horizon and runs the fused sweep over the backend's row
+/// engine.  @p e is the uniform rate of the solve; @p single selects the
+/// `reachability` span of a one-horizon solve over the `reachability_batch`
+/// tree.
 std::vector<TimedReachabilityResult> solve(const Ctmdp& model, const BitVector& goal, double e,
                                            const std::vector<double>& times,
                                            const TimedReachabilityOptions& options,
@@ -746,31 +778,12 @@ std::vector<TimedReachabilityResult> solve(const Ctmdp& model, const BitVector& 
     }
   }
 
-  const bool maximize = options.objective == Objective::Maximize;
-  const Backend backend = resolve_backend(options.backend);
   unsigned threads = 0;
-  if (backend == Backend::Serial) {
-    std::optional<DiscreteKernel> own_kernel;
-    if (options.discrete_kernel == nullptr) own_kernel.emplace(model, goal);
-    const DiscreteKernel& kernel =
-        options.discrete_kernel != nullptr ? *options.discrete_kernel : *own_kernel;
-    if (kernel.state_first.size() != n + 1) {
-      throw ModelError("timed_reachability: injected discrete kernel does not fit the model");
-    }
-    threads = sweep_horizons(SerialRows(kernel, goal, options.avoid, maximize), horizons, results,
-                             options);
-  } else {
-    std::optional<DenseKernel> own_kernel;
-    if (options.dense_kernel == nullptr) own_kernel.emplace(model, goal, options.avoid);
-    const DenseKernel& kernel =
-        options.dense_kernel != nullptr ? *options.dense_kernel : *own_kernel;
-    if (kernel.dense_index.size() != n) {
-      throw ModelError("timed_reachability: injected dense kernel does not fit the model");
-    }
-    threads = sweep_horizons(DenseRows(kernel, backend, goal, options.avoid, maximize), horizons,
-                             results, options);
-    if (span) span->metric("dense_rows", kernel.num_rows());
-  }
+  with_rows(model, goal, options, [&](const auto& rows) {
+    threads = sweep_horizons(rows, options.resume != nullptr ? &options.resume->iterate : nullptr,
+                             horizons, results, options, "timed_reachability");
+    if (span && rows.kGoalFolded) span->metric("dense_rows", rows.rows());
+  });
 
   if (!span) return results;
   span->metric("states", n);
@@ -901,70 +914,34 @@ TimedReachabilityResult evaluate_scheduler(const Ctmdp& model, const BitVector& 
 std::vector<double> step_bounded_reachability(const Ctmdp& model, const BitVector& goal,
                                               std::uint64_t steps, Objective objective,
                                               unsigned threads, RunGuard* guard,
-                                              Backend backend_option) {
+                                              Backend backend) {
   check_inputs(model, goal);
-  const std::size_t n = model.num_states();
-  const bool maximize = objective == Objective::Maximize;
-  const Backend backend = resolve_backend(backend_option);
-
-  if (backend == Backend::Serial) {
-    const DiscreteKernel kernel(model, goal);
-
-    std::vector<double> v(n, 0.0);
-    std::vector<double> next(n, 0.0);
-    for (StateId s = 0; s < n; ++s) v[s] = goal[s] ? 1.0 : 0.0;
-
-    WorkerPool pool = make_worker_pool(threads, n);
-    for (std::uint64_t step = 0; step < steps; ++step) {
-      if (guard != nullptr) guard->check("step_bounded_reachability");
-      pool.run(n, [&](unsigned, std::size_t begin, std::size_t end) {
-        const double* q = v.data();
-        for (StateId s = begin; s < end; ++s) {
-          if (goal[s]) {
-            next[s] = 1.0;
-            continue;
-          }
-          const std::uint64_t first = kernel.state_first[s];
-          const std::uint64_t last = kernel.state_first[s + 1];
-          double best = first == last ? 0.0 : (maximize ? -1.0 : 2.0);
-          for (std::uint64_t tr = first; tr < last; ++tr) {
-            const double acc = kernel.transition_value(tr, 0.0, q);
-            best = maximize ? std::max(best, acc) : std::min(best, acc);
-          }
-          next[s] = best;
-        }
-      });
-      v.swap(next);
-    }
-    return v;
+  TimedReachabilityOptions options;
+  options.objective = objective;
+  options.threads = threads;
+  options.guard = guard;
+  options.backend = backend;
+  // The lambda = 0 window has psi(g) = 0 for every g >= 1, so k = steps
+  // Algorithm-1 sweeps seeded with the goal indicator are the step-bounded
+  // recurrence: goal rows keep their 1, the rest take the best successor
+  // average.  Nothing is below that window, so neither locking nor early
+  // termination ever engages.
+  std::vector<Horizon> horizons(1);
+  horizons[0].psi = PoissonWindow::compute(0.0, options.epsilon);
+  horizons[0].k = horizons[0].start = steps;
+  std::vector<double> seed(model.num_states());
+  for (StateId s = 0; s < seed.size(); ++s) seed[s] = goal[s] ? 1.0 : 0.0;
+  std::vector<TimedReachabilityResult> results(1);
+  with_rows(model, goal, options, [&](const auto& rows) {
+    sweep_horizons(rows, &seed, horizons, results, options, nullptr);
+  });
+  // The step count carries no Poisson mass, so a stop has no sound partial.
+  const RunStatus status = results[0].status;
+  if (status != RunStatus::Converged) {
+    throw BudgetError(run_status_code(status),
+                      std::string("step_bounded_reachability: ") + run_status_name(status));
   }
-
-  // Dense engine: goal states are pinned at 1.0 for every step, so the goal
-  // iterate is the constant 1 and the psi weight is 0 — relax with
-  // gval = 1.0 reproduces transition_value(tr, 0.0, q) with the goal mass
-  // folded.
-  const BitVector no_avoid;
-  const DenseKernel kernel(model, goal, no_avoid);
-  const DenseRows engine(kernel, backend, goal, no_avoid, maximize);
-  const KernelOps& ops = kernel_ops(backend);
-  const DenseKernelView view = kernel.view();
-  const std::uint64_t rows = kernel.num_rows();
-
-  std::vector<double> dq(rows, 0.0);
-  std::vector<double> dnext(rows, 0.0);
-
-  WorkerPool pool = make_worker_pool(threads, rows);
-  for (std::uint64_t step = 0; step < steps; ++step) {
-    if (guard != nullptr) guard->check("step_bounded_reachability");
-    pool.run(rows, [&](unsigned, std::size_t begin, std::size_t end) {
-      ops.relax_rows(view, 1.0, maximize, dq.data(), dnext.data(), nullptr, begin, end);
-    });
-    dq.swap(dnext);
-  }
-
-  std::vector<double> v;
-  engine.expose(dq, 1.0, v);
-  return v;
+  return std::move(results[0].values);
 }
 
 }  // namespace unicon

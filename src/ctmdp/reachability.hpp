@@ -21,8 +21,9 @@
 // fused bottom-aligned (DESIGN.md Sec. 11.1) over a row engine per backend
 // (full-state rows over DiscreteKernel for serial, dense goal-folded rows
 // over DenseKernel for the simd backends).  timed_reachability is that
-// sweep with one horizon, and evaluate_scheduler runs it on the CTMDP
-// restricted to the given policy.
+// sweep with one horizon, evaluate_scheduler runs it on the CTMDP
+// restricted to the given policy, and step_bounded_reachability runs it
+// with zero Poisson weights.
 #pragma once
 
 #include <cstdint>
@@ -231,11 +232,14 @@ TimedReachabilityResult evaluate_scheduler(const Ctmdp& model, const BitVector& 
 
 /// Discrete step-bounded reachability: optimal probability to reach B
 /// within at most @p steps jumps (no timing).  Used by unit tests as an
-/// independently checkable special case.  @p threads as in
+/// independently checkable special case.  Solved as the one-horizon sweep
+/// above with the lambda = 0 window (psi(g) = 0 for every step g >= 1) and
+/// k = @p steps, seeded with the goal indicator, so its values are clamped
+/// into [0, 1] like every other solver's.  @p threads as in
 /// TimedReachabilityOptions (0 = hardware_concurrency, 1 = serial).  The
 /// step count carries no Poisson mass, so there is no partial-result
-/// story: a guard stop raises BudgetError instead.  @p backend as in
-/// TimedReachabilityOptions.
+/// story: a guard stop raises BudgetError instead, and no checkpoint is
+/// published.  @p backend as in TimedReachabilityOptions.
 std::vector<double> step_bounded_reachability(const Ctmdp& model, const BitVector& goal,
                                               std::uint64_t steps,
                                               Objective objective = Objective::Maximize,

@@ -334,6 +334,25 @@ TEST(BitConsistency, StepBoundedReachabilityAcrossBackendsAndThreads) {
   }
 }
 
+/// Step-bounded values are probabilities on every backend.  The goal mass
+/// re-summed from the branching rows can round a few ulps above 1; without
+/// the final clamp this model (seed 9, 40 states) puts seven states above 1
+/// on both the serial and the dense engine.
+TEST(BitConsistency, StepBoundedValuesStayInTheUnitInterval) {
+  Rng rng(9);
+  const Ctmdp model = testing::random_uniform_ctmdp(rng, {.num_states = 40});
+  const BitVector goal = testing::random_goal(rng, model.num_states(), 0.3);
+  for (Backend backend : kBackends) {
+    const auto values = step_bounded_reachability(model, goal, 25, Objective::Maximize,
+                                                  /*threads=*/1, nullptr, backend);
+    ASSERT_EQ(values.size(), model.num_states());
+    for (std::size_t s = 0; s < values.size(); ++s) {
+      EXPECT_GE(values[s], 0.0) << backend_name(backend) << " state " << s;
+      EXPECT_LE(values[s], 1.0) << backend_name(backend) << " state " << s;
+    }
+  }
+}
+
 TEST(BitConsistency, CtmcReachabilityAndTransientAcrossBackendsAndThreads) {
   for (std::size_t n : kSizes) {
     Rng rng(4000 + n);
@@ -441,6 +460,52 @@ TEST(BitConsistency, CtmcLockingOnOffBitwiseAcrossBackendsAndThreads) {
       }
     }
   }
+}
+
+/// Locking reaches every CTMC sweep: the forward rows of
+/// transient_distribution close over their source columns, and interval
+/// phase B locks rows of the unmodified chain.  Both stay bitwise the
+/// unlocked run, iteration counts included.
+TEST(BitConsistency, CtmcTransientAndIntervalLockingOnOffBitwise) {
+  std::uint64_t trans_locked = 0;
+  std::uint64_t ival_locked = 0;
+  for (std::size_t n : {5u, 29u, 67u}) {
+    Rng rng(7000 + n);
+    const Ctmc chain = testing::random_ctmc(rng, {.num_states = n});
+    const BitVector goal = testing::random_goal(rng, chain.num_states());
+    for (Backend backend : kBackends) {
+      TransientOptions options;
+      options.backend = backend;
+      options.threads = 1;
+      options.locking = false;
+      const auto trans_ref = transient_distribution(chain, 8.0, options);
+      const auto ival_ref = interval_reachability(chain, goal, 4.0, 9.0, options);
+      for (bool locking : {false, true}) {
+        for (unsigned threads : {1u, 3u}) {
+          options.locking = locking;
+          options.threads = threads;
+          const auto trans = transient_distribution(chain, 8.0, options);
+          const auto ival = interval_reachability(chain, goal, 4.0, 9.0, options);
+          const std::string where = std::string(backend_name(backend)) + " n=" +
+                                    std::to_string(n) + " threads=" + std::to_string(threads) +
+                                    " locking=" + std::to_string(locking);
+          EXPECT_EQ(trans.probabilities, trans_ref.probabilities) << "transient " << where;
+          EXPECT_EQ(trans.iterations_executed, trans_ref.iterations_executed) << where;
+          EXPECT_EQ(ival.probabilities, ival_ref.probabilities) << "interval " << where;
+          EXPECT_EQ(ival.iterations_executed, ival_ref.iterations_executed) << where;
+          if (!locking) {
+            EXPECT_EQ(trans.locked_final, 0u) << where;
+            EXPECT_EQ(ival.locked_final, 0u) << where;
+          }
+          trans_locked += trans.locked_final;
+          ival_locked += ival.locked_final;
+        }
+      }
+    }
+  }
+  // Rows must actually lock, or the comparison proves nothing.
+  EXPECT_GT(trans_locked, 0u);
+  EXPECT_GT(ival_locked, 0u);
 }
 
 // --------------------------------------------- scheduler-resume regression

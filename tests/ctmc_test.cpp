@@ -367,5 +367,28 @@ TEST(IntervalReachability, ParallelMatchesSerialOnCtmc) {
   }
 }
 
+TEST(Transient, GuardedRunPublishesEveryStepAndMatchesTheUnguardedRun) {
+  const Ctmc c = ring_chain(31);
+  TransientOptions options;
+  options.threads = 1;
+  const auto clean = transient_distribution(c, 2.5, options);
+
+  RunGuard guard;
+  std::vector<std::uint64_t> steps;
+  guard.set_checkpoint([&](const RunCheckpoint& cp) {
+    EXPECT_STREQ(cp.stage, "transient_distribution");
+    EXPECT_EQ(cp.planned, clean.iterations);
+    EXPECT_EQ(cp.values.size(), c.num_states());
+    steps.push_back(cp.step);
+  });
+  options.guard = &guard;
+  const auto guarded = transient_distribution(c, 2.5, options);
+  EXPECT_EQ(guarded.status, RunStatus::Converged);
+  EXPECT_EQ(guarded.probabilities, clean.probabilities);
+  std::vector<std::uint64_t> expected(clean.iterations);
+  std::iota(expected.begin(), expected.end(), 1u);
+  EXPECT_EQ(steps, expected);
+}
+
 }  // namespace
 }  // namespace unicon

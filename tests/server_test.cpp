@@ -147,7 +147,10 @@ void expect_matches_fixture(const QueryResponse& response, const Fixture& fixtur
 }
 
 /// A request sized to occupy a worker for >= ~100 ms, used to pin queue
-/// contents deterministically while other requests are submitted.
+/// contents deterministically while other requests are submitted.  Tests
+/// build their fixtures before submitting it: a fixture's reference solve
+/// running beside the blocker could let the blocker finish before the
+/// riders are queued.
 QueryRequest make_blocker(std::string client, std::string id) {
   Rng rng(0xb10cce5u);
   gen::RandomCtmdpConfig config;
@@ -306,12 +309,12 @@ TEST(ServerTest, ConcurrentStressMixedModelsCancellationsAndFaults) {
 TEST(ServerTest, CancelQueuedJobsAnswersImmediately) {
   AnalysisService service(ServiceOptions{.workers = 1});
 
+  const Fixture fixture = make_ctmdp_fixture(31, 16, {1.0}, Objective::Maximize);
   std::promise<void> blocker_done;
   service.submit(make_blocker("zz", "blocker"),
                  [&](QueryResponse) { blocker_done.set_value(); });
   wait_for_batches(service, 1);
 
-  const Fixture fixture = make_ctmdp_fixture(31, 16, {1.0}, Objective::Maximize);
   std::vector<std::future<QueryResponse>> answers;
   std::vector<std::shared_ptr<std::promise<QueryResponse>>> promises;
   for (int i = 0; i < 5; ++i) {
@@ -338,13 +341,13 @@ TEST(ServerTest, CancelQueuedJobsAnswersImmediately) {
 TEST(ServerTest, CoalescingAnswersEveryMemberBitwiseIdentically) {
   AnalysisService service(ServiceOptions{.workers = 1, .max_batch = 16});
 
+  const Fixture fixture = make_ctmdp_fixture(41, 28, {0.5, 1.5}, Objective::Maximize);
   std::promise<void> blocker_done;
   service.submit(make_blocker("zz", "blocker"),
                  [&](QueryResponse) { blocker_done.set_value(); });
   wait_for_batches(service, 1);
 
   // Four clients, identical query -> one solve key -> one batch group.
-  const Fixture fixture = make_ctmdp_fixture(41, 28, {0.5, 1.5}, Objective::Maximize);
   constexpr std::size_t kMembers = 4;
   std::vector<std::future<QueryResponse>> answers;
   for (std::size_t m = 0; m < kMembers; ++m) {
@@ -396,6 +399,7 @@ TEST(ServerTest, FaultPlansNeverCoalesceAndDeadlinesStopTheirOwnSolve) {
 TEST(ServerTest, FairShareAlternatesAcrossClients) {
   AnalysisService service(ServiceOptions{.workers = 1});
 
+  const Fixture fixture = make_ctmdp_fixture(61, 14, {1.0}, Objective::Maximize);
   std::promise<void> blocker_done;
   service.submit(make_blocker("zz", "blocker"),
                  [&](QueryResponse) { blocker_done.set_value(); });
@@ -404,7 +408,6 @@ TEST(ServerTest, FairShareAlternatesAcrossClients) {
   // Client a floods 3 jobs before client b's 3; with per-client buckets the
   // dispatch order must still alternate a, b, a, b, a, b.  Distinct epsilon
   // per job keeps the solve keys distinct (no coalescing).
-  const Fixture fixture = make_ctmdp_fixture(61, 14, {1.0}, Objective::Maximize);
   std::mutex mutex;
   std::vector<std::string> order;
   std::vector<std::future<void>> done;
@@ -430,12 +433,12 @@ TEST(ServerTest, FairShareAlternatesAcrossClients) {
 TEST(ServerTest, AdmissionControlRejectsWithOverloaded) {
   AnalysisService service(ServiceOptions{.workers = 1, .max_pending = 2});
 
+  const Fixture fixture = make_ctmdp_fixture(71, 14, {1.0}, Objective::Maximize);
   std::promise<void> blocker_done;
   service.submit(make_blocker("zz", "blocker"),
                  [&](QueryResponse) { blocker_done.set_value(); });
   wait_for_batches(service, 1);
 
-  const Fixture fixture = make_ctmdp_fixture(71, 14, {1.0}, Objective::Maximize);
   std::vector<std::future<QueryResponse>> queued;
   for (int i = 0; i < 2; ++i) {
     auto promise = std::make_shared<std::promise<QueryResponse>>();
@@ -752,12 +755,12 @@ TEST(ServerTest, AllocFaultNeverFailsAConcurrentCleanRequest) {
 TEST(ServerTest, OverloadedResponsesCarryABoundedRetryHint) {
   AnalysisService service(ServiceOptions{.workers = 1, .max_pending = 2});
 
+  const Fixture fixture = make_ctmdp_fixture(97, 14, {1.0}, Objective::Maximize);
   std::promise<void> blocker_done;
   service.submit(make_blocker("zz", "blocker"),
                  [&](QueryResponse) { blocker_done.set_value(); });
   wait_for_batches(service, 1);
 
-  const Fixture fixture = make_ctmdp_fixture(97, 14, {1.0}, Objective::Maximize);
   std::vector<std::future<QueryResponse>> queued;
   for (int i = 0; i < 2; ++i) {
     auto promise = std::make_shared<std::promise<QueryResponse>>();
@@ -782,6 +785,7 @@ TEST(ServerTest, OverloadedResponsesCarryABoundedRetryHint) {
 TEST(ServerTest, DrainRefusesNewWorkAndFinishesInFlight) {
   AnalysisService service(ServiceOptions{.workers = 1});
 
+  const Fixture fixture = make_ctmdp_fixture(98, 14, {1.0}, Objective::Maximize);
   std::promise<void> blocker_done;
   service.submit(make_blocker("zz", "blocker"),
                  [&](QueryResponse r) {
@@ -790,7 +794,6 @@ TEST(ServerTest, DrainRefusesNewWorkAndFinishesInFlight) {
                  });
   wait_for_batches(service, 1);
 
-  const Fixture fixture = make_ctmdp_fixture(98, 14, {1.0}, Objective::Maximize);
   auto queued_promise = std::make_shared<std::promise<QueryResponse>>();
   auto queued = queued_promise->get_future();
   service.submit(request_for(fixture, "a", "queued"),
@@ -819,6 +822,7 @@ TEST(ServerTest, DrainRefusesNewWorkAndFinishesInFlight) {
 TEST(ServerTest, FaultPlanRidesAloneWhileIdenticalCleanPairCoalesces) {
   AnalysisService service(ServiceOptions{.workers = 1, .max_batch = 16});
 
+  const Fixture fixture = make_ctmdp_fixture(99, 20, {0.5, 1.5}, Objective::Maximize);
   std::promise<void> blocker_done;
   service.submit(make_blocker("zz", "blocker"),
                  [&](QueryResponse) { blocker_done.set_value(); });
@@ -828,7 +832,6 @@ TEST(ServerTest, FaultPlanRidesAloneWhileIdenticalCleanPairCoalesces) {
   // two clean (distinct clients) and one carrying a fault plan whose
   // threshold is far beyond the solve's poll count — semantically a
   // no-op, but its presence alone must veto coalescing.
-  const Fixture fixture = make_ctmdp_fixture(99, 20, {0.5, 1.5}, Objective::Maximize);
   std::vector<std::future<QueryResponse>> answers;
   for (const char* client : {"a", "b"}) {
     auto promise = std::make_shared<std::promise<QueryResponse>>();

@@ -387,6 +387,84 @@ void export_scheduler_artifact(const std::string& path, const UimcAnalysisResult
               static_cast<unsigned long long>(artifact.states), path.c_str());
 }
 
+/// Prints the size of a built model and, with @p minimize, replaces it by its
+/// branching-bisimulation quotient.
+lang::BuiltModel announce_and_minimize(lang::BuiltModel built, bool minimize, Telemetry* tel) {
+  std::printf("system: %zu states, %zu interactive + %zu Markov transitions, "
+              "uniform rate %.6f (%zu leaves)\n",
+              built.system.num_states(), built.system.num_interactive_transitions(),
+              built.system.num_markov_transitions(), built.uniform_rate, built.num_leaves);
+  if (minimize) {
+    built = lang::minimize_model(built, &g_guard, tel);
+    std::printf("minimized: %zu states, %zu interactive + %zu Markov transitions\n",
+                built.system.num_states(), built.system.num_interactive_transitions(),
+                built.system.num_markov_transitions());
+  }
+  return built;
+}
+
+/// Solves proposition @p goal of a built model through the whole pipeline,
+/// for the single bound @p t or the --times batch, and prints the report.
+/// @p quantity names the single-bound answer ("P(reach goal within 2)").
+int solve_built(const lang::BuiltModel& built, const std::string& goal,
+                const std::string& quantity, double t, bool minimize_flag, double eps, bool early,
+                const std::string& scheduler_path, const GuardFlags& flags,
+                const Stopwatch& total) {
+  const Objective objective = minimize_flag ? Objective::Minimize : Objective::Maximize;
+  const char* const opt_name = minimize_flag ? "inf" : "sup";
+  UimcAnalysisOptions options;
+  options.reachability.epsilon = eps;
+  options.reachability.objective = objective;
+  options.reachability.early_termination = early;
+  options.reachability.backend = flags.backend;
+  options.reachability.truncation = flags.truncation;
+  options.reachability.locking = flags.locking;
+  options.reachability.guard = &g_guard;
+  options.reachability.telemetry = telemetry_of(flags);
+  options.reachability.extract_scheduler = !scheduler_path.empty();
+  if (!flags.times.empty()) {
+    if (!scheduler_path.empty()) {
+      std::fprintf(stderr, "error: --export-scheduler requires a single time bound\n");
+      std::exit(2);
+    }
+    const auto result =
+        analyze_timed_reachability_batch(built.system, built.mask(goal), flags.times, options);
+    std::printf("ctmdp: %zu states, %zu transitions\n", result.transformed.ctmdp.num_states(),
+                result.transformed.ctmdp.num_transitions());
+    std::vector<BoundSummary> bounds;
+    for (std::size_t j = 0; j < flags.times.size(); ++j) {
+      const auto& r = result.reachability[j];
+      bounds.push_back({flags.times[j], result.values[j], r.iterations_planned,
+                        r.iterations_executed, r.status, r.residual_bound});
+    }
+    const int exit_code = report_batch(opt_name, goal, bounds, flags);
+    std::printf("%zu bounds in one batch solve, %.3f s total\n", flags.times.size(),
+                total.seconds());
+    return exit_code;
+  }
+
+  const auto result = analyze_timed_reachability(built.system, built.mask(goal), t, options);
+  std::printf("ctmdp: %zu states, %zu transitions\n", result.transformed.ctmdp.num_states(),
+              result.transformed.ctmdp.num_transitions());
+  std::printf("%s %s = %.10f\n", opt_name, quantity.c_str(), result.value);
+  std::printf("iterations: %llu planned, %llu executed, %.3f s total\n",
+              static_cast<unsigned long long>(result.reachability.iterations_planned),
+              static_cast<unsigned long long>(result.reachability.iterations_executed),
+              total.seconds());
+  report_truncation(result.reachability);
+  if (!scheduler_path.empty()) {
+    export_scheduler_artifact(scheduler_path, result, objective, t, eps);
+  }
+  return report_partial(result.reachability.status, result.reachability.residual_bound, flags);
+}
+
+/// A time bound as printf's %g renders it.
+std::string format_bound(double t) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "%g", t);
+  return buffer;
+}
+
 int run_model(const std::string& path, double t, const std::string& goal_name, bool minimize_flag,
               bool minimize, double eps, bool early, const std::string& export_prefix,
               const std::string& scheduler_path, const GuardFlags& flags) {
@@ -400,17 +478,8 @@ int run_model(const std::string& path, double t, const std::string& goal_name, b
   lang::BuildOptions build_options;
   build_options.guard = &g_guard;
   build_options.telemetry = tel;
-  lang::BuiltModel built = lang::build_model(ast, build_options);
-  std::printf("system: %zu states, %zu interactive + %zu Markov transitions, "
-              "uniform rate %.6f (%zu leaves)\n",
-              built.system.num_states(), built.system.num_interactive_transitions(),
-              built.system.num_markov_transitions(), built.uniform_rate, built.num_leaves);
-  if (minimize) {
-    built = lang::minimize_model(built, &g_guard, tel);
-    std::printf("minimized: %zu states, %zu interactive + %zu Markov transitions\n",
-                built.system.num_states(), built.system.num_interactive_transitions(),
-                built.system.num_markov_transitions());
-  }
+  const lang::BuiltModel built =
+      announce_and_minimize(lang::build_model(ast, build_options), minimize, tel);
 
   if (!built.has_prop(goal_name)) {
     std::string available;
@@ -433,53 +502,9 @@ int run_model(const std::string& path, double t, const std::string& goal_name, b
     io::write_labels(lab_out, labels);
     std::printf("exported %s.imc and %s.lab\n", export_prefix.c_str(), export_prefix.c_str());
   }
-
-  UimcAnalysisOptions options;
-  options.reachability.epsilon = eps;
-  options.reachability.objective = minimize_flag ? Objective::Minimize : Objective::Maximize;
-  options.reachability.early_termination = early;
-  options.reachability.backend = flags.backend;
-  options.reachability.truncation = flags.truncation;
-  options.reachability.locking = flags.locking;
-  options.reachability.guard = &g_guard;
-  options.reachability.telemetry = tel;
-  options.reachability.extract_scheduler = !scheduler_path.empty();
-  if (!flags.times.empty()) {
-    if (!scheduler_path.empty()) {
-      std::fprintf(stderr, "error: --export-scheduler requires a single time bound\n");
-      std::exit(2);
-    }
-    const auto result =
-        analyze_timed_reachability_batch(built.system, built.mask(goal_name), flags.times, options);
-    std::printf("ctmdp: %zu states, %zu transitions\n", result.transformed.ctmdp.num_states(),
-                result.transformed.ctmdp.num_transitions());
-    std::vector<BoundSummary> bounds;
-    for (std::size_t j = 0; j < flags.times.size(); ++j) {
-      const auto& r = result.reachability[j];
-      bounds.push_back({flags.times[j], result.values[j], r.iterations_planned,
-                        r.iterations_executed, r.status, r.residual_bound});
-    }
-    const int exit_code = report_batch(minimize_flag ? "inf" : "sup", goal_name, bounds, flags);
-    std::printf("%zu bounds in one batch solve, %.3f s total\n", flags.times.size(),
-                total.seconds());
-    return exit_code;
-  }
-
-  const auto result = analyze_timed_reachability(built.system, built.mask(goal_name), t, options);
-  std::printf("ctmdp: %zu states, %zu transitions\n", result.transformed.ctmdp.num_states(),
-              result.transformed.ctmdp.num_transitions());
-  std::printf("%s P(reach %s within %g) = %.10f\n", minimize_flag ? "inf" : "sup",
-              goal_name.c_str(), t, result.value);
-  std::printf("iterations: %llu planned, %llu executed, %.3f s total\n",
-              static_cast<unsigned long long>(result.reachability.iterations_planned),
-              static_cast<unsigned long long>(result.reachability.iterations_executed),
-              total.seconds());
-  report_truncation(result.reachability);
-  if (!scheduler_path.empty()) {
-    export_scheduler_artifact(scheduler_path, result,
-                              minimize_flag ? Objective::Minimize : Objective::Maximize, t, eps);
-  }
-  return report_partial(result.reachability.status, result.reachability.residual_bound, flags);
+  return solve_built(built, goal_name,
+                     "P(reach " + goal_name + " within " + format_bound(t) + ")", t, minimize_flag,
+                     eps, early, scheduler_path, flags, total);
 }
 
 int run_dft(const std::string& path, double t, bool minimize_flag, bool minimize, double eps,
@@ -494,66 +519,13 @@ int run_dft(const std::string& path, double t, bool minimize_flag, bool minimize
   dft::LowerOptions lower_options;
   lower_options.guard = &g_guard;
   lower_options.telemetry = tel;
-  lang::BuiltModel built = dft::lower_dft(checked, lower_options);
+  lang::BuiltModel lowered = dft::lower_dft(checked, lower_options);
   std::printf("dft: %zu elements (%zu basic events), total failure rate %.6f\n",
               checked.ast.elements.size(), static_cast<std::size_t>(checked.num_basic_events),
               checked.total_rate);
-  std::printf("system: %zu states, %zu interactive + %zu Markov transitions, "
-              "uniform rate %.6f (%zu leaves)\n",
-              built.system.num_states(), built.system.num_interactive_transitions(),
-              built.system.num_markov_transitions(), built.uniform_rate, built.num_leaves);
-  if (minimize) {
-    built = lang::minimize_model(built, &g_guard, tel);
-    std::printf("minimized: %zu states, %zu interactive + %zu Markov transitions\n",
-                built.system.num_states(), built.system.num_interactive_transitions(),
-                built.system.num_markov_transitions());
-  }
-
-  UimcAnalysisOptions options;
-  options.reachability.epsilon = eps;
-  options.reachability.objective = minimize_flag ? Objective::Minimize : Objective::Maximize;
-  options.reachability.early_termination = early;
-  options.reachability.backend = flags.backend;
-  options.reachability.truncation = flags.truncation;
-  options.reachability.locking = flags.locking;
-  options.reachability.guard = &g_guard;
-  options.reachability.telemetry = tel;
-  options.reachability.extract_scheduler = !scheduler_path.empty();
-  if (!flags.times.empty()) {
-    if (!scheduler_path.empty()) {
-      std::fprintf(stderr, "error: --export-scheduler requires a single time bound\n");
-      std::exit(2);
-    }
-    const auto result =
-        analyze_timed_reachability_batch(built.system, built.mask("failed"), flags.times, options);
-    std::printf("ctmdp: %zu states, %zu transitions\n", result.transformed.ctmdp.num_states(),
-                result.transformed.ctmdp.num_transitions());
-    std::vector<BoundSummary> bounds;
-    for (std::size_t j = 0; j < flags.times.size(); ++j) {
-      const auto& r = result.reachability[j];
-      bounds.push_back({flags.times[j], result.values[j], r.iterations_planned,
-                        r.iterations_executed, r.status, r.residual_bound});
-    }
-    const int exit_code = report_batch(minimize_flag ? "inf" : "sup", "failed", bounds, flags);
-    std::printf("%zu bounds in one batch solve, %.3f s total\n", flags.times.size(),
-                total.seconds());
-    return exit_code;
-  }
-
-  const auto result = analyze_timed_reachability(built.system, built.mask("failed"), t, options);
-  std::printf("ctmdp: %zu states, %zu transitions\n", result.transformed.ctmdp.num_states(),
-              result.transformed.ctmdp.num_transitions());
-  std::printf("%s unreliability(%g) = %.10f\n", minimize_flag ? "inf" : "sup", t, result.value);
-  std::printf("iterations: %llu planned, %llu executed, %.3f s total\n",
-              static_cast<unsigned long long>(result.reachability.iterations_planned),
-              static_cast<unsigned long long>(result.reachability.iterations_executed),
-              total.seconds());
-  report_truncation(result.reachability);
-  if (!scheduler_path.empty()) {
-    export_scheduler_artifact(scheduler_path, result,
-                              minimize_flag ? Objective::Minimize : Objective::Maximize, t, eps);
-  }
-  return report_partial(result.reachability.status, result.reachability.residual_bound, flags);
+  const lang::BuiltModel built = announce_and_minimize(std::move(lowered), minimize, tel);
+  return solve_built(built, "failed", "unreliability(" + format_bound(t) + ")", t, minimize_flag,
+                     eps, early, scheduler_path, flags, total);
 }
 
 }  // namespace
