@@ -59,9 +59,10 @@ int main(int argc, char** argv) {
   const UimcAnalysisResult result = analyze_timed_reachability(model, goal, t, options);
 
   std::printf("uCTMDP: %zu states, %zu transitions (%.2f MB), transformed in %.2f s\n",
-              result.transform.interactive_states, result.transform.interactive_transitions,
-              static_cast<double>(result.transform.memory_bytes) / (1024.0 * 1024.0),
-              result.transform.seconds);
+              result.transformed.stats.interactive_states,
+              result.transformed.stats.interactive_transitions,
+              static_cast<double>(result.transformed.stats.memory_bytes) / (1024.0 * 1024.0),
+              result.transformed.stats.seconds);
   std::printf("Algorithm 1: k = %llu iterations at epsilon 1e-6\n",
               static_cast<unsigned long long>(result.reachability.iterations_planned));
   std::printf("\nworst-case P(premium service lost within %.0f h) = %.8f\n", t, result.value);

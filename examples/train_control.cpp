@@ -9,16 +9,17 @@
 // is a nondeterministic decision.  A passage while the sensor or the gate
 // is broken is safety-critical.
 //
-// The example also demonstrates the CSL-style query layer on the
-// transformed CTMDP.
+// The example then asks the solvers directly for worst- and best-case
+// probabilities and expected times on the transformed CTMDP.
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "core/analysis.hpp"
 #include "core/time_constraint.hpp"
+#include "ctmdp/unbounded.hpp"
 #include "imc/compose.hpp"
 #include "lts/lts.hpp"
-#include "props/property.hpp"
 
 using namespace unicon;
 
@@ -130,20 +131,40 @@ int main() {
   std::printf("uCTMDP: %zu states, %zu transitions\n\n", transformed.ctmdp.num_states(),
               transformed.ctmdp.num_transitions());
 
-  // Query layer on the transformed model.
-  LabelSet labels(transformed.ctmdp.num_states());
-  labels.define("unsafe", transformed.goal.to_vector_bool());
+  // Each query picks the goal transfer of Sec. 4.1 that matches its
+  // scheduler: one that seeks the unsafe states (Pmax, Tmin) reads the
+  // existential transfer, one that avoids them (Pmin, Tmax) the universal
+  // one.  Only the rows are labelled in CSL-style syntax.
+  const Ctmdp& ctmdp = transformed.ctmdp;
+  const auto goal_for = [&](bool seeks) -> const BitVector& {
+    return seeks ? transformed.goal : transformed.goal_universal;
+  };
+  const auto probability = [&](Objective objective, double t) {
+    TimedReachabilityOptions options;
+    options.objective = objective;
+    const BitVector& goal = goal_for(objective == Objective::Maximize);
+    return timed_reachability(ctmdp, goal, t, options).values[ctmdp.initial()];
+  };
+  const auto expected_time = [&](Objective objective) {
+    UnboundedOptions options;
+    options.objective = objective;
+    const BitVector& goal = goal_for(objective == Objective::Minimize);
+    return expected_reachability_time(ctmdp, goal, options).values[ctmdp.initial()];
+  };
 
+  const double mission = probability(Objective::Maximize, 3.0);
+  const std::pair<const char*, double> rows[] = {
+      {"Pmax=? [ F<=3 unsafe ]", mission},
+      {"Pmin=? [ F<=3 unsafe ]", probability(Objective::Minimize, 3.0)},
+      {"Pmax=? [ F<=24 unsafe ]", probability(Objective::Maximize, 24.0)},
+      {"Pmax=? [ F<=168 unsafe ]", probability(Objective::Maximize, 168.0)},
+      {"Pmin=? [ F<=168 unsafe ]", probability(Objective::Minimize, 168.0)},
+      {"Tmax=? [ F unsafe ]", expected_time(Objective::Maximize)},
+      {"Tmin=? [ F unsafe ]", expected_time(Objective::Minimize)},
+  };
   std::printf("%-44s %14s\n", "query", "value");
-  for (const char* query :
-       {"Pmax=? [ F<=3 unsafe ]", "Pmin=? [ F<=3 unsafe ]", "Pmax=? [ F<=24 unsafe ]",
-        "Pmax=? [ F<=168 unsafe ]", "Pmin=? [ F<=168 unsafe ]", "Tmax=? [ F unsafe ]",
-        "Tmin=? [ F unsafe ]"}) {
-    const QueryResult r = check(transformed.ctmdp, labels, query);
-    std::printf("%-44s %14.8f\n", query, r.value);
-  }
+  for (const auto& [query, value] : rows) std::printf("%-44s %14.8f\n", query, value);
 
-  const double mission = check(transformed.ctmdp, labels, "Pmax=? [ F<=3 unsafe ]").value;
   std::printf("\nsafety requirement \"P(hit safety-critical within 3 h) <= 0.01\": %s\n",
               mission <= 0.01 ? "SATISFIED (worst case)" : "VIOLATED");
   return 0;

@@ -24,9 +24,8 @@ struct UimcAnalysisResult {
   double value = 0.0;
   /// Per-CTMDP-state values plus solver statistics.
   TimedReachabilityResult reachability;
-  /// Transformation statistics (Table 1 columns).
-  TransformStats transform;
-  /// The transformed model and state mapping, for further queries.
+  /// The transformed model and state mapping, for further queries; its
+  /// `stats` are the transformation statistics (Table 1 columns).
   TransformResult transformed;
 };
 
@@ -44,7 +43,6 @@ struct UimcBatchAnalysisResult {
   /// Full per-horizon solver results (timed_reachability_batch contract:
   /// each bit-identical to its independent single-t solve).
   std::vector<TimedReachabilityResult> reachability;
-  TransformStats transform;
   TransformResult transformed;
 };
 

@@ -56,10 +56,8 @@ DenseKernel::DenseKernel(const Ctmdp& model, const BitVector& goal, const BitVec
 
   row_first.reserve(dense_state.size() + 1);
   row_first.push_back(0);
-  orig_trans_first.reserve(dense_state.size());
   for (const std::uint32_t s : dense_state) {
     const auto [first, last] = model.transition_range(s);
-    orig_trans_first.push_back(first);
     for (std::uint64_t t = first; t < last; ++t) {
       entry_first.push_back(prob.size());
       const double e = model.exit_rate(t);

@@ -64,14 +64,13 @@ struct DenseKernel {
   /// dense_index value for states that have no dense row (goal/avoided).
   static constexpr std::uint32_t kNotDense = static_cast<std::uint32_t>(-1);
 
-  std::vector<std::uint32_t> dense_index;       // [num_states] -> row or kNotDense
-  std::vector<std::uint32_t> dense_state;       // [num_rows] -> state
-  std::vector<std::uint64_t> row_first;         // [num_rows + 1] -> dense transition
-  std::vector<std::uint64_t> orig_trans_first;  // [num_rows] -> model transition
-  std::vector<std::uint64_t> entry_first;       // [num_trans + 1] -> dense entry
-  std::vector<double> goal_pr;                  // [num_trans] mass into goal
-  std::vector<double> prob;                     // [num_entries]
-  std::vector<std::uint32_t> col;               // [num_entries] -> dense row
+  std::vector<std::uint32_t> dense_index;  // [num_states] -> row or kNotDense
+  std::vector<std::uint32_t> dense_state;  // [num_rows] -> state
+  std::vector<std::uint64_t> row_first;    // [num_rows + 1] -> dense transition
+  std::vector<std::uint64_t> entry_first;  // [num_trans + 1] -> dense entry
+  std::vector<double> goal_pr;             // [num_trans] mass into goal
+  std::vector<double> prob;                // [num_entries]
+  std::vector<std::uint32_t> col;          // [num_entries] -> dense row
 
   /// @p avoid may be empty (no avoid constraint) or num_states() long;
   /// a state flagged in both goal and avoid counts as goal, matching the
@@ -88,7 +87,6 @@ struct DenseKernel {
     v.goal_pr = goal_pr.data();
     v.prob = prob.data();
     v.col = col.data();
-    v.orig_trans_first = orig_trans_first.data();
     return v;
   }
 };

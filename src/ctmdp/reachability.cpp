@@ -7,6 +7,7 @@
 #include <string>
 
 #include "ctmdp/backend.hpp"
+#include "ctmdp/scheduler.hpp"
 #include "support/errors.hpp"
 #include "support/fox_glynn.hpp"
 #include "support/numerics.hpp"
@@ -60,17 +61,18 @@ double reduce_max_latch(const std::vector<WorkerPool::Slot>& slots) {
 // ---------------------------------------------------------------------------
 // Row engines.  An engine owns the layout of the iterate the sweep below
 // double-buffers and the kernel its rows relax; everything external (resume
-// and checkpoint vectors, final values, decision rows) is full-state, so
-// partial results interoperate across engines.  Interface:
+// and checkpoint vectors, final values) is full-state, so partial results
+// interoperate across engines.  Only the serial rows record decisions, so a
+// scheduler is extracted and replayed on full-state rows.  Interface:
 //   rows()                      iterate length
 //   kGoalFolded                 relax with G_g = psi(g) + G_{g+1} instead of psi(g)
-//   relax(w, q, out, dec, begin, end, locked, cand, swept)
-//                               one block of rows; NaN-latching sup |out - q|
+//   relax(g, w, q, out, dec, begin, end, locked, cand, swept)
+//                               one block of rows at step g; NaN-latching
+//                               sup |out - q|
 //   survival_start(u) / survival_step(pool, slots, u, u_next)
 //                               Lyapunov survival iterate (DESIGN.md Sec. 14)
 //   expose(q, G, scratch)       full-state view of an iterate (writable)
 //   ingest(full, q)             loads a full-state vector, returns its goal value
-//   decisions(dec)              full-state decision row
 //   finish(q, G, partial, r)    final values (and the resumable iterate)
 
 /// Serial backend: a full-state iterate over DiscreteKernel relaxed by the
@@ -87,9 +89,9 @@ class SerialRows {
 
   std::size_t rows() const { return goal_.size(); }
 
-  double relax(double w, const double* q, double* out, std::uint64_t* dec, std::size_t begin,
-               std::size_t end, const BitVector* locked, std::vector<StateId>* cand,
-               std::uint64_t& swept) const {
+  double relax(std::uint64_t, double w, const double* q, double* out, std::uint64_t* dec,
+               std::size_t begin, std::size_t end, const BitVector* locked,
+               std::vector<StateId>* cand, std::uint64_t& swept) const {
     const DiscreteKernel& kernel = kernel_;
     const bool maximize = maximize_;
     // Word pointer hoisted: the candidate push_back is an opaque call, so
@@ -177,9 +179,6 @@ class SerialRows {
     q = full;  // self-assignment (a checkpoint round trip) is a no-op
     return 0.0;
   }
-  const std::vector<std::uint64_t>& decisions(const std::vector<std::uint64_t>& dec) const {
-    return dec;
-  }
 
   void finish(std::vector<double>& q, double, bool partial, TimedReachabilityResult& r) const {
     require_finite(q, "timed_reachability");
@@ -190,7 +189,7 @@ class SerialRows {
     }
   }
 
- private:
+ protected:
   bool avoided(StateId s) const { return !avoid_.empty() && avoid_[s] && !goal_[s]; }
 
   /// Closure half of the locking criterion: every successor lies in
@@ -211,6 +210,37 @@ class SerialRows {
   const BitVector& goal_;
   const BitVector& avoid_;
   bool maximize_;
+};
+
+/// Replay engine: SerialRows' arithmetic with the transition a countdown table
+/// names at step g instead of the best one, so a table the serial rows extracted
+/// replays bit-identically.  A kNoTransition choice pins the row to 0.
+class CountdownRows : public SerialRows {
+ public:
+  CountdownRows(const DiscreteKernel& kernel, const BitVector& goal, const BitVector& avoid,
+                const CountdownScheduler& table)
+      : SerialRows(kernel, goal, avoid, true), table_(table) {}
+
+  double relax(std::uint64_t g, double w, const double* q, double* out, std::uint64_t*,
+               std::size_t begin, std::size_t end, const BitVector*, std::vector<StateId>*,
+               std::uint64_t& swept) const {
+    double delta = 0.0;
+    for (StateId s = begin; s < end; ++s) {
+      if (goal_[s]) {
+        out[s] = w + q[s];
+        continue;
+      }
+      const std::uint64_t tr = table_.choice(g, s);
+      out[s] = tr == kNoTransition ? 0.0 : kernel_.transition_value(tr, w, q);
+      const double dev = std::fabs(out[s] - q[s]);
+      if (!(dev <= delta)) delta = dev;
+    }
+    swept += end - begin;
+    return delta;
+  }
+
+ private:
+  const CountdownScheduler& table_;
 };
 
 /// Simd backends: only the dense rows (non-goal, non-avoided states) are
@@ -238,17 +268,17 @@ class DenseRows {
   /// exactly 0 to the delta.  Per-row results are unchanged by the split —
   /// the kernels relax rows independently, as the guard blocks and worker
   /// partitions already assume.
-  double relax(double gval, const double* q, double* out, std::uint64_t* dec, std::size_t begin,
-               std::size_t end, const BitVector* locked, std::vector<StateId>* cand,
-               std::uint64_t& swept) const {
+  double relax(std::uint64_t, double gval, const double* q, double* out, std::uint64_t*,
+               std::size_t begin, std::size_t end, const BitVector* locked,
+               std::vector<StateId>* cand, std::uint64_t& swept) const {
     if (locked == nullptr) {
       swept += end - begin;
-      return ops_.relax_rows(view_, gval, maximize_, q, out, dec, begin, end);
+      return ops_.relax_rows(view_, gval, maximize_, q, out, begin, end);
     }
     double delta = 0.0;
     for (std::size_t r = locked->next_unset(begin); r < end; r = locked->next_unset(r)) {
       const std::size_t run_end = std::min(locked->next_set(r), end);
-      const double d = ops_.relax_rows(view_, gval, maximize_, q, out, dec, r, run_end);
+      const double d = ops_.relax_rows(view_, gval, maximize_, q, out, r, run_end);
       if (!(d <= delta)) delta = d;  // NaN-capturing max
       swept += run_end - r;
       for (std::size_t x = r; cand != nullptr && x < run_end; ++x) {
@@ -268,7 +298,7 @@ class DenseRows {
                        const std::vector<double>& u, std::vector<double>& u_next) const {
     pool.run(u.size(), [&](unsigned worker, std::size_t begin, std::size_t end) {
       if (begin < end) {
-        ops_.relax_rows(view_, 0.0, true, u.data(), u_next.data(), nullptr, begin, end);
+        ops_.relax_rows(view_, 0.0, true, u.data(), u_next.data(), begin, end);
       }
       double local = 0.0;
       for (std::size_t r = begin; r < end; ++r) {
@@ -297,14 +327,6 @@ class DenseRows {
     for (std::uint64_t r = 0; r < rows(); ++r) dq[r] = full[kernel_.dense_state[r]];
     const std::size_t g0 = goal_.next_set(0);
     return g0 == BitVector::npos ? 0.0 : full[g0];
-  }
-
-  /// Scatters a dense decision row (model transition ids) into a full-state
-  /// row; goal/avoided states keep kNoTransition.
-  std::vector<std::uint64_t> decisions(const std::vector<std::uint64_t>& dec) const {
-    std::vector<std::uint64_t> full(goal_.size(), kNoTransition);
-    for (std::uint64_t r = 0; r < rows(); ++r) full[kernel_.dense_state[r]] = dec[r];
-    return full;
   }
 
   void finish(std::vector<double>& dq, double goal_value, bool partial,
@@ -529,7 +551,7 @@ unsigned sweep_horizons(const Rows& rows, const std::vector<double>* seed,
         for (Horizon* h : active) {
           std::uint64_t h_swept = 0;
           const double d = rows.relax(
-              h->weight, h->q_next.data(), h->q_cur.data(),
+              g, h->weight, h->q_next.data(), h->q_cur.data(),
               options.extract_scheduler ? h->decision.data() : nullptr, blk, blk_end,
               h->locked_count != 0 || h->lock_sweep ? &h->locked : nullptr,
               h->lock_sweep ? &h->cand[worker] : nullptr, h_swept);
@@ -586,8 +608,8 @@ unsigned sweep_horizons(const Rows& rows, const std::vector<double>* seed,
           c.clear();
         }
       }
-      if (h.record_all) r.decisions[g - 1] = rows.decisions(h.decision);
-      if (options.extract_scheduler && g == 1) r.initial_decision = rows.decisions(h.decision);
+      if (h.record_all) r.decisions[g - 1] = h.decision;
+      if (options.extract_scheduler && g == 1) r.initial_decision = h.decision;
 
       if (guard != nullptr && stage != nullptr && guard->wants_checkpoint(h.executed)) {
         std::vector<double>& full = rows.expose(h.q_next, h.goal_value, scratch);
@@ -619,7 +641,7 @@ unsigned sweep_horizons(const Rows& rows, const std::vector<double>* seed,
       // steps that still carry mass without widening residual_bound.
       if (options.early_termination && g > 1 && g - 1 < h.psi.left() &&
           delta <= options.early_termination_delta) {
-        if (options.extract_scheduler) r.initial_decision = rows.decisions(h.decision);
+        if (options.extract_scheduler) r.initial_decision = h.decision;
         h.early_fired = true;
         h.early_step = g;
         h.done = true;
@@ -676,14 +698,15 @@ unsigned sweep_horizons(const Rows& rows, const std::vector<double>* seed,
 }
 
 /// Runs @p fn on the backend's row engine over the injected kernel, or one
-/// built for this (model, goal, avoid).
-template <class Fn>
-void with_rows(const Ctmdp& model, const BitVector& goal, const TimedReachabilityOptions& options,
-               Fn&& fn) {
+/// built for this (model, goal, avoid).  A solve that extracts a scheduler
+/// runs the serial rows on every backend: only they record decisions.  A
+/// value rather than a template, so solve can take it as its default engine.
+constexpr auto with_rows = [](const Ctmdp& model, const BitVector& goal,
+                              const TimedReachabilityOptions& options, auto&& fn) {
   const std::size_t n = model.num_states();
   const bool maximize = options.objective == Objective::Maximize;
   const Backend backend = resolve_backend(options.backend);
-  if (backend == Backend::Serial) {
+  if (backend == Backend::Serial || options.extract_scheduler) {
     std::optional<DiscreteKernel> own_kernel;
     if (options.discrete_kernel == nullptr) own_kernel.emplace(model, goal);
     const DiscreteKernel& kernel =
@@ -691,8 +714,7 @@ void with_rows(const Ctmdp& model, const BitVector& goal, const TimedReachabilit
     if (kernel.state_first.size() != n + 1) {
       throw ModelError("timed_reachability: injected discrete kernel does not fit the model");
     }
-    fn(SerialRows(kernel, goal, options.avoid, maximize));
-    return;
+    return fn(SerialRows(kernel, goal, options.avoid, maximize));
   }
   std::optional<DenseKernel> own_kernel;
   if (options.dense_kernel == nullptr) own_kernel.emplace(model, goal, options.avoid);
@@ -701,16 +723,17 @@ void with_rows(const Ctmdp& model, const BitVector& goal, const TimedReachabilit
     throw ModelError("timed_reachability: injected dense kernel does not fit the model");
   }
   fn(DenseRows(kernel, backend, goal, options.avoid, maximize));
-}
+};
 
-/// Plans every horizon and runs the fused sweep over the backend's row
-/// engine.  @p e is the uniform rate of the solve; @p single selects the
-/// `reachability` span of a one-horizon solve over the `reachability_batch`
-/// tree.
+/// Plans every horizon and runs the fused sweep over the row engine
+/// @p run_rows hands it (a callable shaped like with_rows).  @p e is the
+/// uniform rate of the solve; @p single selects the `reachability` span of a
+/// one-horizon solve over the `reachability_batch` tree.
+template <class RunRows = decltype(with_rows)>
 std::vector<TimedReachabilityResult> solve(const Ctmdp& model, const BitVector& goal, double e,
                                            const std::vector<double>& times,
-                                           const TimedReachabilityOptions& options,
-                                           bool single) {
+                                           const TimedReachabilityOptions& options, bool single,
+                                           const RunRows& run_rows = with_rows) {
   const std::size_t n = model.num_states();
   if (!options.avoid.empty() && options.avoid.size() != n) {
     throw ModelError("timed_reachability: avoid vector size mismatch");
@@ -779,7 +802,7 @@ std::vector<TimedReachabilityResult> solve(const Ctmdp& model, const BitVector& 
   }
 
   unsigned threads = 0;
-  with_rows(model, goal, options, [&](const auto& rows) {
+  run_rows(model, goal, options, [&](const auto& rows) {
     threads = sweep_horizons(rows, options.resume != nullptr ? &options.resume->iterate : nullptr,
                              horizons, results, options, "timed_reachability");
     if (span && rows.kGoalFolded) span->metric("dense_rows", rows.rows());
@@ -835,6 +858,19 @@ std::vector<TimedReachabilityResult> solve(const Ctmdp& model, const BitVector& 
     hspan.metric("truncation.state_updates", r.state_updates);
   }
   return results;
+}
+
+/// A fixed policy's options: the pure Fox-Glynn schedule (the historical
+/// answer), nothing to extract, resume or avoid, kernels built for its model.
+TimedReachabilityOptions policy_options(const TimedReachabilityOptions& options) {
+  TimedReachabilityOptions policy = options;
+  policy.truncation = Truncation::FoxGlynn;
+  policy.avoid = BitVector{};
+  policy.extract_scheduler = false;
+  policy.resume = nullptr;
+  policy.discrete_kernel = nullptr;
+  policy.dense_kernel = nullptr;
+  return policy;
 }
 
 /// The uniform rate of a solve; rejects non-uniform models.
@@ -899,16 +935,46 @@ TimedReachabilityResult evaluate_scheduler(const Ctmdp& model, const BitVector& 
   }
   const Ctmdp restricted = model.restricted(keep);
 
-  // A fixed policy has nothing to extract and no avoid set; the pure
-  // Fox-Glynn schedule keeps the historical policy-evaluation answer.
-  TimedReachabilityOptions policy = options;
-  policy.truncation = Truncation::FoxGlynn;
-  policy.avoid = BitVector{};
-  policy.extract_scheduler = false;
-  policy.resume = nullptr;
-  policy.discrete_kernel = nullptr;
-  policy.dense_kernel = nullptr;
-  return std::move(solve(restricted, goal, e, {t}, policy, true)[0]);
+  return std::move(solve(restricted, goal, e, {t}, policy_options(options), true)[0]);
+}
+
+TimedReachabilityResult evaluate_countdown_scheduler(const Ctmdp& model, const BitVector& goal,
+                                                     double t,
+                                                     const CountdownScheduler& scheduler,
+                                                     const TimedReachabilityOptions& options) {
+  if (goal.size() != model.num_states()) {
+    throw ModelError("evaluate_countdown_scheduler: goal vector size mismatch");
+  }
+  if (!(t >= 0.0)) throw ModelError("evaluate_countdown_scheduler: negative time bound");
+  if (scheduler.num_steps() == 0) {
+    throw ModelError("evaluate_countdown_scheduler: scheduler has no decision rows");
+  }
+  const double e = uniform_rate_of(model, "evaluate_countdown_scheduler");
+
+  // Validates every table row the sweep will read, in sweep order: steps
+  // above the table all read its last row, so step k stands for them.
+  const std::uint64_t k = PoissonWindow::compute(e * t, options.epsilon).right();
+  for (std::uint64_t i = k; i >= 1; i = std::min(i, scheduler.num_steps()) - 1) {
+    for (StateId s = 0; s < model.num_states(); ++s) {
+      const std::uint64_t tr = goal[s] ? kNoTransition : scheduler.choice(i, s);
+      const auto [first, last] = model.transition_range(s);
+      if (tr != kNoTransition && (tr < first || tr >= last)) {
+        throw ModelError("evaluate_countdown_scheduler: choice out of range at step " +
+                         std::to_string(i) + ", state " + std::to_string(s));
+      }
+    }
+  }
+
+  // No locking and no early stop: a choice may change from step to step,
+  // so a bitwise-stable row is not a fixpoint of the remaining steps.
+  TimedReachabilityOptions replay = policy_options(options);
+  replay.locking = false;
+  replay.early_termination = false;
+  const auto replay_rows = [&scheduler](const auto& m, const auto& g, const auto& o, auto&& fn) {
+    const DiscreteKernel kernel(m, g);
+    fn(CountdownRows(kernel, g, o.avoid, scheduler));
+  };
+  return std::move(solve(model, goal, e, {t}, replay, true, replay_rows)[0]);
 }
 
 std::vector<double> step_bounded_reachability(const Ctmdp& model, const BitVector& goal,

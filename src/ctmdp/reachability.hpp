@@ -23,7 +23,8 @@
 // over DenseKernel for the simd backends).  timed_reachability is that
 // sweep with one horizon, evaluate_scheduler runs it on the CTMDP
 // restricted to the given policy, and step_bounded_reachability runs it
-// with zero Poisson weights.
+// with zero Poisson weights.  evaluate_countdown_scheduler (scheduler.hpp)
+// replays a decision table on the serial rows.
 #pragma once
 
 #include <cstdint>
@@ -81,7 +82,8 @@ struct TimedReachabilityOptions {
   /// historical scalar engine, bit-identical to the pre-backend solver and
   /// the reference engine.  The two differ by FP reassociation
   /// only — see DESIGN.md Sec. 10 for the exact contract.  Each backend is
-  /// bit-identical to itself across all thread counts.
+  /// bit-identical to itself across all thread counts.  extract_scheduler
+  /// overrides it with Serial.
   Backend backend = Backend::Auto;
   /// Stop iterating once the Poisson window is exhausted (no further psi
   /// mass below the current step) and the value vector has converged to
@@ -92,7 +94,8 @@ struct TimedReachabilityOptions {
   /// Record the optimal decision (transition index) per state for the first
   /// step (i = 1) — e.g. which component the optimal FTWC policy repairs
   /// first.  Also records full per-step decisions if the table stays below
-  /// max_decision_entries.
+  /// max_decision_entries.  Runs the Serial engine whatever `backend` says:
+  /// only it tracks decisions.
   bool extract_scheduler = false;
   std::uint64_t max_decision_entries = 1u << 24;
   /// Worker threads for the per-iteration state sweep.  0 picks
@@ -115,7 +118,8 @@ struct TimedReachabilityOptions {
   /// uninterrupted and a resumed run produce bit-identical values.
   const TimedReachabilityResult* resume = nullptr;
   /// Optional observability: a "reachability" span (one per
-  /// timed_reachability or evaluate_scheduler call; a batch reports a
+  /// timed_reachability, evaluate_scheduler or evaluate_countdown_scheduler
+  /// call; a batch reports a
   /// "reachability_batch" span with one "reachability_batch.horizon" child
   /// per bound) with states/transitions, the Poisson window
   /// (left/right/width), iterations planned/executed and the

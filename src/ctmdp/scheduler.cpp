@@ -1,10 +1,9 @@
 #include "ctmdp/scheduler.hpp"
 
-#include <cmath>
+#include <algorithm>
+#include <string>
 
-#include "ctmdp/backend.hpp"
 #include "support/errors.hpp"
-#include "support/fox_glynn.hpp"
 
 namespace unicon {
 
@@ -69,68 +68,10 @@ CountdownScheduler CountdownScheduler::from_result(const TimedReachabilityResult
 
 std::uint64_t CountdownScheduler::choice(std::uint64_t i, StateId s) const {
   if (i == 0) throw ModelError("CountdownScheduler: steps are 1-based");
-  const std::size_t row = std::min<std::size_t>(i - 1, decisions_.size() - 1);
-  return decisions_[row][s];
-}
-
-TimedReachabilityResult evaluate_countdown_scheduler(const Ctmdp& model, const BitVector& goal,
-                                                     double t,
-                                                     const CountdownScheduler& scheduler,
-                                                     const TimedReachabilityOptions& options) {
-  if (goal.size() != model.num_states()) {
-    throw ModelError("evaluate_countdown_scheduler: goal vector size mismatch");
-  }
-  if (t < 0.0) throw ModelError("evaluate_countdown_scheduler: negative time bound");
-  if (scheduler.num_steps() == 0) {
-    throw ModelError("evaluate_countdown_scheduler: scheduler has no decision rows");
-  }
-  const auto uniform = model.uniform_rate(1e-6);
-  if (!uniform) throw UniformityError("evaluate_countdown_scheduler: model is not uniform");
-  const double e = *uniform;
-  const std::size_t n = model.num_states();
-
-  TimedReachabilityResult result;
-  result.uniform_rate = e;
-  result.lambda = e * t;
-  const PoissonWindow psi = PoissonWindow::compute(e * t, options.epsilon);
-  const std::uint64_t k = psi.right();
-  result.iterations_planned = k;
-
-  const DiscreteKernel kernel(model, goal);
-  std::vector<double> q_next(n, 0.0);
-  std::vector<double> q_cur(n, 0.0);
-  for (std::uint64_t i = k; i >= 1; --i) {
-    const double w = psi.psi(i);
-    const double* q = q_next.data();
-    for (StateId s = 0; s < n; ++s) {
-      if (goal[s]) {
-        q_cur[s] = w + q[s];
-        continue;
-      }
-      const std::uint64_t tr = scheduler.choice(i, s);
-      if (tr == kNoTransition) {
-        // The optimizing sweep records kNoTransition for avoided and
-        // transitionless states; both are pinned to exactly 0.
-        q_cur[s] = 0.0;
-        continue;
-      }
-      if (tr < kernel.state_first[s] || tr >= kernel.state_first[s + 1]) {
-        throw ModelError("evaluate_countdown_scheduler: choice out of range at step " +
-                         std::to_string(i) + ", state " + std::to_string(s));
-      }
-      q_cur[s] = kernel.transition_value(tr, w, q);
-    }
-    q_cur.swap(q_next);
-  }
-  result.iterations_executed = k;
-  result.residual_bound = options.epsilon;
-  for (const double v : q_next) {
-    if (!std::isfinite(v)) {
-      throw NumericError("evaluate_countdown_scheduler: non-finite value in result");
-    }
-  }
-  result.values = std::move(q_next);
-  return result;
+  const auto& row = decisions_[std::min<std::size_t>(i - 1, decisions_.size() - 1)];
+  // Early termination leaves the rows below its stop step empty.
+  if (s >= row.size()) throw ModelError("CountdownScheduler: no decision recorded at this step");
+  return row[s];
 }
 
 }  // namespace unicon

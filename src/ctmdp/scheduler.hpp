@@ -60,24 +60,24 @@ class CountdownScheduler {
   std::uint64_t num_steps() const { return decisions_.size(); }
 
   /// Choice at countdown step i (1-based, i <= num_steps()); steps beyond
-  /// the table fall back to the last recorded row.
+  /// the table fall back to the last recorded row.  Throws ModelError when
+  /// that row holds no entry for @p s.
   std::uint64_t choice(std::uint64_t i, StateId s) const;
 
  private:
   std::vector<std::vector<std::uint64_t>> decisions_;
 };
 
-/// Policy evaluation of a step-dependent scheduler: Algorithm 1's backward
-/// iteration with the per-step transition fixed by @p scheduler instead of
-/// optimized.  The arithmetic mirrors the serial solver exactly — per state
-/// and step it evaluates the same kernel.transition_value() expression the
-/// optimizing sweep used to score that transition — so feeding back a
-/// decision table extracted by a serial timed_reachability solve reproduces
-/// its values *bit-identically* (the round-trip the scheduler-artifact
-/// tests rely on).  A kNoTransition choice pins the state to 0 (matching
-/// avoided and transitionless states).  Honours options.epsilon only;
-/// throws UniformityError on non-uniform models, ModelError on out-of-range
-/// choices.
+/// Policy evaluation of a step-dependent scheduler: a one-horizon run of the
+/// timed_reachability driver on serial rows that take the transition
+/// @p scheduler names at each step instead of the best one.  Extraction runs
+/// the same rows on every backend, so an extracted table replays its solve's
+/// values *bit-identically* (the scheduler-artifact round trip).  A
+/// kNoTransition choice pins the state to 0; values are clamped like every
+/// solver's (goal states report 1).  Pure Fox-Glynn at options.epsilon,
+/// locking off; honours threads, guard (partial results) and telemetry.
+/// Validates the table rows it will read before sweeping: ModelError on an
+/// out-of-range choice, UniformityError on non-uniform models.
 TimedReachabilityResult evaluate_countdown_scheduler(const Ctmdp& model, const BitVector& goal,
                                                      double t,
                                                      const CountdownScheduler& scheduler,

@@ -6,8 +6,9 @@
 // carrying the full table plus enough solve metadata (objective, horizon,
 // epsilon, uniform rate) to re-evaluate it independently.  The round trip
 // is exact — evaluate_countdown_scheduler on a re-read artifact reproduces
-// the optimal value of the originating serial solve bit-identically, which
-// is what the scheduler tests assert.
+// the optimal value of the originating solve bit-identically on every
+// backend (both extract and replay on the serial rows), which is what the
+// scheduler tests assert.
 //
 // Schema (one JSON object, field order fixed):
 //   schema            "unicon-scheduler-v1"

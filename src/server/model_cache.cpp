@@ -39,8 +39,8 @@ std::size_t discrete_kernel_bytes(const DiscreteKernel& k) {
 
 std::size_t dense_kernel_bytes(const DenseKernel& k) {
   return vector_bytes(k.dense_index) + vector_bytes(k.dense_state) + vector_bytes(k.row_first) +
-         vector_bytes(k.orig_trans_first) + vector_bytes(k.entry_first) + vector_bytes(k.goal_pr) +
-         vector_bytes(k.prob) + vector_bytes(k.col);
+         vector_bytes(k.entry_first) + vector_bytes(k.goal_pr) + vector_bytes(k.prob) +
+         vector_bytes(k.col);
 }
 
 }  // namespace

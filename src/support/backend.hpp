@@ -75,12 +75,6 @@ struct DenseKernelView {
   const double* goal_pr = nullptr;             ///< [num_trans] mass into goal
   const double* prob = nullptr;                ///< [num_entries]
   const std::uint32_t* col = nullptr;          ///< [num_entries] -> dense row
-  /// [num_rows] original model transition id of each row's first
-  /// transition; dense transitions of a row keep the model's order, so the
-  /// original id of dense transition t in row r is
-  /// orig_trans_first[r] + (t - row_first[r]).  May be null when the
-  /// caller never records decisions.
-  const std::uint64_t* orig_trans_first = nullptr;
 };
 
 /// Plain CSR gather with a diagonal term: out[r] = diag[r] * x[r] +
@@ -94,10 +88,6 @@ struct GatherView {
   const std::uint32_t* col = nullptr;
 };
 
-/// Sentinel for "no transition chosen" in decision arrays; equals
-/// ctmdp's kNoTransition.
-inline constexpr std::uint64_t kNoKernelChoice = static_cast<std::uint64_t>(-1);
-
 /// Block-level kernel table.  All row ranges operate on dense rows; the
 /// caller owns goal/avoid handling, guard blocks and thread partitioning,
 /// so per-backend results stay bit-identical across thread counts exactly
@@ -106,15 +96,13 @@ struct KernelOps {
   const char* name;
 
   /// Bellman relax of rows [begin, end): out[r] = best over the row's
-  /// transitions of goal_pr[t] * gval + dot(prob, q[col]); ties keep the
-  /// first transition, matching the serial sweep.  When decisions is
-  /// non-null, decisions[r] receives the *original model* transition id of
-  /// the argbest (kNoKernelChoice for rows without transitions, whose value
-  /// is 0.0).  Returns the NaN-latching sup of |out[r] - q[r]| over the
-  /// range (NaN propagates so the caller's finiteness check fires).
+  /// transitions of goal_pr[t] * gval + dot(prob, q[col]) (0.0 without
+  /// transitions); values only, a scheduler is extracted on the serial rows
+  /// (DESIGN.md Sec. 12.4).  Returns the NaN-latching sup of
+  /// |out[r] - q[r]| over the range (NaN propagates so the caller's
+  /// finiteness check fires).
   double (*relax_rows)(const DenseKernelView& k, double gval, bool maximize,
-                       const double* q, double* out, std::uint64_t* decisions,
-                       std::uint64_t begin, std::uint64_t end);
+                       const double* q, double* out, std::uint64_t begin, std::uint64_t end);
 
   /// CSR-with-diagonal gather of rows [begin, end) (see GatherView).
   void (*gather_rows)(const GatherView& g, const double* x, double* out,

@@ -1,8 +1,14 @@
 #include "support/telemetry.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <utility>
+
+#include "support/errors.hpp"
+#include "support/json.hpp"
 
 namespace unicon {
 
@@ -258,22 +264,55 @@ BenchJson::BenchJson(std::string default_path, const char* env_override) {
 
 void BenchJson::write() {
   if (records_.empty()) return;
-  std::FILE* f = std::fopen(path_.c_str(), "w");
+  // Harnesses share files, so the file's records of every label not written
+  // again are kept, in order, ahead of the new ones (values re-emitted as
+  // parsed: exact, though not always as first formatted).
+  std::vector<BenchRecord> merged;
+  try {
+    std::ifstream in(path_, std::ios::binary);
+    const Json doc = in ? Json::parse(std::string(std::istreambuf_iterator<char>(in), {}))
+                        : Json(JsonArray{});
+    for (const Json& item : doc.as_array()) {
+      const Json* label = item.find("bench");
+      if (label == nullptr) throw ParseError("record without a \"bench\" label");
+      BenchRecord& kept = merged.emplace_back(BenchRecord{label->as_string(), {}});
+      for (const auto& [key, value] : item.as_object()) {
+        if (key != "bench") kept.metrics.emplace_back(key, value.dump());
+      }
+    }
+  } catch (const Error& e) {
+    merged.clear();
+    std::fprintf(stderr, "warning: replacing %s, not a BENCH record array (%s)\n",
+                 path_.c_str(), e.what());
+  }
+  std::erase_if(merged, [&](const BenchRecord& old) {
+    return std::any_of(records_.begin(), records_.end(),
+                       [&](const BenchRecord& r) { return r.bench == old.bench; });
+  });
+  merged.insert(merged.end(), records_.begin(), records_.end());
+
+  // Renamed over the target, so no reader ever sees a half-written file.
+  const std::string tmp = path_ + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "warning: cannot write %s\n", path_.c_str());
     return;
   }
   std::fprintf(f, "[\n");
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const BenchRecord& r = records_[i];
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    const BenchRecord& r = merged[i];
     std::fprintf(f, "  {\"bench\": \"%s\"", json_escape(r.bench).c_str());
     for (const auto& [key, rendered] : r.metrics) {
       std::fprintf(f, ", \"%s\": %s", json_escape(key).c_str(), rendered.c_str());
     }
-    std::fprintf(f, "}%s\n", i + 1 < records_.size() ? "," : "");
+    std::fprintf(f, "}%s\n", i + 1 < merged.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
-  std::fclose(f);
+  if (std::fclose(f) != 0 || std::rename(tmp.c_str(), path_.c_str()) != 0) {
+    std::fprintf(stderr, "warning: cannot write %s\n", path_.c_str());
+    std::remove(tmp.c_str());
+    return;
+  }
   std::printf("wrote %zu records to %s\n", records_.size(), path_.c_str());
   records_.clear();
 }

@@ -230,7 +230,9 @@ struct BenchRecord {
 /// writes them as a JSON array on write() (or destruction).  Schema shared
 /// by all harnesses (keys documented in README "Benchmarks"):
 ///   [{"bench": "<harness/case>", "<metric>": <number>, ...}, ...]
-/// Integers are emitted as integers, seconds with 6 decimals.  When
+/// Integers are emitted as integers, seconds with 6 decimals.  write()
+/// merges by label into the file harnesses share (a file that does not
+/// parse is reported and replaced) through a temp file and a rename.  When
 /// @p env_override names an environment variable and it is set non-empty,
 /// its value replaces the default path.
 class BenchJson {

@@ -86,10 +86,12 @@ SolveCase make_solve_case(const Ctx& ctx) {
   c.options.epsilon = ctx.config->epsilon;
   c.options.threads = ctx.config->threads;
   c.options.backend = ctx.config->backend;
-  // The reference run records the full scheduler artifact so the cancel
-  // scenario can assert that a resumed run reconstructs it exactly
-  // (pre-interruption decision rows included).
-  c.options.extract_scheduler = true;
+  // On the serial backend the reference run records the full scheduler
+  // artifact so the cancel scenario can assert that a resumed run
+  // reconstructs it exactly (pre-interruption decision rows included).
+  // Extraction runs the serial rows on every backend, so the simd backends
+  // leave it off and keep the dense engine under every fault.
+  c.options.extract_scheduler = resolve_backend(ctx.config->backend) == Backend::Serial;
   c.options.objective = rng.next_below(2) == 0 ? Objective::Maximize : Objective::Minimize;
   c.reference = timed_reachability(c.model, c.goal, ctx.config->time, c.options);
   return c;

@@ -49,8 +49,8 @@ struct FaultConfig {
   /// Worker threads for the guarded solves (cancellation must stop a
   /// parallel sweep within one barrier).
   unsigned threads = 2;
-  /// Compute backend for the guarded solves (Auto = UNICON_BACKEND /
-  /// serial); every backend must uphold the same robustness contract.
+  /// Compute backend for the guarded solves (Auto = UNICON_BACKEND, else
+  /// simd); every backend must uphold the same robustness contract.
   Backend backend = Backend::Auto;
   /// Directory for counterexample artifacts ("" disables writing).
   std::string artifact_dir;

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -311,6 +312,41 @@ TEST(BitConsistency, EvaluateSchedulerAcrossBackendsAndThreads) {
     }
     EXPECT_EQ(per_backend[1], per_backend[2]) << "simd vs simd-portable, n=" << n;
     EXPECT_LE(max_abs_diff_vec(per_backend[0], per_backend[1]), kReassocTol) << "n=" << n;
+  }
+}
+
+/// Only the serial rows record decisions, so an extracting solve runs them
+/// on every backend and returns the serial extraction bit-for-bit.
+TEST(BitConsistency, ExtractionOnEveryBackendIsTheSerialExtraction) {
+  for (std::size_t n : kSizes) {
+    const CtmdpCase c = make_ctmdp_case(4000 + n, n);
+    for (const Objective objective : {Objective::Maximize, Objective::Minimize}) {
+      TimedReachabilityOptions options;
+      options.objective = objective;
+      options.avoid = c.avoid;
+      options.extract_scheduler = true;
+      options.backend = Backend::Serial;
+      options.threads = 1;
+      const auto serial = timed_reachability(c.model, c.goal, 1.5, options);
+      for (const Backend backend : {Backend::Simd, Backend::SimdPortable}) {
+        for (const unsigned threads : {1u, 3u}) {
+          SCOPED_TRACE(std::string(backend_name(backend)) + " n=" + std::to_string(n) +
+                       " threads=" + std::to_string(threads));
+          options.backend = backend;
+          options.threads = threads;
+          const auto run = timed_reachability(c.model, c.goal, 1.5, options);
+          ASSERT_EQ(run.values.size(), serial.values.size());
+          for (std::size_t s = 0; s < run.values.size(); ++s) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(run.values[s]),
+                      std::bit_cast<std::uint64_t>(serial.values[s]))
+                << "state " << s;
+          }
+          EXPECT_EQ(run.initial_decision, serial.initial_decision);
+          EXPECT_EQ(run.decisions, serial.decisions);
+          EXPECT_EQ(run.iterations_executed, serial.iterations_executed);
+        }
+      }
+    }
   }
 }
 

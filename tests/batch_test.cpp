@@ -119,6 +119,70 @@ TEST(BatchTest, CtmdpBatchEarlyTerminationMatchesSingle) {
   }
 }
 
+/// One batch against its independent single-t runs, bitwise.
+void expect_batch_matches_singles(const Ctmdp& model, const BitVector& goal,
+                                  const std::vector<double>& times,
+                                  const TimedReachabilityOptions& options) {
+  const auto batch = timed_reachability_batch(model, goal, times, options);
+  ASSERT_EQ(batch.size(), times.size());
+  for (std::size_t j = 0; j < times.size(); ++j) {
+    SCOPED_TRACE("t " + std::to_string(times[j]));
+    expect_same_result(batch[j], timed_reachability(model, goal, times[j], options));
+  }
+}
+
+// An extracting solve runs the serial rows whatever the backend, so the two
+// cases above reach the dense engine only through these twins without
+// extraction: avoid sets, unsorted, duplicate and zero horizons, and early
+// termination on the simd rows.
+TEST(BatchTest, DenseBatchWithoutExtractionMatchesSingleRunsBitwise) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(derive_seed(0xde75eu, seed));
+    gen::RandomCtmdpConfig config;
+    config.num_states = 20 + seed * 4;
+    config.uniform_rate = 2.0;
+    const Ctmdp model = gen::random_uniform_ctmdp(rng, config);
+    const BitVector goal = gen::random_goal(rng, model.num_states(), 0.3);
+    const BitVector avoid =
+        seed % 3 == 0 ? gen::random_goal(rng, model.num_states(), 0.15) : BitVector{};
+    for (Backend backend : {Backend::Simd, Backend::SimdPortable}) {
+      for (unsigned threads : {1u, 3u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " backend " +
+                     std::string(backend_name(backend)) + " threads " +
+                     std::to_string(threads));
+        TimedReachabilityOptions options;
+        options.backend = backend;
+        options.threads = threads;
+        options.objective = seed % 2 == 0 ? Objective::Minimize : Objective::Maximize;
+        options.avoid = avoid;
+        expect_batch_matches_singles(model, goal, {2.5, 0.5, 4.0, 0.5, 0.0, 1.25}, options);
+      }
+    }
+  }
+}
+
+TEST(BatchTest, DenseBatchEarlyTerminationWithoutExtractionMatchesSingle) {
+  Rng rng(0x5eedu);
+  gen::RandomCtmdpConfig config;
+  config.num_states = 24;
+  config.uniform_rate = 3.0;
+  config.absorbing_density = 0.3;
+  const Ctmdp model = gen::random_uniform_ctmdp(rng, config);
+  const BitVector goal = gen::random_goal(rng, model.num_states(), 0.25);
+  for (Backend backend : {Backend::Simd, Backend::SimdPortable}) {
+    SCOPED_TRACE("backend " + std::string(backend_name(backend)));
+    TimedReachabilityOptions options;
+    options.backend = backend;
+    options.threads = 2;
+    options.early_termination = true;
+    options.early_termination_delta = 1e-10;
+    // The stop must fire, or this case would not exercise it.
+    const auto longest = timed_reachability(model, goal, 30.0, options);
+    EXPECT_LT(longest.iterations_executed, longest.iterations_planned);
+    expect_batch_matches_singles(model, goal, {30.0, 6.0, 12.0, 1.0}, options);
+  }
+}
+
 TEST(BatchTest, CtmdpBatchGuardStopYieldsSoundResumablePartials) {
   Rng rng(0x90afu);
   gen::RandomCtmdpConfig config;

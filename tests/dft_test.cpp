@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "lang/diagnostics.hpp"
 #include "support/errors.hpp"
 #include "testing/dft_oracle.hpp"
+#include "test_util.hpp"
 
 using namespace unicon;
 // unicon::testing clashes with gtest's ::testing under the using-directive.
@@ -429,6 +431,43 @@ TEST(DftScheduler, ArtifactRoundTripReproducesOptimalValueBitIdentically) {
       EXPECT_LE(fixed.values[ctmdp.initial()], p.result.value + slack);
     } else {
       EXPECT_GE(fixed.values[ctmdp.initial()], p.result.value - slack);
+    }
+  }
+}
+
+// Extraction runs the serial reference rows whatever the backend, so the
+// artifact of a default-backend solve replays to its own value bit-for-bit
+// (the default CLI path: unicon_check dft cas.dft 1 --export-scheduler).
+TEST(DftScheduler, ArtifactRoundTripIsBitIdenticalOnEveryBackend) {
+  const std::filesystem::path path = std::filesystem::path(UNICON_DFT_DIR) / "cas.dft";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const double t = 1.0;
+  const double eps = 1e-6;
+  for (const Backend backend : {Backend::Auto, Backend::Simd, Backend::SimdPortable}) {
+    std::optional<testutil::ScopedBackendEnv> unset;
+    if (backend == Backend::Auto) unset.emplace(nullptr);
+    for (const Objective objective : {Objective::Maximize, Objective::Minimize}) {
+      SCOPED_TRACE(std::string(backend_name(backend)) +
+                   (objective == Objective::Maximize ? " max" : " min"));
+      const Pipeline p = run_dft(buffer.str(), t, objective, eps, /*minimize=*/true,
+                                 /*extract_scheduler=*/true, backend);
+      const io::SchedulerArtifact artifact = io::scheduler_artifact_from_result(
+          p.result.reachability, objective, t, eps, p.result.value);
+      const io::SchedulerArtifact back =
+          io::scheduler_from_json(io::scheduler_to_json(artifact));
+
+      const Ctmdp& ctmdp = p.result.transformed.ctmdp;
+      const BitVector& goal = objective == Objective::Maximize
+                                  ? p.result.transformed.goal
+                                  : p.result.transformed.goal_universal;
+      TimedReachabilityOptions eval;
+      eval.epsilon = eps;
+      const TimedReachabilityResult replay =
+          evaluate_countdown_scheduler(ctmdp, goal, t, back.scheduler(), eval);
+      EXPECT_EQ(bits(replay.values[ctmdp.initial()]), bits(artifact.value));
     }
   }
 }

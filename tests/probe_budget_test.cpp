@@ -10,8 +10,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,35 +20,12 @@
 #include "support/backend.hpp"
 #include "support/run_guard.hpp"
 #include "support/telemetry.hpp"
+#include "test_util.hpp"
 
 namespace unicon {
 namespace {
 
-/// Sets UNICON_BACKEND (unsets it for nullptr) for one scope and restores
-/// the caller's value afterwards: CI exports it for whole-suite runs.
-class ScopedBackendEnv {
- public:
-  explicit ScopedBackendEnv(const char* value) {
-    if (const char* old = std::getenv("UNICON_BACKEND")) saved_ = old;
-    if (value == nullptr) {
-      unsetenv("UNICON_BACKEND");
-    } else {
-      setenv("UNICON_BACKEND", value, 1);
-    }
-  }
-  ~ScopedBackendEnv() {
-    if (saved_) {
-      setenv("UNICON_BACKEND", saved_->c_str(), 1);
-    } else {
-      unsetenv("UNICON_BACKEND");
-    }
-  }
-  ScopedBackendEnv(const ScopedBackendEnv&) = delete;
-  ScopedBackendEnv& operator=(const ScopedBackendEnv&) = delete;
-
- private:
-  std::optional<std::string> saved_;
-};
+using testutil::ScopedBackendEnv;
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 

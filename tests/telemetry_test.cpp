@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <regex>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/transform.hpp"
 #include "ctmdp/reachability.hpp"
+#include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/telemetry.hpp"
@@ -219,6 +224,85 @@ TEST(TelemetryBench, RecordRendersIntegersAsIntegers) {
   EXPECT_EQ(r.metrics[0].second, "12");
   EXPECT_EQ(r.metrics[1].second, "0.125000");
   EXPECT_EQ(r.metrics[2].second, "9");
+}
+
+// ------------------------------------------------------- BENCH file merge
+
+/// A BENCH path under the test temp directory, absent on entry and removed
+/// on exit.
+class BenchPath {
+ public:
+  explicit BenchPath(const char* name) : path_(::testing::TempDir() + name) {
+    std::remove(path_.c_str());
+  }
+  ~BenchPath() { std::remove(path_.c_str()); }
+  const std::string& str() const { return path_; }
+
+  std::string text() const {
+    std::ifstream in(path_);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+  }
+  std::vector<std::string> labels() const {
+    const Json doc = Json::parse(text());
+    std::vector<std::string> out;
+    for (const Json& r : doc.as_array()) out.push_back(r.get_string("bench", ""));
+    return out;
+  }
+
+ private:
+  std::string path_;
+};
+
+void write_bench(const std::string& path, const std::string& label, double seconds) {
+  telemetry::BenchJson json(path);
+  telemetry::BenchRecord r;
+  r.bench = label;
+  r.add("states", std::size_t{12}).add("seconds", seconds);
+  json.record(std::move(r));
+}
+
+TEST(TelemetryBench, TwoWritersToOneFileKeepBothSetsOfRecords) {
+  const BenchPath path("unicon_bench_two_writers.json");
+  write_bench(path.str(), "table1/N=1", 0.125);
+  write_bench(path.str(), "micro/algorithm1", 0.25);
+  EXPECT_EQ(path.labels(), (std::vector<std::string>{"table1/N=1", "micro/algorithm1"}));
+  // A kept record keeps its keys, their order and their values.
+  EXPECT_NE(path.text().find("{\"bench\": \"table1/N=1\", \"states\": 12, \"seconds\": 0.125}"),
+            std::string::npos)
+      << path.text();
+  EXPECT_FALSE(std::filesystem::exists(path.str() + ".tmp"));
+}
+
+TEST(TelemetryBench, ALabelWrittenAgainReplacesItsRecord) {
+  const BenchPath path("unicon_bench_rewrite.json");
+  {
+    telemetry::BenchJson json(path.str());
+    for (const char* label : {"a", "b"}) {
+      telemetry::BenchRecord r;
+      r.bench = label;
+      r.add("seconds", 1.0);
+      json.record(std::move(r));
+    }
+  }
+  write_bench(path.str(), "a", 3.5);
+  EXPECT_EQ(path.labels(), (std::vector<std::string>{"b", "a"}));
+  const Json records = Json::parse(path.text());
+  EXPECT_EQ(records.as_array()[1].get_number("seconds", 0.0), 3.5);
+}
+
+TEST(TelemetryBench, MalformedExistingFileIsReportedAndReplaced) {
+  for (const char* existing : {"not json", "[{\"seconds\": 1}]", "{\"bench\": \"x\"}"}) {
+    SCOPED_TRACE(existing);
+    const BenchPath path("unicon_bench_malformed.json");
+    std::ofstream(path.str()) << existing;
+    ::testing::internal::CaptureStderr();
+    write_bench(path.str(), "fresh", 0.5);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find(path.str()), std::string::npos) << err;
+    EXPECT_EQ(path.labels(), (std::vector<std::string>{"fresh"}));
+  }
 }
 
 // ----------------------------------------------------------- determinism
