@@ -1,91 +1,12 @@
 #include "core/transform.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "support/errors.hpp"
 #include "support/telemetry.hpp"
 
 namespace unicon {
-
-namespace {
-
-std::uint64_t pair_key(StateId a, StateId b) {
-  return (static_cast<std::uint64_t>(a) << 32) | b;
-}
-
-struct MarkovAlternating {
-  Imc imc;
-  /// For fresh pair states (ids >= num_original): the Markov state s' the
-  /// pair (s, s') leads into.
-  std::vector<StateId> pair_target;
-  std::size_t num_original = 0;
-};
-
-MarkovAlternating markov_alternating_impl(const Imc& m) {
-  for (StateId s = 0; s < m.num_states(); ++s) {
-    if (m.kind(s) == StateKind::Hybrid) {
-      throw ModelError("make_markov_alternating: input has hybrid states; run step (1) first");
-    }
-  }
-
-  MarkovAlternating result;
-  result.num_original = m.num_states();
-
-  ImcBuilder b(m.action_table());
-  for (StateId s = 0; s < m.num_states(); ++s) b.add_state(m.state_name(s));
-  b.set_initial(m.initial());
-  for (const LtsTransition& t : m.interactive_transitions()) {
-    b.add_interactive(t.from, t.action, t.to);
-  }
-
-  std::unordered_map<std::uint64_t, StateId> pair_states;
-  for (const MarkovTransition& t : m.markov_transitions()) {
-    const bool target_is_markov = m.kind(t.to) == StateKind::Markov;
-    if (!target_is_markov) {
-      b.add_markov(t.from, t.rate, t.to);
-      continue;
-    }
-    // Break the Markov->Markov sequence with a fresh interactive state.
-    const std::uint64_t key = pair_key(t.from, t.to);
-    auto it = pair_states.find(key);
-    StateId fresh;
-    if (it == pair_states.end()) {
-      fresh = b.add_state();
-      pair_states.emplace(key, fresh);
-      result.pair_target.push_back(t.to);
-      b.add_interactive(fresh, kTau, t.to);
-    } else {
-      fresh = it->second;
-    }
-    b.add_markov(t.from, t.rate, fresh);
-  }
-
-  result.imc = b.build();
-  return result;
-}
-
-}  // namespace
-
-Imc make_alternating(const Imc& m) {
-  ImcBuilder b(m.action_table());
-  for (StateId s = 0; s < m.num_states(); ++s) b.add_state(m.state_name(s));
-  b.set_initial(m.initial());
-  for (const LtsTransition& t : m.interactive_transitions()) {
-    b.add_interactive(t.from, t.action, t.to);
-  }
-  for (const MarkovTransition& t : m.markov_transitions()) {
-    // Urgency: any interactive transition preempts the delays of a hybrid
-    // state, so its Markov transitions are cut.
-    if (!m.has_interactive(t.from)) b.add_markov(t.from, t.rate, t.to);
-  }
-  return b.build();
-}
-
-Imc make_markov_alternating(const Imc& m) { return markov_alternating_impl(m).imc; }
 
 TransformResult transform_to_ctmdp(const Imc& m, const BitVector* goal,
                                    RunGuard* guard, Telemetry* telemetry) {
@@ -100,25 +21,13 @@ TransformResult transform_to_ctmdp(const Imc& m, const BitVector* goal,
     word_lengths = &telemetry->histogram("transform.word_length");
   }
 
-  std::uint64_t markov_cut = 0;
-  if (telemetry != nullptr) {
-    for (const MarkovTransition& t : m.markov_transitions()) {
-      if (m.has_interactive(t.from)) ++markov_cut;
-    }
-  }
+  const std::size_t n = m.num_states();
+  // Step (1), urgency: a hybrid state's Markov transitions are never read,
+  // so a state is Markov iff it has Markov but no interactive transitions.
+  auto is_markov = [&](StateId s) { return !m.has_interactive(s) && m.has_markov(s); };
+  auto original_goal = [&](StateId s) { return goal != nullptr && (*goal)[s]; };
 
-  const Imc alternating = make_alternating(m);
-  const MarkovAlternating ma = markov_alternating_impl(alternating);
-  const Imc& m2 = ma.imc;
-  const std::size_t n2 = m2.num_states();
-
-  auto original_goal = [&](StateId s) -> bool {
-    if (goal == nullptr) return false;
-    if (s < ma.num_original) return (*goal)[s];
-    return false;  // fresh pair states carry no atomic propositions
-  };
-
-  // --- Zero-time closure bookkeeping over interactive states of m2 -------
+  // --- Zero-time closure bookkeeping over the input's states --------------
   // For every interactive state v (memoized):
   //   exists_hit(v): some zero-time resolution from v hits the goal set.
   //   all_hit(v):    every zero-time resolution from v hits it.
@@ -126,15 +35,15 @@ TransformResult transform_to_ctmdp(const Imc& m, const BitVector* goal,
   // i.e. Zeno behaviour; an interactive successor without any transitions
   // is a zero-time deadlock.  Both are rejected (Sec. 4.1).
   enum class Color : std::uint8_t { White, Grey, Black };
-  std::vector<Color> color(n2, Color::White);
-  BitVector exists_hit(n2, false), all_hit(n2, false);
+  std::vector<Color> color(n, Color::White);
+  BitVector exists_hit(n, false), all_hit(n, false);
 
   auto successor_hits = [&](StateId w, bool& ex, bool& all) {
     // Contribution of successor w (any kind) to its predecessor's flags.
-    if (m2.has_interactive(w)) {
+    if (m.has_interactive(w)) {
       ex = exists_hit[w];
       all = all_hit[w];
-    } else if (m2.has_markov(w)) {
+    } else if (m.has_markov(w)) {
       ex = all = original_goal(w);
     } else {
       throw ModelError("transform_to_ctmdp: zero-time deadlock (absorbing interactive path)");
@@ -145,16 +54,17 @@ TransformResult transform_to_ctmdp(const Imc& m, const BitVector* goal,
     StateId v;
     std::size_t edge = 0;
   };
+  std::vector<Frame> stack;
   auto closure_dfs = [&](StateId root) {
     if (color[root] != Color::White) return;
-    std::vector<Frame> stack{Frame{root}};
+    stack.assign(1, Frame{root});
     color[root] = Color::Grey;
     while (!stack.empty()) {
       Frame& f = stack.back();
-      const auto ts = m2.out_interactive(f.v);
+      const auto ts = m.out_interactive(f.v);
       if (f.edge < ts.size()) {
         const StateId w = ts[f.edge++].to;
-        if (!m2.has_interactive(w)) continue;  // Markov/absorbing handled at fold time
+        if (!m.has_interactive(w)) continue;  // Markov/absorbing handled at fold time
         if (color[w] == Color::Grey) {
           throw ZenoError("transform_to_ctmdp: cycle of interactive transitions (Zeno behaviour)");
         }
@@ -181,118 +91,149 @@ TransformResult transform_to_ctmdp(const Imc& m, const BitVector* goal,
     }
   };
 
-  // --- Step (3): word closure and CTMDP interpretation -------------------
-  CtmdpBuilder builder(m2.action_table(), nullptr);
+  // --- CTMDP states: interactive input states and pair states -------------
+  CtmdpBuilder builder(m.action_table(), nullptr);
   const WordId tau_word = builder.word_table()->intern_single(kTau);
 
   TransformResult result;
   TransformStats& stats = result.stats;
 
-  std::unordered_map<StateId, StateId> ctmdp_id;  // m2 interactive state -> ctmdp state
-  std::deque<StateId> worklist;
-  auto intern_entry = [&](StateId v) -> StateId {
-    auto it = ctmdp_id.find(v);
-    if (it != ctmdp_id.end()) return it->second;
+  // A CTMDP state is numbered on first use and lands on the worklist, which
+  // is result.origin_of walked by index.  An entry whose origin is a Markov
+  // state is the pair state of step (2): it lives in that Markov state.
+  auto add_entry = [&](StateId origin, bool exists, bool all) -> StateId {
     const StateId id = builder.add_state();
-    ctmdp_id.emplace(v, id);
-    worklist.push_back(v);
-    // Sojourn-wise origin: fresh pair states live in the Markov state they
-    // lead into.
-    result.origin_of.push_back(v < ma.num_original ? v : ma.pair_target[v - ma.num_original]);
-    closure_dfs(v);  // also detects Zeno cycles and zero-time deadlocks
+    result.origin_of.push_back(origin);
     if (goal != nullptr) {
-      result.goal.push_back(exists_hit[v]);
-      result.goal_universal.push_back(all_hit[v]);
+      result.goal.push_back(exists);
+      result.goal_universal.push_back(all);
     }
     return id;
+  };
+  std::vector<StateId> state_id(n, kNoState);
+  auto intern_state = [&](StateId v) -> StateId {
+    if (state_id[v] == kNoState) {
+      closure_dfs(v);  // also detects Zeno cycles and zero-time deadlocks
+      state_id[v] = add_entry(v, exists_hit[v], all_hit[v]);
+    }
+    return state_id[v];
+  };
+  // Step (2): the pair state (M, M') that breaks a Markov->Markov edge is
+  // indexed by the first input edge of its (M, M') group.  Its closure is
+  // its target's goal bit.
+  const MarkovTransition* const edges = m.markov_transitions().data();
+  std::vector<StateId> pair_id(m.num_markov_transitions(), kNoState);
+  auto intern_pair = [&](const MarkovTransition& t) -> StateId {
+    StateId& id = pair_id[&t - edges];
+    if (id == kNoState) id = add_entry(t.to, original_goal(t.to), original_goal(t.to));
+    return id;
+  };
+
+  // Row cache: a Markov state's rate row with CTMDP targets, built the first
+  // time a transition enters it and replayed for every later one.  Targets
+  // are numbered in the strictly alternating IMC's edge order: non-Markov
+  // targets ascending, then pair states ascending by M'.  Parallel edges
+  // are summed in out_markov order.
+  constexpr std::uint32_t kNoRow = static_cast<std::uint32_t>(-1);
+  std::vector<std::uint32_t> row_of(n, kNoRow);
+  std::vector<std::uint64_t> row_start{0};
+  std::vector<SparseEntry> rows;
+  auto emit = [&](StateId from, WordId label, StateId markov_state) {
+    builder.begin_transition(from, label);
+    if (row_of[markov_state] == kNoRow) {
+      const auto out = m.out_markov(markov_state);
+      for (const bool to_markov : {false, true}) {
+        for (std::size_t i = 0; i < out.size();) {
+          const MarkovTransition& t = out[i];
+          double rate = t.rate;
+          while (++i < out.size() && out[i].to == t.to) rate += out[i].rate;
+          if (is_markov(t.to) != to_markov) continue;
+          rows.push_back(SparseEntry{to_markov ? intern_pair(t) : intern_state(t.to), rate});
+        }
+      }
+      std::sort(rows.begin() + static_cast<std::ptrdiff_t>(row_start.back()), rows.end(),
+                [](const SparseEntry& a, const SparseEntry& b) { return a.col < b.col; });
+      row_of[markov_state] = static_cast<std::uint32_t>(row_start.size() - 1);
+      row_start.push_back(rows.size());
+      ++stats.markov_states;
+      stats.markov_transitions += out.size();
+    }
+    const std::uint32_t row = row_of[markov_state];
+    for (std::uint64_t e = row_start[row]; e < row_start[row + 1]; ++e) {
+      builder.add_rate(rows[e].col, rows[e].value);
+    }
+    ++stats.interactive_transitions;
   };
 
   // Entry point: the initial state, prefixed by a fresh tau word when it is
   // not interactive.
-  const StateId init2 = m2.initial();
-  StateId ctmdp_initial;
-  bool initial_is_markov = false;
-  if (m2.has_interactive(init2)) {
-    ctmdp_initial = intern_entry(init2);
-  } else if (m2.has_markov(init2)) {
+  const StateId init = m.initial();
+  StateId first_entry = 0;
+  if (m.has_interactive(init)) {
+    builder.set_initial(intern_state(init));
+  } else if (m.has_markov(init)) {
     // Fresh interactive pre-initial state with a single tau-word transition
     // whose rate function is the initial Markov state's.
-    initial_is_markov = true;
-    ctmdp_initial = builder.add_state();
-    result.origin_of.push_back(init2);
-    if (goal != nullptr) {
-      result.goal.push_back(original_goal(init2));
-      result.goal_universal.push_back(original_goal(init2));
-    }
+    builder.set_initial(add_entry(init, original_goal(init), original_goal(init)));
+    first_entry = 1;
+    emit(0, tau_word, init);
   } else {
     throw ModelError("transform_to_ctmdp: initial state is absorbing");
   }
-  builder.set_initial(ctmdp_initial);
 
-  std::unordered_set<StateId> markov_seen;  // distinct Markov states used
-  auto emit_rates = [&](StateId markov_state) {
-    for (const MarkovTransition& t : m2.out_markov(markov_state)) {
-      builder.add_rate(intern_entry(t.to), t.rate);
-    }
-    if (markov_seen.insert(markov_state).second) {
-      ++stats.markov_states;
-      stats.markov_transitions += m2.out_markov(markov_state).size();
-    }
-  };
-
-  if (initial_is_markov) {
-    builder.begin_transition(ctmdp_initial, tau_word);
-    emit_rates(init2);
-    ++stats.interactive_transitions;
-  }
-
-  // Per-entry BFS over the zero-time interactive closure.
-  struct QueueItem {
+  // --- Step (3): per-entry BFS over the zero-time interactive closure ------
+  // Epoch stamps mark the interactive states visited and the Markov states
+  // already linked from the current entry (disjoint sets, one array).  A
+  // queue item keeps its parent and action; a word is rebuilt only when a
+  // transition is emitted.
+  struct Step {
     StateId state;
-    std::vector<Action> word;  // visible actions so far
+    std::uint32_t parent;
+    Action action;
   };
-  std::unordered_set<StateId> visited;
-  std::unordered_set<StateId> targets_done;  // Markov states already linked from this entry
-  std::deque<QueueItem> queue;
-
-  while (!worklist.empty()) {
+  std::vector<Step> queue;
+  std::vector<std::uint32_t> stamp(n, 0);
+  std::vector<Action> word;
+  std::uint32_t epoch = 0;
+  for (StateId from = first_entry; from < result.origin_of.size(); ++from) {
     if (guard != nullptr) guard->check("transform");
-    const StateId entry = worklist.front();
-    worklist.pop_front();
-    const StateId from = ctmdp_id.at(entry);
-
-    visited.clear();
-    targets_done.clear();
-    queue.clear();
-    visited.insert(entry);
-    queue.push_back(QueueItem{entry, {}});
-
-    while (!queue.empty()) {
-      QueueItem item = std::move(queue.front());
-      queue.pop_front();
-      for (const LtsTransition& t : m2.out_interactive(item.state)) {
-        std::vector<Action> word = item.word;
-        if (t.action != kTau) word.push_back(t.action);
-        if (m2.has_interactive(t.to)) {
-          if (visited.insert(t.to).second) {
-            queue.push_back(QueueItem{t.to, std::move(word)});
+    const StateId entry = result.origin_of[from];
+    if (is_markov(entry)) {  // a pair state: one tau step into its Markov state
+      if (word_lengths != nullptr) word_lengths->observe(0);
+      emit(from, tau_word, entry);
+      continue;
+    }
+    ++epoch;
+    stamp[entry] = epoch;
+    queue.assign(1, Step{entry, 0, kTau});
+    for (std::uint32_t head = 0; head < queue.size(); ++head) {
+      for (const LtsTransition& t : m.out_interactive(queue[head].state)) {
+        if (m.has_interactive(t.to)) {
+          if (stamp[t.to] != epoch) {
+            stamp[t.to] = epoch;
+            queue.push_back(Step{t.to, head, t.action});
           }
           continue;
         }
-        if (!m2.has_markov(t.to)) {
+        if (!m.has_markov(t.to)) {
           throw ModelError("transform_to_ctmdp: zero-time deadlock (absorbing interactive path)");
         }
         // Maximal interactive sequence ends: emit one CTMDP transition per
         // (entry, Markov target) pair.
-        if (!targets_done.insert(t.to).second) {
+        if (stamp[t.to] == epoch) {
           ++stats.words_deduplicated;
           continue;
         }
+        stamp[t.to] = epoch;
+        word.clear();
+        if (t.action != kTau) word.push_back(t.action);
+        for (std::uint32_t i = head; i != 0; i = queue[i].parent) {
+          if (queue[i].action != kTau) word.push_back(queue[i].action);
+        }
+        std::reverse(word.begin(), word.end());
         const WordId label = word.empty() ? tau_word : builder.intern_word(word);
         if (word_lengths != nullptr) word_lengths->observe(word.size());
-        builder.begin_transition(from, label);
-        emit_rates(t.to);
-        ++stats.interactive_transitions;
+        emit(from, label, t.to);
       }
     }
   }
@@ -306,6 +247,18 @@ TransformResult transform_to_ctmdp(const Imc& m, const BitVector* goal,
                        (stats.interactive_states + stats.markov_states) * sizeof(std::uint64_t);
   stats.seconds = timer.seconds();
   if (span) {
+    // Steps (1) and (2) counted over the whole input, reachable or not.
+    std::uint64_t markov_cut = 0, pair_states = 0;
+    for (StateId s = 0; s < n; ++s) {
+      const auto out = m.out_markov(s);
+      if (m.has_interactive(s)) {
+        markov_cut += out.size();
+        continue;
+      }
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        if (is_markov(out[i].to) && (i == 0 || out[i - 1].to != out[i].to)) ++pair_states;
+      }
+    }
     span->metric("input_states", m.num_states());
     span->metric("interactive_states", stats.interactive_states);
     span->metric("markov_states", stats.markov_states);
@@ -313,7 +266,7 @@ TransformResult transform_to_ctmdp(const Imc& m, const BitVector* goal,
     span->metric("markov_transitions", stats.markov_transitions);
     span->metric("words_deduplicated", stats.words_deduplicated);
     span->metric("markov_transitions_cut", markov_cut);
-    span->metric("pair_states_added", ma.pair_target.size());
+    span->metric("pair_states_added", pair_states);
     span->metric("memory_bytes", stats.memory_bytes);
   }
   return result;

@@ -4,22 +4,30 @@
 // steps, each preserving the scheduler-indexed path probability measures
 // (Theorem 1):
 //
-//  (1) make_alternating       — hybrid states lose their Markov transitions
-//                               (urgency: in a closed system every
-//                               interactive transition preempts delays);
-//  (2) make_markov_alternating — Markov->Markov sequences are broken by a
-//                               fresh interactive state (s,s') reached with
-//                               the original rate and left by tau;
-//  (3) strictly alternating    — maximal sequences of interactive
-//                               transitions are compressed into single
-//                               transitions labeled by *words* over
-//                               Act+_{\tau} u {tau}; interactive states
-//                               without Markov predecessors disappear.
+//  (1) alternating         — hybrid states lose their Markov transitions
+//                            (urgency: in a closed system every
+//                            interactive transition preempts delays);
+//  (2) Markov alternating  — Markov->Markov sequences are broken by a
+//                            fresh interactive state (s,s') reached with
+//                            the original rate and left by tau;
+//  (3) strictly alternating — maximal sequences of interactive
+//                            transitions are compressed into single
+//                            transitions labeled by *words* over
+//                            Act+_{\tau} u {tau}; interactive states
+//                            without Markov predecessors disappear.
 //
 // The result is interpreted as a CTMDP whose states are the remaining
 // interactive states and whose transitions correspond one-to-one to the
 // (source, word, Markov state) edges; the rate function of a transition is
 // the Markov state's outgoing rate vector.
+//
+// transform_to_ctmdp applies the three steps on the fly, in one pass over
+// the input's transition rows: no intermediate IMC is built.  Hybrid
+// states' Markov transitions are never read, and a pair state (s,s') is
+// numbered when a transition first enters s.  CTMDP states are numbered in
+// the order of a worklist seeded with the initial state; a Markov state's
+// targets are taken non-Markov states first (ascending), then pair states
+// (ascending by s').
 #pragma once
 
 #include <cstdint>
@@ -33,15 +41,6 @@
 namespace unicon {
 
 class Telemetry;
-
-/// Step (1): cut the Markov transitions of hybrid states.  Closed view
-/// only — do not compose the result further.
-Imc make_alternating(const Imc& m);
-
-/// Step (2): ensure every Markov transition ends in an interactive state by
-/// splitting Markov->Markov edges with fresh tau states.  Requires an
-/// alternating IMC.
-Imc make_markov_alternating(const Imc& m);
 
 /// Statistics of the strictly alternating representation — the columns of
 /// the paper's Table 1.
@@ -76,13 +75,18 @@ struct TransformResult {
 };
 
 /// Full transformation pipeline: steps (1)-(3) plus CTMDP interpretation.
-/// @p m must be a closed IMC (it is restricted to its reachable part
-/// internally).  Throws ZenoError when a cycle of interactive transitions
+/// @p m must be a closed IMC; only its part reachable from the initial state
+/// is transformed.  Throws ZenoError when a cycle of interactive transitions
 /// is reachable, and ModelError on zero-time deadlocks (absorbing
 /// interactive states), which the paper's setting excludes.
 ///
 /// If @p goal is non-null it must have one entry per state of @p m; the
 /// transferred goal masks are returned in the result.
+///
+/// Parallel Markov transitions (several with the same source and target)
+/// are summed into one rate entry in Imc::out_markov order.  A bisimulation
+/// quotient has none; without them every rate entry is an input rate, and
+/// each exit rate is summed in ascending target order.
 ///
 /// @p guard (optional) is checked once per closure entry; the
 /// transformation has no partial-result story, so a budget stop raises

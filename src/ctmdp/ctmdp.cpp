@@ -96,18 +96,20 @@ void CtmdpBuilder::ensure_states(std::size_t n) {
 }
 
 void CtmdpBuilder::flush() {
-  if (!current_) return;
-  if (current_->entries.empty()) {
+  if (!open_) return;
+  PendingTransition& p = transitions_.back();
+  p.last = entries_.size();
+  if (p.first == p.last) {
     throw ModelError("Ctmdp: transition without rate entries");
   }
-  transitions_.push_back(std::move(*current_));
-  current_.reset();
+  open_ = false;
 }
 
 void CtmdpBuilder::begin_transition(StateId from, WordId word) {
   flush();
   ensure_states(from + 1);
-  current_ = PendingTransition{from, word, {}};
+  transitions_.push_back(PendingTransition{from, word, entries_.size(), entries_.size()});
+  open_ = true;
 }
 
 void CtmdpBuilder::begin_transition(StateId from, std::string_view action) {
@@ -115,12 +117,12 @@ void CtmdpBuilder::begin_transition(StateId from, std::string_view action) {
 }
 
 void CtmdpBuilder::add_rate(StateId to, double rate) {
-  if (!current_) throw ModelError("Ctmdp: add_rate before begin_transition");
+  if (!open_) throw ModelError("Ctmdp: add_rate before begin_transition");
   if (!(rate > 0.0) || !std::isfinite(rate)) {
     throw ModelError("Ctmdp: rate must be positive and finite");
   }
   ensure_states(to + 1);
-  current_->entries.push_back(SparseEntry{to, rate});
+  entries_.push_back(SparseEntry{to, rate});
 }
 
 Ctmdp CtmdpBuilder::build() {
@@ -128,10 +130,23 @@ Ctmdp CtmdpBuilder::build() {
   if (num_states_ == 0) throw ModelError("Ctmdp: at least one state required");
   if (initial_ >= num_states_) throw ModelError("Ctmdp: initial state out of range");
 
-  std::stable_sort(transitions_.begin(), transitions_.end(),
-                   [](const PendingTransition& a, const PendingTransition& b) {
-                     return a.from < b.from;
-                   });
+  const auto by_source = [](const PendingTransition& a, const PendingTransition& b) {
+    return a.from < b.from;
+  };
+  if (!std::is_sorted(transitions_.begin(), transitions_.end(), by_source)) {
+    std::stable_sort(transitions_.begin(), transitions_.end(), by_source);
+    // Regroup the pool in source order, so rows are merged in place below.
+    std::vector<SparseEntry> pool;
+    pool.reserve(entries_.size());
+    for (PendingTransition& p : transitions_) {
+      const std::uint64_t first = pool.size();
+      pool.insert(pool.end(), entries_.begin() + static_cast<std::ptrdiff_t>(p.first),
+                  entries_.begin() + static_cast<std::ptrdiff_t>(p.last));
+      p.first = first;
+      p.last = pool.size();
+    }
+    entries_ = std::move(pool);
+  }
 
   Ctmdp c;
   c.actions_ = actions_;
@@ -144,35 +159,43 @@ Ctmdp CtmdpBuilder::build() {
   c.trans_row_.push_back(0);
   c.exit_.reserve(transitions_.size());
 
+  // Rows are contiguous in the pool and in order, so the merged row is
+  // written over entries already read.
+  std::uint64_t out = 0;
   std::size_t ti = 0;
   for (StateId s = 0; s < num_states_; ++s) {
     c.state_row_[s] = c.labels_.size();
-    while (ti < transitions_.size() && transitions_[ti].from == s) {
-      PendingTransition& p = transitions_[ti++];
+    for (; ti < transitions_.size() && transitions_[ti].from == s; ++ti) {
+      const PendingTransition& p = transitions_[ti];
       // Merge duplicate targets within one rate function.
-      std::sort(p.entries.begin(), p.entries.end(),
+      std::sort(entries_.begin() + static_cast<std::ptrdiff_t>(p.first),
+                entries_.begin() + static_cast<std::ptrdiff_t>(p.last),
                 [](const SparseEntry& a, const SparseEntry& b) { return a.col < b.col; });
       double exit = 0.0;
-      const std::size_t first = c.entries_.size();
-      for (const SparseEntry& e : p.entries) {
-        if (c.entries_.size() > first && c.entries_.back().col == e.col) {
-          c.entries_.back().value += e.value;
+      const std::uint64_t row = out;
+      for (std::uint64_t i = p.first; i < p.last; ++i) {
+        const SparseEntry e = entries_[i];
+        if (out > row && entries_[out - 1].col == e.col) {
+          entries_[out - 1].value += e.value;
         } else {
-          c.entries_.push_back(e);
+          entries_[out++] = e;
         }
         exit += e.value;
       }
       c.source_.push_back(p.from);
       c.labels_.push_back(p.word);
-      c.trans_row_.push_back(c.entries_.size());
+      c.trans_row_.push_back(out);
       c.exit_.push_back(exit);
     }
   }
   c.state_row_[num_states_] = c.labels_.size();
+  entries_.resize(out);
+  c.entries_ = std::move(entries_);
 
   num_states_ = 0;
   initial_ = 0;
-  transitions_.clear();
+  transitions_ = {};
+  entries_ = {};
   return c;
 }
 

@@ -104,6 +104,8 @@ Ctmdp ctmdp_from_ctmc(const Ctmc& chain);
 
 /// Builder: transitions are added one at a time; entries of the current
 /// transition are accumulated until the next begin_transition/build call.
+/// build() orders transitions by source (stably) and sorts and merges each
+/// transition's entries by target.
 class CtmdpBuilder {
  public:
   CtmdpBuilder(std::shared_ptr<ActionTable> actions = nullptr,
@@ -130,10 +132,12 @@ class CtmdpBuilder {
   Ctmdp build();
 
  private:
+  /// Entries [first, last) of the shared pool.
   struct PendingTransition {
     StateId from;
     WordId word;
-    std::vector<SparseEntry> entries;
+    std::uint64_t first;
+    std::uint64_t last;
   };
 
   void flush();
@@ -143,7 +147,8 @@ class CtmdpBuilder {
   std::size_t num_states_ = 0;
   StateId initial_ = 0;
   std::vector<PendingTransition> transitions_;
-  std::optional<PendingTransition> current_;
+  std::vector<SparseEntry> entries_;  // every transition's entries, in insertion order
+  bool open_ = false;                 // transitions_.back() is still accumulating
 };
 
 }  // namespace unicon

@@ -66,8 +66,15 @@ SchedulerArtifact scheduler_artifact_from_result(const TimedReachabilityResult& 
   artifact.epsilon = epsilon;
   artifact.uniform_rate = result.uniform_rate;
   artifact.lambda = result.lambda;
-  artifact.states = result.decisions.front().size();
+  artifact.states = result.values.size();
   artifact.steps = result.decisions.size();
+  for (const auto& row : result.decisions) {
+    if (row.size() != artifact.states) {
+      throw ModelError("scheduler artifact: decision row has " + std::to_string(row.size()) +
+                       " entries, expected " + std::to_string(artifact.states) +
+                       " (early termination leaves the rows below its stop step empty)");
+    }
+  }
   artifact.value = value;
   artifact.initial_decision = result.initial_decision;
   artifact.decisions = result.decisions;

@@ -53,7 +53,9 @@ struct SchedulerArtifact {
 
 /// Packages a solve result (extract_scheduler must have recorded the full
 /// decision table) as an artifact.  @p value is the optimal value at the
-/// initial state; throws ModelError when the result has no decision table.
+/// initial state; throws ModelError when the result has no decision table
+/// or a row without one entry per state (early termination leaves the rows
+/// below its stop step empty).
 SchedulerArtifact scheduler_artifact_from_result(const TimedReachabilityResult& result,
                                                  Objective objective, double time,
                                                  double epsilon, double value);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ctmdp/ctmdp.hpp"
 #include "support/errors.hpp"
 
@@ -156,21 +158,39 @@ TEST(Ctmdp, WordLabelsSupported) {
 }
 
 TEST(Ctmdp, TransitionsGroupedBySource) {
-  // Insertion order interleaves sources; build() groups them.
+  // Insertion order interleaves sources; build() groups them, keeps their
+  // order within a source, and sorts and merges every row on its own (rows
+  // arrive unsorted, some with a duplicate target).
   CtmdpBuilder b;
   b.ensure_states(3);
   b.begin_transition(2, "x");
-  b.add_rate(0, 1.0);
+  b.add_rate(1, 1.0);
+  b.add_rate(0, 2.0);
+  b.add_rate(1, 0.5);
   b.begin_transition(0, "y");
   b.add_rate(1, 1.0);
   b.begin_transition(2, "z");
+  b.add_rate(2, 3.0);
   b.add_rate(1, 1.0);
+  b.begin_transition(0, "w");
+  b.add_rate(2, 1.5);
+  b.add_rate(2, 2.5);
   const Ctmdp c = b.build();
-  EXPECT_EQ(c.num_transitions_of(0), 1u);
+  EXPECT_EQ(c.num_transitions_of(0), 2u);
   EXPECT_EQ(c.num_transitions_of(1), 0u);
   EXPECT_EQ(c.num_transitions_of(2), 2u);
   const auto [first, last] = c.transition_range(2);
   for (std::uint64_t t = first; t < last; ++t) EXPECT_EQ(c.source(t), 2u);
+  ASSERT_EQ(c.num_transitions(), 4u);
+  const char* labels[] = {"y", "w", "x", "z"};
+  const std::vector<std::vector<SparseEntry>> rows = {
+      {{1, 1.0}}, {{2, 4.0}}, {{0, 2.0}, {1, 1.5}}, {{1, 1.0}, {2, 3.0}}};
+  const double exits[] = {1.0, 4.0, 3.5, 4.0};
+  for (std::uint64_t t = 0; t < c.num_transitions(); ++t) {
+    EXPECT_EQ(c.words().str(c.label(t), c.actions()), labels[t]);
+    EXPECT_EQ(std::vector<SparseEntry>(c.rates(t).begin(), c.rates(t).end()), rows[t]);
+    EXPECT_EQ(c.exit_rate(t), exits[t]);
+  }
 }
 
 TEST(Ctmdp, BadInitialRejected) {

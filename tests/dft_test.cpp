@@ -472,6 +472,36 @@ TEST(DftScheduler, ArtifactRoundTripIsBitIdenticalOnEveryBackend) {
   }
 }
 
+// Early termination ends the sweep before it reaches step 1, so the decision
+// rows below its stop step stay empty: no artifact can be made of such a
+// table (the CLI refuses --early with --export-scheduler before solving).
+TEST(DftScheduler, EarlyTerminatedTableIsNotAnArtifact) {
+  const std::filesystem::path path = std::filesystem::path(UNICON_DFT_DIR) / "cas.dft";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  std::ostringstream source;
+  source << in.rdbuf();
+  const lang::BuiltModel built =
+      lang::minimize_model(dft::lower_dft(dft::parse_and_check_dft(source.str())));
+  const double t = 100.0;
+  const double eps = 1e-6;
+  UimcAnalysisOptions options;
+  options.reachability.epsilon = eps;
+  options.reachability.backend = Backend::Serial;
+  options.reachability.threads = 1;
+  options.reachability.early_termination = true;
+  options.reachability.extract_scheduler = true;
+  const UimcAnalysisResult result =
+      analyze_timed_reachability(built.system, built.mask("failed"), t, options);
+  const TimedReachabilityResult& solve = result.reachability;
+  ASSERT_EQ(solve.status, RunStatus::Converged);
+  ASSERT_LT(solve.iterations_executed, solve.iterations_planned);
+  ASSERT_FALSE(solve.decisions.empty());
+  EXPECT_THROW((void)io::scheduler_artifact_from_result(solve, Objective::Maximize, t, eps,
+                                                        result.value),
+               ModelError);
+}
+
 TEST(DftScheduler, MalformedArtifactsAreRejected) {
   const Pipeline p = run_dft(fuzzdft::dft_nondeterministic_showcase(), 1.0, Objective::Maximize,
                              1e-8, true, /*extract_scheduler=*/true);

@@ -1,16 +1,117 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/analysis.hpp"
 #include "core/transform.hpp"
 #include "ctmc/transient.hpp"
+#include "dft/lower.hpp"
+#include "dft/sema.hpp"
+#include "ftwc/direct.hpp"
+#include "lang/build.hpp"
+#include "lang/parser.hpp"
+#include "server/model_cache.hpp"
 #include "support/errors.hpp"
 #include "support/rng.hpp"
+#include "support/telemetry.hpp"
 #include "test_util.hpp"
 
 namespace unicon {
 namespace {
 
+/// Appends the object representation of @p value.
+template <class T>
+void put(std::string& out, const T& value) {
+  out.append(reinterpret_cast<const char*>(&value), sizeof value);
+}
+
+// FNV-1a over everything transform_to_ctmdp returns except the wall time:
+// state order, transitions with their words, rate and exit-rate bits, the
+// word table, origin_of, both goal masks and the statistics.
+std::uint64_t transform_digest(const TransformResult& r) {
+  std::string bytes;
+  const Ctmdp& c = r.ctmdp;
+  put(bytes, c.num_states());
+  put(bytes, c.num_transitions());
+  put(bytes, c.initial());
+  for (StateId s = 0; s < c.num_states(); ++s) put(bytes, c.num_transitions_of(s));
+  for (std::uint64_t t = 0; t < c.num_transitions(); ++t) {
+    put(bytes, c.source(t));
+    put(bytes, c.label(t));
+    put(bytes, std::bit_cast<std::uint64_t>(c.exit_rate(t)));
+    put(bytes, c.rates(t).size());
+    for (const SparseEntry& e : c.rates(t)) {
+      put(bytes, e.col);
+      put(bytes, std::bit_cast<std::uint64_t>(e.value));
+    }
+  }
+  put(bytes, c.words().size());
+  for (WordId w = 0; w < c.words().size(); ++w) {
+    put(bytes, c.words().actions(w).size());
+    for (Action a : c.words().actions(w)) {
+      put(bytes, a);
+      bytes += c.actions().name(a);
+    }
+  }
+  put(bytes, r.origin_of.size());
+  for (StateId o : r.origin_of) put(bytes, o);
+  for (const BitVector* mask : {&r.goal, &r.goal_universal}) {
+    put(bytes, mask->size());
+    for (std::size_t i = 0; i < mask->size(); ++i) {
+      put(bytes, static_cast<std::uint8_t>((*mask)[i]));
+    }
+  }
+  const TransformStats& st = r.stats;
+  for (std::size_t v : {st.interactive_states, st.markov_states, st.interactive_transitions,
+                        st.markov_transitions, st.memory_bytes, st.words_deduplicated}) {
+    put(bytes, v);
+  }
+  return server::fnv1a64(bytes);
+}
+
+/// The transform span's JSON, for its step (1) and (2) counts.
+std::string transform_span_json(const Imc& m) {
+  Telemetry telemetry;
+  (void)transform_to_ctmdp(m, nullptr, nullptr, &telemetry);
+  return telemetry.to_json();
+}
+
+/// The CTMDP state whose origin is @p origin, if exactly one exists.
+StateId state_with_origin(const TransformResult& r, StateId origin) {
+  StateId found = kNoState;
+  for (StateId s = 0; s < r.origin_of.size(); ++s) {
+    if (r.origin_of[s] != origin) continue;
+    if (found != kNoState) return kNoState;
+    found = s;
+  }
+  return found;
+}
+
+std::vector<SparseEntry> rate_row(const Ctmdp& c, std::uint64_t t) {
+  return {c.rates(t).begin(), c.rates(t).end()};
+}
+
+/// Whether two Markov transitions of a non-hybrid state share a target.
+bool reads_parallel_markov_edges(const Imc& m) {
+  for (StateId s = 0; s < m.num_states(); ++s) {
+    if (m.has_interactive(s)) continue;
+    const auto out = m.out_markov(s);
+    for (std::size_t i = 1; i < out.size(); ++i) {
+      if (out[i].to == out[i - 1].to) return true;
+    }
+  }
+  return false;
+}
+
 // ------------------------------------------------------------ step (1)
+// Urgency: hybrid states lose their Markov transitions.  Checked on the
+// transform's output, which applies the step on the fly.
 
 TEST(MakeAlternating, CutsMarkovTransitionsOfHybridStates) {
   ImcBuilder b;
@@ -19,11 +120,22 @@ TEST(MakeAlternating, CutsMarkovTransitionsOfHybridStates) {
   b.add_interactive(0, "a", 1);
   b.add_markov(0, 3.0, 2);  // urgency: cut
   b.add_markov(1, 1.0, 2);
-  const Imc m = make_alternating(b.build());
-  EXPECT_FALSE(m.has_markov(0));
-  EXPECT_TRUE(m.has_markov(1));
-  EXPECT_EQ(m.num_markov_transitions(), 1u);
-  for (StateId s = 0; s < m.num_states(); ++s) EXPECT_NE(m.kind(s), StateKind::Hybrid);
+  const Imc m = b.build();
+  const auto result = transform_to_ctmdp(m);
+  const Ctmdp& c = result.ctmdp;
+  for (std::uint64_t t = 0; t < c.num_transitions(); ++t) {
+    for (const SparseEntry& e : c.rates(t)) EXPECT_NE(e.value, 3.0);
+  }
+  // Only state 1's Markov transition is left.
+  EXPECT_EQ(result.stats.markov_states, 1u);
+  EXPECT_EQ(result.stats.markov_transitions, 1u);
+  // The hybrid state acts as an interactive one: its only transition is
+  // the word "a" into state 1's rate function.
+  ASSERT_EQ(c.num_transitions(), 1u);
+  EXPECT_EQ(c.source(0), c.initial());
+  EXPECT_EQ(c.words().str(c.label(0), c.actions()), "a");
+  EXPECT_EQ(rate_row(c, 0), (std::vector<SparseEntry>{{state_with_origin(result, 2), 1.0}}));
+  EXPECT_NE(transform_span_json(m).find("\"markov_transitions_cut\": 1,"), std::string::npos);
 }
 
 TEST(MakeAlternating, PureModelsUntouched) {
@@ -34,12 +146,72 @@ TEST(MakeAlternating, PureModelsUntouched) {
   b.add_markov(0, 1.0, 1);
   b.add_interactive(1, kTau, 0);
   const Imc before = b.build();
-  const Imc after = make_alternating(before);
-  EXPECT_EQ(after.num_markov_transitions(), before.num_markov_transitions());
-  EXPECT_EQ(after.num_interactive_transitions(), before.num_interactive_transitions());
+  const auto result = transform_to_ctmdp(before);
+  EXPECT_EQ(result.stats.markov_transitions, before.num_markov_transitions());
+  EXPECT_EQ(result.stats.markov_states, 1u);
+  const std::string json = transform_span_json(before);
+  EXPECT_NE(json.find("\"markov_transitions_cut\": 0,"), std::string::npos);
+  EXPECT_NE(json.find("\"pair_states_added\": 0,"), std::string::npos);
+}
+
+// Hybrid states' Markov transitions are never read: the transform of a
+// model equals, bit for bit, that of the model without them.
+TEST(MakeAlternating, HybridMarkovEdgesAreNeverRead) {
+  auto without_hybrid_delays = [](const Imc& m) {
+    ImcBuilder b(m.action_table());
+    for (StateId s = 0; s < m.num_states(); ++s) b.add_state();
+    b.set_initial(m.initial());
+    for (const LtsTransition& t : m.interactive_transitions()) {
+      b.add_interactive(t.from, t.action, t.to);
+    }
+    for (const MarkovTransition& t : m.markov_transitions()) {
+      if (!m.has_interactive(t.from)) b.add_markov(t.from, t.rate, t.to);
+    }
+    return b.build();
+  };
+  ImcBuilder b;
+  for (int i = 0; i < 4; ++i) b.add_state();
+  b.set_initial(0);
+  b.add_interactive(0, "a", 1);
+  b.add_interactive(0, "b", 2);
+  b.add_markov(0, 1.0, 3);  // hybrid: cut
+  b.add_markov(0, 5.0, 1);  // hybrid: cut
+  b.add_markov(1, 2.0, 0);
+  b.add_markov(1, 1.0, 3);
+  b.add_markov(2, 3.0, 2);
+  b.add_interactive(3, kTau, 0);
+  b.add_markov(3, 4.0, 2);  // hybrid: cut
+  const Imc hybrid = b.build();
+  const BitVector goal{false, true, false, true};
+  const Imc cut = without_hybrid_delays(hybrid);
+  EXPECT_EQ(cut.num_markov_transitions(), 3u);
+  EXPECT_EQ(transform_digest(transform_to_ctmdp(hybrid, &goal)),
+            transform_digest(transform_to_ctmdp(cut, &goal)));
+
+  // Random models pad their stable interactive states with Markov
+  // self-loops, so most have hybrid states.  Rebuilding a model re-sorts
+  // its parallel edges, which may reorder their sums, so those are skipped.
+  std::size_t compared = 0;
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    Rng rng(seed + 900);
+    const Imc m = testutil::random_uniform_imc(rng);
+    const BitVector random_goal = testutil::random_goal(rng, m.num_states());
+    const Imc m_cut = without_hybrid_delays(m);
+    if (m_cut.num_markov_transitions() == m.num_markov_transitions() ||
+        reads_parallel_markov_edges(m)) {
+      continue;
+    }
+    ++compared;
+    EXPECT_EQ(transform_digest(transform_to_ctmdp(m, &random_goal)),
+              transform_digest(transform_to_ctmdp(m_cut, &random_goal)))
+        << "seed " << seed;
+  }
+  EXPECT_GE(compared, 20u);
 }
 
 // ------------------------------------------------------------ step (2)
+// Markov->Markov edges are broken by a pair state (s, s') entered with the
+// original rate and left by tau into s'.
 
 TEST(MakeMarkovAlternating, SplitsMarkovToMarkovEdges) {
   // 0 (Markov) --1.0--> 1 (Markov) --2.0--> 2 (interactive).
@@ -49,17 +221,26 @@ TEST(MakeMarkovAlternating, SplitsMarkovToMarkovEdges) {
   b.add_markov(0, 1.0, 1);
   b.add_markov(1, 2.0, 2);
   b.add_interactive(2, kTau, 0);
-  const Imc m = make_markov_alternating(b.build());
-  // One fresh state (0,1) with a tau to 1.
-  EXPECT_EQ(m.num_states(), 4u);
-  const StateId fresh = 3;
-  EXPECT_TRUE(m.has_interactive(fresh));
-  EXPECT_DOUBLE_EQ(m.rate(0, fresh), 1.0);
-  EXPECT_DOUBLE_EQ(m.rate(0, 1), 0.0);
-  // Every Markov transition now ends in an interactive state.
-  for (const MarkovTransition& t : m.markov_transitions()) {
-    EXPECT_TRUE(m.has_interactive(t.to));
-  }
+  const Imc m = b.build();
+  const auto result = transform_to_ctmdp(m);
+  const Ctmdp& c = result.ctmdp;
+  // The fresh pre-initial state, the pair state (0,1) and state 2.
+  EXPECT_EQ(c.num_states(), 3u);
+  const StateId pair = state_with_origin(result, 1);
+  const StateId two = state_with_origin(result, 2);
+  ASSERT_NE(pair, kNoState);
+  ASSERT_NE(two, kNoState);
+  // State 0's rate 1.0 leads into the pair state, not into state 1.
+  ASSERT_EQ(c.num_transitions_of(c.initial()), 1u);
+  EXPECT_EQ(rate_row(c, c.transition_range(c.initial()).first),
+            (std::vector<SparseEntry>{{pair, 1.0}}));
+  // The pair state carries state 1's rate function behind a tau word.
+  ASSERT_EQ(c.num_transitions_of(pair), 1u);
+  const std::uint64_t t = c.transition_range(pair).first;
+  EXPECT_EQ(c.words().str(c.label(t), c.actions()), "tau");
+  EXPECT_EQ(rate_row(c, t), (std::vector<SparseEntry>{{two, 2.0}}));
+  EXPECT_EQ(result.stats.markov_states, 2u);
+  EXPECT_NE(transform_span_json(m).find("\"pair_states_added\": 1,"), std::string::npos);
 }
 
 TEST(MakeMarkovAlternating, ParallelEdgesShareOneFreshState) {
@@ -70,9 +251,15 @@ TEST(MakeMarkovAlternating, ParallelEdgesShareOneFreshState) {
   b.add_markov(0, 1.0, 1);
   b.add_markov(0, 2.0, 1);
   b.add_markov(1, 1.0, 0);
-  const Imc m = make_markov_alternating(b.build());
-  // Fresh states (0,1) and (1,0): 2 + 2 = 4.
-  EXPECT_EQ(m.num_states(), 4u);
+  const Imc m = b.build();
+  const auto result = transform_to_ctmdp(m);
+  const Ctmdp& c = result.ctmdp;
+  // The pre-initial state and the pair states (0,1) and (1,0).
+  EXPECT_EQ(c.num_states(), 3u);
+  EXPECT_EQ(result.origin_of, (std::vector<StateId>{0, 1, 0}));
+  EXPECT_EQ(rate_row(c, c.transition_range(c.initial()).first),
+            (std::vector<SparseEntry>{{1, 3.0}}));
+  EXPECT_NE(transform_span_json(m).find("\"pair_states_added\": 2,"), std::string::npos);
 }
 
 TEST(MakeMarkovAlternating, SelfLoopsAreSplitToo) {
@@ -85,18 +272,15 @@ TEST(MakeMarkovAlternating, SelfLoopsAreSplitToo) {
   b.add_markov(0, 1.0, 0);
   b.add_markov(0, 1.0, 1);
   b.add_interactive(1, kTau, 0);
-  const Imc m = make_markov_alternating(b.build());
-  EXPECT_EQ(m.num_states(), 3u);
-  EXPECT_DOUBLE_EQ(m.rate(0, 2), 1.0);  // via pair state (0,0)
-}
-
-TEST(MakeMarkovAlternating, HybridInputRejected) {
-  ImcBuilder b;
-  b.add_state();
-  b.add_state();
-  b.add_interactive(0, "a", 1);
-  b.add_markov(0, 1.0, 1);
-  EXPECT_THROW(make_markov_alternating(b.build()), ModelError);
+  const auto result = transform_to_ctmdp(b.build());
+  const Ctmdp& c = result.ctmdp;
+  // The pre-initial state, state 1 and the pair state (0,0).
+  EXPECT_EQ(c.num_states(), 3u);
+  EXPECT_EQ(result.origin_of, (std::vector<StateId>{0, 1, 0}));
+  const std::vector<SparseEntry> row0{{1, 1.0}, {2, 1.0}};  // via pair state (0,0)
+  EXPECT_EQ(rate_row(c, c.transition_range(0).first), row0);
+  ASSERT_EQ(c.num_transitions_of(2), 1u);
+  EXPECT_EQ(rate_row(c, c.transition_range(2).first), row0);
 }
 
 // --------------------------------------------- step (3) and the CTMDP
@@ -278,6 +462,96 @@ TEST(Transform, GoalSizeMismatchThrows) {
   const Imc m = b.build();
   const BitVector goal{true, false};
   EXPECT_THROW(transform_to_ctmdp(m, &goal), ModelError);
+}
+
+TEST(Transform, ParallelMarkovEdgesSumInOutMarkovOrder) {
+  // Three parallel edges 0 -> 1 become one rate entry, summed in
+  // out_markov order: (0.1 + 0.2) + 0.3, which differs from
+  // 0.1 + (0.2 + 0.3) in the last bit.
+  ImcBuilder b;
+  b.add_state();
+  b.add_state();
+  b.set_initial(0);
+  b.add_markov(0, 0.1, 1);
+  b.add_markov(0, 0.2, 1);
+  b.add_markov(0, 0.3, 1);
+  b.add_interactive(1, kTau, 0);
+  const Imc m = b.build();
+  std::vector<double> order;
+  for (const MarkovTransition& t : m.out_markov(0)) order.push_back(t.rate);
+  ASSERT_EQ(order, (std::vector<double>{0.1, 0.2, 0.3}));
+  const double sum = (0.1 + 0.2) + 0.3;
+  ASSERT_NE(std::bit_cast<std::uint64_t>(sum), std::bit_cast<std::uint64_t>(0.1 + (0.2 + 0.3)));
+
+  const auto result = transform_to_ctmdp(m);
+  const Ctmdp& c = result.ctmdp;
+  // The pre-initial tau transition and state 1's tau transition both carry
+  // state 0's rate function.
+  ASSERT_EQ(c.num_transitions(), 2u);
+  for (std::uint64_t t = 0; t < c.num_transitions(); ++t) {
+    ASSERT_EQ(c.rates(t).size(), 1u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(c.rates(t)[0].value), std::bit_cast<std::uint64_t>(sum));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(c.exit_rate(t)), std::bit_cast<std::uint64_t>(sum));
+  }
+}
+
+// ---------------------------------------------- golden transform outputs
+// Digests of the full output on FTWC and on minimized shipped models, so
+// that state numbering, word ids and rate bits cannot drift unnoticed.
+// None of these inputs has parallel Markov edges.
+
+std::string digest_hex(const TransformResult& r) {
+  char buffer[17];
+  std::snprintf(buffer, sizeof buffer, "%016llx",
+                static_cast<unsigned long long>(transform_digest(r)));
+  return buffer;
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+std::string minimized_digest(const lang::BuiltModel& built, const std::string& goal) {
+  const lang::BuiltModel minimized = lang::minimize_model(built);
+  const BitVector mask = minimized.mask(goal);
+  return digest_hex(transform_to_ctmdp(minimized.system, &mask));
+}
+
+TEST(TransformGolden, FtwcDirect) {
+  const std::pair<unsigned, const char*> pins[] = {{4, "ac63c46f59c31ded"},
+                                                   {8, "d9cff5cf3962e11d"}};
+  for (const auto& [n, digest] : pins) {
+    ftwc::Parameters params;
+    params.n = n;
+    const ftwc::DirectResult built = ftwc::build_direct(params);
+    EXPECT_EQ(digest_hex(transform_to_ctmdp(built.uimc, &built.goal)), digest) << "N=" << n;
+  }
+}
+
+TEST(TransformGolden, MinimizedUniModels) {
+  const std::pair<const char*, const char*> pins[] = {
+      {"quickstart.uni", "70209dbfbc70b81a"},
+      {"erlang_job_shop.uni", "c1d071f91852efa1"},
+      {"ftwc.uni", "c21b32981ac5bbc1"}};
+  for (const auto& [file, digest] : pins) {
+    const std::string path = std::string(UNICON_MODELS_DIR) + "/" + file;
+    const lang::BuiltModel built = lang::build_model(lang::parse_and_check(read_text(path), path));
+    EXPECT_EQ(minimized_digest(built, "goal"), digest) << file;
+  }
+}
+
+TEST(TransformGolden, MinimizedDftModels) {
+  const std::pair<const char*, const char*> pins[] = {{"cas.dft", "1273310579b96b88"},
+                                                      {"fdep_pand.dft", "1f068950b88e9952"}};
+  for (const auto& [file, digest] : pins) {
+    const std::string path = std::string(UNICON_DFT_DIR) + "/" + file;
+    const lang::BuiltModel built = dft::lower_dft(dft::parse_and_check_dft(read_text(path), path));
+    EXPECT_EQ(minimized_digest(built, "failed"), digest) << file;
+  }
 }
 
 // --------------------------- Theorem 1 style cross-checks (properties)

@@ -16,7 +16,8 @@
 // composition pipeline (src/dft/) and reports the unreliability bound
 // sup/inf P(top event fails within t).  --export-scheduler writes the
 // optimal step-dependent scheduler as a unicon-scheduler-v1 JSON artifact
-// (see io/scheduler_json.hpp); it requires a single-bound converged solve.
+// (see io/scheduler_json.hpp); it requires a single-bound converged solve
+// without --early.
 //
 // Batch mode (every kind): --times T1,T2,... answers several time bounds
 // with ONE fused multi-horizon solve (the positional <t> is ignored).
@@ -422,6 +423,11 @@ int solve_built(const lang::BuiltModel& built, const std::string& goal,
   options.reachability.guard = &g_guard;
   options.reachability.telemetry = telemetry_of(flags);
   options.reachability.extract_scheduler = !scheduler_path.empty();
+  if (!scheduler_path.empty() && early) {
+    // Early termination leaves the decision rows below its stop step empty.
+    std::fprintf(stderr, "error: --export-scheduler cannot be combined with --early\n");
+    std::exit(2);
+  }
   if (!flags.times.empty()) {
     if (!scheduler_path.empty()) {
       std::fprintf(stderr, "error: --export-scheduler requires a single time bound\n");
