@@ -14,7 +14,7 @@ namespace {
 const BitVector& transform_for_solve(const Imc& m, const BitVector& goal,
                                      const UimcAnalysisOptions& options, const char* who,
                                      TransformResult& out) {
-  if (options.check_uniformity && !m.is_uniform(UniformityView::Closed, 1e-6)) {
+  if (!m.is_uniform(UniformityView::Closed, 1e-6)) {
     throw UniformityError(std::string(who) +
                           ": model is not uniform (closed view); "
                           "build it uniformly by construction or uniformize it first");

@@ -11,12 +11,11 @@
 
 namespace unicon {
 
+/// The input must satisfy Def. 4 (Algorithm 1 is only correct on uniform
+/// models): both entry points check it in the closed view, since the input
+/// is a complete system, and throw UniformityError before transforming.
 struct UimcAnalysisOptions {
   TimedReachabilityOptions reachability;
-  /// Require the input to satisfy Def. 4 before transforming (recommended:
-  /// Algorithm 1 is only correct on uniform models).  Checked in the closed
-  /// view since the input is a complete system.
-  bool check_uniformity = true;
 };
 
 struct UimcAnalysisResult {

@@ -18,25 +18,24 @@ namespace unicon {
 
 namespace {
 
-/// One direction of the uniformized jump matrix P = R / E, with the residual
-/// mass kept implicitly on the diagonal, as CSR rows seen through a
-/// GatherView: y[r] = diag[r] x[r] + sum_j prob[j] x[col[j]].  Backward rows
-/// are the outgoing edges (the value step y = P x).  Forward rows are the
-/// incoming edges ordered by source (the distribution step y = x P): the
-/// transpose turns the forward scatter into a race-free gather that
-/// parallelizes row-wise and keeps the accumulation order of the historical
-/// serial scatter.  A solve builds only the direction it sweeps.
+/// The uniformized jump matrix P = R / E, with the residual mass kept
+/// implicitly on the diagonal, as CSR rows seen through a GatherView:
+/// y[r] = diag[r] x[r] + sum_j prob[j] x[col[j]] over the outgoing edges of
+/// r (the value step y = P x).  Rows are gathers, so the sweep parallelizes
+/// row-wise with a fixed accumulation order per state.
 struct JumpKernel {
   std::vector<double> diag;  // per state: 1 - exit/E (excl. explicit self-loops)
   std::vector<std::uint64_t> first;  // per state: first prob/col index
   std::vector<double> prob;
-  std::vector<std::uint32_t> col;  // targets (backward) or sources (forward)
+  std::vector<std::uint32_t> col;  // targets
 
-  JumpKernel(const Ctmc& chain, double rate, bool forward) {
+  JumpKernel(const Ctmc& chain, double rate) {
     const CsrMatrix& rates = chain.rate_matrix();
     const std::size_t n = chain.num_states();
     diag.resize(n);
     first.assign(n + 1, 0);
+    prob.reserve(rates.entries());
+    col.reserve(rates.entries());
     for (StateId s = 0; s < n; ++s) {
       diag[s] = 1.0 - chain.exit_rate(s) / rate;
       if (diag[s] < 0.0) diag[s] = 0.0;
@@ -46,19 +45,10 @@ struct JumpKernel {
           throw NumericError("JumpKernel: non-finite branching probability from state " +
                              std::to_string(s));
         }
-        ++first[(forward ? t.col : s) + 1];
+        prob.push_back(p);
+        col.push_back(t.col);
       }
-    }
-    for (StateId s = 0; s < n; ++s) first[s + 1] += first[s];
-    prob.resize(rates.entries());
-    col.resize(rates.entries());
-    std::vector<std::uint64_t> cursor(first.begin(), first.end() - 1);
-    for (StateId s = 0; s < n; ++s) {
-      for (const SparseEntry& t : rates.row(s)) {
-        const std::uint64_t slot = cursor[forward ? t.col : s]++;
-        prob[slot] = t.value / rate;
-        col[slot] = forward ? s : t.col;
-      }
+      first[s + 1] = prob.size();
     }
   }
 
@@ -89,22 +79,11 @@ bool row_closed(const GatherView& g, const BitVector& locked, std::size_t r) {
   return true;
 }
 
-double pick_rate(const Ctmc& chain, const TransientOptions& options) {
-  const double max_rate = chain.max_exit_rate();
-  double e = options.uniform_rate == 0.0 ? max_rate : options.uniform_rate;
-  if (e + 1e-12 < max_rate) {
-    throw UniformityError("transient: uniformization rate below maximal exit rate");
-  }
-  if (e == 0.0) e = 1.0;  // chain without transitions; any rate works
-  return e;
-}
-
-/// One time bound of a uniformization run.  The caller plans the window and
-/// the slop, the error term added to the window tail in every residual; the
-/// driver fills in the rest.
+/// One time bound of a uniformization run.  The caller plans the window;
+/// uniformize fills in the rest.  Every residual adds the window's own
+/// truncation error, plan.window_epsilon, to the mass it leaves out.
 struct Horizon {
   TruncationPlan plan;
-  double slop = 0.0;
   std::vector<double> acc;  // sum_i psi(i) v_i
   bool done = false;
   RunStatus status = RunStatus::Converged;
@@ -117,14 +96,6 @@ struct Horizon {
   std::size_t locked_final = 0;
 };
 
-/// What a run publishes its checkpoints as: the stage name, and the steps
-/// executed and planned before it (interval phase B continues phase A).
-struct Stage {
-  const char* name;
-  std::uint64_t step_offset = 0;
-  std::uint64_t planned_offset = 0;
-};
-
 /// The one uniformization driver.  Computes v_{i+1} = rows . v_i from
 /// @p v0 and adds acc_h += psi_h(i) v_i for every horizon h.  The step
 /// vectors do not depend on the time bound — only the Poisson weights do —
@@ -134,7 +105,7 @@ struct Stage {
 /// and sweep aborts, checkpoints, early termination, convergence locking
 /// and the Lyapunov fold.  Returns the worker count.
 unsigned uniformize(const JumpKernel& rows, std::vector<double> v0, std::vector<Horizon>& horizons,
-                    const TransientOptions& options, const Stage& stage) {
+                    const TransientOptions& options) {
   const GatherView view = rows.view();
   const std::size_t n = view.num_rows;
   const Backend backend = resolve_backend(options.backend);
@@ -149,7 +120,7 @@ unsigned uniformize(const JumpKernel& rows, std::vector<double> v0, std::vector<
   bool any_engaged = false;
   for (Horizon& h : horizons) {
     h.acc.assign(n, 0.0);
-    h.residual = h.slop;
+    h.residual = h.plan.window_epsilon;
     any_engaged = any_engaged || h.plan.engaged();
   }
 
@@ -169,9 +140,8 @@ unsigned uniformize(const JumpKernel& rows, std::vector<double> v0, std::vector<
   }
   std::vector<std::uint64_t> upd(pool.size() * kSlotStride, 0);
 
-  // Lyapunov certificate (reachability only: the caller engages it on the
-  // absorbing chain from the goal indicator): u_i(s) = Pr_s(X_i not in B),
-  // starting at 1 - v_0, bounds the remaining per-state distance
+  // Lyapunov certificate: on the absorbing chain, u_i(s) = Pr_s(X_i not in
+  // B), starting at 1 - v_0, bounds the remaining per-state distance
   // v_inf - v_i, so once tail_mass(i+1) * sup u_{i+1} drops under epsilon/2
   // a horizon's whole unaccumulated window can be folded onto v_{i+1} at a
   // provably bounded cost.  u_i is a pure function of the kernel, so one
@@ -192,7 +162,7 @@ unsigned uniformize(const JumpKernel& rows, std::vector<double> v0, std::vector<
 
   RunGuard* const guard = options.guard;
   std::atomic<bool> sweep_aborted{false};
-  std::uint64_t executed = stage.step_offset;
+  std::uint64_t executed = 0;
   std::size_t remaining = horizons.size();
   // Finishes horizon @p h at the current shared step.
   auto close = [&](Horizon& h) {
@@ -214,7 +184,7 @@ unsigned uniformize(const JumpKernel& rows, std::vector<double> v0, std::vector<
     for (Horizon& h : horizons) {
       if (h.done) continue;
       h.status = guard->status();
-      h.residual = h.plan.window.tail_mass(from) + h.slop;
+      h.residual = h.plan.window.tail_mass(from) + h.plan.window_epsilon;
       close(h);
     }
   };
@@ -318,9 +288,9 @@ unsigned uniformize(const JumpKernel& rows, std::vector<double> v0, std::vector<
       for (const Horizon& h : horizons) {
         if (h.done) continue;
         planned = std::max(planned, h.plan.window.right());
-        residual = std::max(residual, h.plan.window.tail_mass(i + 1) + h.slop);
+        residual = std::max(residual, h.plan.window.tail_mass(i + 1) + h.plan.window_epsilon);
       }
-      guard->checkpoint(stage.name, executed, stage.planned_offset + planned, residual,
+      guard->checkpoint("ctmc_timed_reachability", executed, planned, residual,
                         std::span<double>(next.data(), next.size()));
       // The checkpoint span is externally writable, so the twin-buffer
       // invariant of every locked row is void — drop all locks.
@@ -382,8 +352,8 @@ unsigned uniformize(const JumpKernel& rows, std::vector<double> v0, std::vector<
 }
 
 /// The result of horizon @p h, its accumulator already finished into values.
-TransientResult result_of(Horizon& h, std::uint64_t iterations, double e) {
-  TransientResult r{std::move(h.acc), iterations, h.executed, e};
+TransientResult result_of(Horizon& h, double e) {
+  TransientResult r{std::move(h.acc), h.plan.window.right(), h.executed, e};
   r.status = h.status;
   r.residual_bound = h.residual;
   r.truncation = h.plan.resolved;
@@ -392,23 +362,6 @@ TransientResult result_of(Horizon& h, std::uint64_t iterations, double e) {
   r.state_updates = h.state_updates;
   r.locked_final = h.locked_final;
   return r;
-}
-
-/// The metrics of a one-horizon span.
-void horizon_metrics(Telemetry::Span& span, const Horizon& h, std::size_t n, double e,
-                     double lambda, unsigned threads) {
-  const PoissonWindow& psi = h.plan.window;
-  span.metric("states", n);
-  span.metric("uniform_rate", e);
-  span.metric("lambda", lambda);
-  span.metric("poisson_left", psi.left());
-  span.metric("poisson_right", psi.right());
-  span.metric("poisson_width", psi.right() - psi.left() + 1);
-  span.metric("iterations_planned", psi.right());
-  span.metric("iterations_executed", h.executed);
-  span.metric("early_termination_step", h.early_step);
-  span.metric("threads", threads);
-  span.metric("residual_bound", h.residual);
 }
 
 void truncation_metrics(Telemetry::Span& span, const Horizon& h) {
@@ -437,20 +390,21 @@ std::vector<TransientResult> reach_horizons(const Ctmc& chain, const BitVector& 
   }
   const Ctmc absorbing = chain.make_absorbing(goal);
   const std::size_t n = absorbing.num_states();
-  const double e = pick_rate(absorbing, options);
-  const JumpKernel rows(absorbing, e, /*forward=*/false);
+  // Uniformize at the maximal exit rate; a chain without transitions takes
+  // any positive rate.
+  double e = absorbing.max_exit_rate();
+  if (e == 0.0) e = 1.0;
+  const JumpKernel rows(absorbing, e);
   // Per-horizon truncation plan (DESIGN.md Sec. 14): an engaged plan runs
   // the window at epsilon/2 and may fold the tail once the folded error
   // provably fits under the other epsilon/2.
   std::vector<Horizon> horizons(times.size());
   for (std::size_t j = 0; j < times.size(); ++j) {
     horizons[j].plan = plan_truncation(options.truncation, e * times[j], options.epsilon);
-    horizons[j].slop = horizons[j].plan.window_epsilon;
   }
   std::vector<double> v0(n, 0.0);
   for (std::size_t s = 0; s < n; ++s) v0[s] = goal[s] ? 1.0 : 0.0;
-  const unsigned threads =
-      uniformize(rows, std::move(v0), horizons, options, Stage{"ctmc_timed_reachability"});
+  const unsigned threads = uniformize(rows, std::move(v0), horizons, options);
 
   std::uint64_t right_max = 0;
   std::uint64_t executed = 0;
@@ -462,12 +416,24 @@ std::vector<TransientResult> reach_horizons(const Ctmc& chain, const BitVector& 
     // Shared sweeps: per horizon, state_updates counts the relaxations
     // performed while that horizon was still open (work metrics, not part
     // of the bit-identity contract).
-    results.push_back(result_of(h, h.plan.window.right(), e));
+    results.push_back(result_of(h, e));
   }
   if (!span) return results;
   if (single) {
-    horizon_metrics(*span, horizons[0], n, e, e * times[0], threads);
-    truncation_metrics(*span, horizons[0]);
+    const Horizon& h = horizons[0];
+    const PoissonWindow& psi = h.plan.window;
+    span->metric("states", n);
+    span->metric("uniform_rate", e);
+    span->metric("lambda", e * times[0]);
+    span->metric("poisson_left", psi.left());
+    span->metric("poisson_right", psi.right());
+    span->metric("poisson_width", psi.right() - psi.left() + 1);
+    span->metric("iterations_planned", psi.right());
+    span->metric("iterations_executed", h.executed);
+    span->metric("early_termination_step", h.early_step);
+    span->metric("threads", threads);
+    span->metric("residual_bound", h.residual);
+    truncation_metrics(*span, h);
     return results;
   }
   span->metric("states", n);
@@ -493,36 +459,6 @@ std::vector<TransientResult> reach_horizons(const Ctmc& chain, const BitVector& 
 
 }  // namespace
 
-TransientResult transient_distribution(const Ctmc& chain, double t,
-                                       const TransientOptions& options) {
-  if (t < 0.0) throw ModelError("transient: negative time bound");
-  const std::size_t n = chain.num_states();
-  std::optional<Telemetry::Span> span;
-  if (options.telemetry != nullptr) span.emplace(options.telemetry->span("transient"));
-  const double e = pick_rate(chain, options);
-  std::vector<Horizon> horizons(1);
-  Horizon& h = horizons[0];
-  h.plan = plan_truncation(Truncation::FoxGlynn, e * t, options.epsilon);
-  // Normalization by the window mass costs at most epsilon/(1 - epsilon)
-  // <= 2 epsilon extra, hence the doubled slop.
-  h.slop = 2.0 * options.epsilon;
-  const JumpKernel rows(chain, e, /*forward=*/true);
-  std::vector<double> v0(n, 0.0);
-  v0[chain.initial()] = 1.0;
-  const unsigned threads =
-      uniformize(rows, std::move(v0), horizons, options, Stage{"transient_distribution"});
-
-  require_finite(h.acc, "transient_distribution");
-  // Normalize by the realized window mass so that the result is a
-  // (sub-stochastic up to epsilon) distribution.
-  const double mass = h.plan.window.total_mass();
-  if (mass > 0.0) {
-    for (double& v : h.acc) v = clamp01(v / mass);
-  }
-  if (span) horizon_metrics(*span, h, n, e, e * t, threads);
-  return result_of(h, h.plan.window.right(), e);
-}
-
 TransientResult timed_reachability(const Ctmc& chain, const BitVector& goal, double t,
                                    const TransientOptions& options) {
   if (!(t >= 0.0)) throw ModelError("timed_reachability: negative time bound");
@@ -542,56 +478,6 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
     throw ModelError("timed_reachability_batch: goal vector size mismatch");
   }
   return reach_horizons(chain, goal, times, options, false);
-}
-
-TransientResult interval_reachability(const Ctmc& chain, const BitVector& goal,
-                                      double t1, double t2, const TransientOptions& options) {
-  if (t1 < 0.0 || t2 < t1) throw ModelError("interval_reachability: need 0 <= t1 <= t2");
-  if (goal.size() != chain.num_states()) {
-    throw ModelError("interval_reachability: goal vector size mismatch");
-  }
-  std::optional<Telemetry::Span> span;
-  if (options.telemetry != nullptr) {
-    span.emplace(options.telemetry->span("interval_reachability"));
-  }
-  // Phase A: values w(s) = Pr(s, <= t2 - t1, B), B absorbing.
-  TransientResult phase_a = timed_reachability(chain, goal, t2 - t1, options);
-  if (phase_a.status != RunStatus::Converged) {
-    // The phase-B propagation never ran, so phase A's tail-mass bound does
-    // not cover the distance to the true interval answer; only the trivial
-    // bound is sound here.
-    phase_a.residual_bound = 1.0;
-    return phase_a;
-  }
-  if (t1 == 0.0) return phase_a;
-
-  // Phase B: propagate the terminal vector w backward for t1 over the
-  // unmodified chain (B is not absorbing before t1).  Phase A contributes
-  // its own residual to the end-to-end error; its steps count toward the
-  // checkpoint step, the planned count and the work metrics.
-  const std::size_t n = chain.num_states();
-  const double e = pick_rate(chain, options);
-  std::vector<Horizon> horizons(1);
-  Horizon& h = horizons[0];
-  h.plan = plan_truncation(Truncation::FoxGlynn, e * t1, options.epsilon);
-  h.slop = phase_a.residual_bound + options.epsilon;
-  const JumpKernel rows(chain, e, /*forward=*/false);
-  const unsigned threads =
-      uniformize(rows, std::move(phase_a.probabilities), horizons, options,
-                 Stage{"interval_reachability", phase_a.iterations_executed, phase_a.iterations});
-  require_finite(h.acc, "interval_reachability");
-  for (double& v : h.acc) v = clamp01(v);
-  h.state_updates += phase_a.state_updates;
-  TransientResult result = result_of(h, phase_a.iterations + h.plan.window.right(), e);
-  if (span) {
-    span->metric("states", n);
-    span->metric("uniform_rate", e);
-    span->metric("iterations_planned", result.iterations);
-    span->metric("iterations_executed", result.iterations_executed);
-    span->metric("threads", threads);
-    span->metric("residual_bound", result.residual_bound);
-  }
-  return result;
 }
 
 }  // namespace unicon

@@ -50,35 +50,6 @@ Ctmdp Ctmdp::uniformize(double rate) const {
   return b.build();
 }
 
-Ctmdp Ctmdp::restricted(const std::vector<std::uint64_t>& keep) const {
-  Ctmdp c;
-  c.actions_ = actions_;
-  c.words_ = words_;
-  c.initial_ = initial_;
-  c.state_row_.assign(num_states() + 1, 0);
-  c.trans_row_.push_back(0);
-  std::size_t next = 0;
-  for (StateId s = 0; s < num_states(); ++s) {
-    c.state_row_[s] = c.labels_.size();
-    for (; next < keep.size() && keep[next] < state_row_[s + 1]; ++next) {
-      const std::uint64_t t = keep[next];
-      if (t < state_row_[s] || (next > 0 && keep[next - 1] >= t)) {
-        throw ModelError("Ctmdp::restricted: transition ids must ascend");
-      }
-      c.source_.push_back(s);
-      c.labels_.push_back(labels_[t]);
-      const auto first = entries_.begin() + static_cast<std::ptrdiff_t>(trans_row_[t]);
-      const auto last = entries_.begin() + static_cast<std::ptrdiff_t>(trans_row_[t + 1]);
-      c.entries_.insert(c.entries_.end(), first, last);
-      c.trans_row_.push_back(c.entries_.size());
-      c.exit_.push_back(exit_[t]);
-    }
-  }
-  if (next != keep.size()) throw ModelError("Ctmdp::restricted: transition id out of range");
-  c.state_row_[num_states()] = c.labels_.size();
-  return c;
-}
-
 std::size_t Ctmdp::memory_bytes() const {
   return state_row_.size() * sizeof(std::uint64_t) + source_.size() * sizeof(StateId) +
          labels_.size() * sizeof(WordId) + trans_row_.size() * sizeof(std::uint64_t) +

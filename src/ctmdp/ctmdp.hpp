@@ -73,12 +73,6 @@ class Ctmdp {
   /// ablation study and for models known to be insensitive.
   Ctmdp uniformize(double rate = 0.0) const;
 
-  /// The CTMDP over the same states keeping only the transitions @p keep
-  /// (ascending ids), copied verbatim — labels, entries and cached exit
-  /// rates — so a kernel built from it repeats the original rows' arithmetic
-  /// bit for bit.  Throws ModelError on an unsorted or out-of-range id.
-  Ctmdp restricted(const std::vector<std::uint64_t>& keep) const;
-
   /// Bytes consumed by the transition storage.
   std::size_t memory_bytes() const;
 

@@ -860,19 +860,6 @@ std::vector<TimedReachabilityResult> solve(const Ctmdp& model, const BitVector& 
   return results;
 }
 
-/// A fixed policy's options: the pure Fox-Glynn schedule (the historical
-/// answer), nothing to extract, resume or avoid, kernels built for its model.
-TimedReachabilityOptions policy_options(const TimedReachabilityOptions& options) {
-  TimedReachabilityOptions policy = options;
-  policy.truncation = Truncation::FoxGlynn;
-  policy.avoid = BitVector{};
-  policy.extract_scheduler = false;
-  policy.resume = nullptr;
-  policy.discrete_kernel = nullptr;
-  policy.dense_kernel = nullptr;
-  return policy;
-}
-
 /// The uniform rate of a solve; rejects non-uniform models.
 double uniform_rate_of(const Ctmdp& model, const char* who) {
   const auto uniform = model.uniform_rate(1e-6);
@@ -881,6 +868,28 @@ double uniform_rate_of(const Ctmdp& model, const char* who) {
                           ": model is not uniform; construct it uniformly or uniformize first");
   }
   return *uniform;
+}
+
+/// Policy evaluation of a validated table at uniform rate @p e: a
+/// one-horizon solve on the replay rows, with the pure Fox-Glynn schedule
+/// and nothing to extract, resume or avoid.  No locking and no early stop:
+/// a choice may change from step to step, so a bitwise-stable row is not a
+/// fixpoint of the remaining steps.
+TimedReachabilityResult replay(const Ctmdp& model, const BitVector& goal, double e, double t,
+                               const CountdownScheduler& scheduler,
+                               const TimedReachabilityOptions& options) {
+  TimedReachabilityOptions policy = options;
+  policy.truncation = Truncation::FoxGlynn;
+  policy.avoid = BitVector{};
+  policy.extract_scheduler = false;
+  policy.resume = nullptr;
+  policy.locking = false;
+  policy.early_termination = false;
+  const auto replay_rows = [&scheduler](const auto& m, const auto& g, const auto& o, auto&& fn) {
+    const DiscreteKernel kernel(m, g);
+    fn(CountdownRows(kernel, g, o.avoid, scheduler));
+  };
+  return std::move(solve(model, goal, e, {t}, policy, true, replay_rows)[0]);
 }
 
 }  // namespace
@@ -918,24 +927,19 @@ TimedReachabilityResult evaluate_scheduler(const Ctmdp& model, const BitVector& 
   if (!(t >= 0.0)) throw ModelError("evaluate_scheduler: negative time bound");
   const double e = uniform_rate_of(model, "evaluate_scheduler");
 
-  // The CTMDP restricted to the policy: every state keeps exactly the
-  // transition choice[s] names, so each row's arithmetic is that
-  // transition's row in the full model.  Goal rows never read their
-  // transitions; they keep their first one, so the restricted model stays
-  // uniform at the full model's rate e.
-  std::vector<std::uint64_t> keep;
+  // The stationary scheduler as a one-row countdown table, which every step
+  // reads.  Goal rows never read their choice and transitionless rows have
+  // none: both replay as kNoTransition.
+  std::vector<std::vector<std::uint64_t>> table(1, std::vector<std::uint64_t>(n, kNoTransition));
   for (StateId s = 0; s < n; ++s) {
     const auto [first, last] = model.transition_range(s);
-    if (first == last) continue;
-    const std::uint64_t tr = goal[s] ? first : choice[s];
-    if (tr < first || tr >= last) {
+    if (goal[s] || first == last) continue;
+    if (choice[s] < first || choice[s] >= last) {
       throw ModelError("evaluate_scheduler: choice out of range for state");
     }
-    keep.push_back(tr);
+    table[0][s] = choice[s];
   }
-  const Ctmdp restricted = model.restricted(keep);
-
-  return std::move(solve(restricted, goal, e, {t}, policy_options(options), true)[0]);
+  return replay(model, goal, e, t, CountdownScheduler(std::move(table)), options);
 }
 
 TimedReachabilityResult evaluate_countdown_scheduler(const Ctmdp& model, const BitVector& goal,
@@ -964,17 +968,7 @@ TimedReachabilityResult evaluate_countdown_scheduler(const Ctmdp& model, const B
       }
     }
   }
-
-  // No locking and no early stop: a choice may change from step to step,
-  // so a bitwise-stable row is not a fixpoint of the remaining steps.
-  TimedReachabilityOptions replay = policy_options(options);
-  replay.locking = false;
-  replay.early_termination = false;
-  const auto replay_rows = [&scheduler](const auto& m, const auto& g, const auto& o, auto&& fn) {
-    const DiscreteKernel kernel(m, g);
-    fn(CountdownRows(kernel, g, o.avoid, scheduler));
-  };
-  return std::move(solve(model, goal, e, {t}, replay, true, replay_rows)[0]);
+  return replay(model, goal, e, t, scheduler, options);
 }
 
 std::vector<double> step_bounded_reachability(const Ctmdp& model, const BitVector& goal,

@@ -21,10 +21,9 @@
 // fused bottom-aligned (DESIGN.md Sec. 11.1) over a row engine per backend
 // (full-state rows over DiscreteKernel for serial, dense goal-folded rows
 // over DenseKernel for the simd backends).  timed_reachability is that
-// sweep with one horizon, evaluate_scheduler runs it on the CTMDP
-// restricted to the given policy, and step_bounded_reachability runs it
-// with zero Poisson weights.  evaluate_countdown_scheduler (scheduler.hpp)
-// replays a decision table on the serial rows.
+// sweep with one horizon, and step_bounded_reachability runs it with zero
+// Poisson weights.  evaluate_scheduler and evaluate_countdown_scheduler
+// (scheduler.hpp) replay a fixed policy on the serial rows.
 #pragma once
 
 #include <cstdint>
@@ -222,14 +221,15 @@ std::vector<TimedReachabilityResult> timed_reachability_batch(
 
 /// Policy evaluation: the same backward iteration but following the fixed
 /// stationary scheduler @p choice (a transition index per state; entries for
-/// goal or transitionless states are ignored).  Solved as the CTMDP
-/// restricted to one transition per state — choice[s], and any one for goal
-/// states, so the uniform rate is unchanged — on the pure Fox-Glynn
-/// schedule, with options.avoid, extract_scheduler, resume and the
-/// injected kernels ignored.  The induced process is a uniform CTMC, so
-/// this equals CTMC timed reachability and serves as a cross-check in the
-/// tests.  Honours options.guard (partial results as in
-/// timed_reachability).
+/// goal or transitionless states are ignored).  A stationary scheduler is
+/// the one-row countdown table, so this is evaluate_countdown_scheduler's
+/// replay (scheduler.hpp): serial rows on every backend, the pure Fox-Glynn
+/// schedule, no locking and no early termination, with options.avoid,
+/// extract_scheduler and resume ignored.  The induced process is a uniform
+/// CTMC, so this equals CTMC timed reachability and serves as a
+/// cross-check in the tests.  Honours options.threads, guard (partial
+/// results as in timed_reachability) and telemetry.  Throws ModelError on
+/// an out-of-range choice at a non-goal state with transitions.
 TimedReachabilityResult evaluate_scheduler(const Ctmdp& model, const BitVector& goal,
                                            double t, const std::vector<std::uint64_t>& choice,
                                            const TimedReachabilityOptions& options = {});

@@ -18,10 +18,11 @@ void check_inputs(const Ctmdp& model, const BitVector& goal) {
   }
 }
 
-/// One optimizing sweep of the embedded jump chain; returns the sup-norm
-/// change over finite entries.
+/// One optimizing Gauss-Seidel sweep of the expected jump count on the
+/// embedded jump chain (step cost 1); returns the sup-norm change over
+/// finite entries.
 double sweep(const Ctmdp& model, const BitVector& goal, const BitVector& frozen,
-             bool maximize, double step_cost, std::vector<double>& x) {
+             bool maximize, std::vector<double>& x) {
   double delta = 0.0;
   const std::size_t n = model.num_states();
   for (StateId s = 0; s < n; ++s) {
@@ -31,7 +32,7 @@ double sweep(const Ctmdp& model, const BitVector& goal, const BitVector& frozen,
     double best = maximize ? -kInf : kInf;
     for (std::uint64_t tr = first; tr < last; ++tr) {
       const double e = model.exit_rate(tr);
-      double acc = step_cost;
+      double acc = 1.0;
       for (const SparseEntry& entry : model.rates(tr)) {
         acc += (entry.value / e) * x[entry.col];
       }
@@ -177,40 +178,6 @@ BitVector almost_sure_states(const Ctmdp& model, const BitVector& goal,
   }
 }
 
-UnboundedResult unbounded_reachability(const Ctmdp& model, const BitVector& goal,
-                                       const UnboundedOptions& options) {
-  check_inputs(model, goal);
-  const std::size_t n = model.num_states();
-  if (!options.avoid.empty() && options.avoid.size() != n) {
-    throw ModelError("unbounded_reachability: avoid vector size mismatch");
-  }
-  const bool maximize = options.objective == Objective::Maximize;
-  const BitVector zero = zero_states(model, goal, options.objective);
-
-  UnboundedResult result;
-  result.values.assign(n, 0.0);
-  for (StateId s = 0; s < n; ++s) {
-    if (goal[s]) result.values[s] = 1.0;
-  }
-
-  // Freeze goal, zero and avoided states; also freeze transitionless
-  // states (their value is the indicator already set above).
-  BitVector frozen(n, false);
-  for (StateId s = 0; s < n; ++s) {
-    const auto [first, last] = model.transition_range(s);
-    frozen[s] = zero[s] || first == last ||
-                (!options.avoid.empty() && options.avoid[s] && !goal[s]);
-  }
-
-  for (std::uint64_t i = 0; i < options.max_iterations; ++i) {
-    const double delta = sweep(model, goal, frozen, maximize, 0.0, result.values);
-    ++result.iterations;
-    if (delta <= options.tolerance) break;
-  }
-  for (double& v : result.values) v = std::min(1.0, std::max(0.0, v));
-  return result;
-}
-
 ExpectedTimeResult expected_reachability_time(const Ctmdp& model, const BitVector& goal,
                                               const UnboundedOptions& options) {
   check_inputs(model, goal);
@@ -243,7 +210,7 @@ ExpectedTimeResult expected_reachability_time(const Ctmdp& model, const BitVecto
   // Value iteration on expected jump counts (step cost 1), then scale by
   // the uniform sojourn mean 1/E.
   for (std::uint64_t i = 0; i < options.max_iterations; ++i) {
-    const double delta = sweep(model, goal, frozen, maximize, 1.0, result.values);
+    const double delta = sweep(model, goal, frozen, maximize, result.values);
     ++result.iterations;
     if (delta <= options.tolerance) {
       result.converged = true;

@@ -1,14 +1,15 @@
-// Time-unbounded analyses for CTMDPs: eventual reachability probabilities
-// and expected reachability times.
+// Time-unbounded analyses for CTMDPs: qualitative reachability and
+// expected reachability times.
 //
 // These complement the paper's time-bounded Algorithm 1 with the classical
 // MDP machinery:
 //  * qualitative precomputation (the states reaching B with probability 0
-//    under every / some scheduler) via graph fixpoints,
-//  * value iteration for sup/inf Pr(eventually B) on the embedded DTMDP,
+//    under every / some scheduler, or with probability 1) via graph
+//    fixpoints,
 //  * expected time to B — in a *uniform* CTMDP every jump takes 1/E
 //    expected time regardless of the transition chosen, so the expected
-//    hitting time is the expected jump count divided by E.
+//    hitting time is the expected jump count divided by E, found by value
+//    iteration on the embedded DTMDP.
 #pragma once
 
 #include <cstdint>
@@ -25,15 +26,6 @@ struct UnboundedOptions {
   /// Value-iteration stopping threshold (sup-norm).
   double tolerance = 1e-12;
   std::uint64_t max_iterations = 1u << 22;
-  /// Optional until-style constraint: states flagged here (and not in the
-  /// goal) are losing — their value is pinned to 0.  Empty or
-  /// num_states() long.
-  BitVector avoid;
-};
-
-struct UnboundedResult {
-  std::vector<double> values;
-  std::uint64_t iterations = 0;
 };
 
 /// States from which B is reached with probability zero under the
@@ -49,11 +41,6 @@ BitVector zero_states(const Ctmdp& model, const BitVector& goal,
 ///    (equivalently: no B-free path into the avoid-forever region).
 BitVector almost_sure_states(const Ctmdp& model, const BitVector& goal,
                                      Objective objective);
-
-/// sup/inf over schedulers of Pr(eventually reach B), by value iteration
-/// over the embedded jump chain with qualitative precomputation.
-UnboundedResult unbounded_reachability(const Ctmdp& model, const BitVector& goal,
-                                       const UnboundedOptions& options = {});
 
 struct ExpectedTimeResult {
   /// Expected time to reach B from each state; infinity when B is not

@@ -78,8 +78,8 @@ struct DenseKernelView {
 };
 
 /// Plain CSR gather with a diagonal term: out[r] = diag[r] * x[r] +
-/// sum_j prob[j] * x[col[j]] over the row's entries.  Serves both CTMC
-/// sweep directions (forward uses the transposed rows).
+/// sum_j prob[j] * x[col[j]] over the row's entries: the CTMC value step
+/// y = P x of the uniformized jump matrix.
 struct GatherView {
   std::uint64_t num_rows = 0;
   const double* diag = nullptr;                ///< [num_rows]

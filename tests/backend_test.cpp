@@ -310,8 +310,9 @@ TEST(BitConsistency, EvaluateSchedulerAcrossBackendsAndThreads) {
       }
       per_backend.push_back(reference.values);
     }
+    // Policy evaluation replays on the serial rows whatever the backend.
+    EXPECT_EQ(per_backend[0], per_backend[1]) << "serial vs simd, n=" << n;
     EXPECT_EQ(per_backend[1], per_backend[2]) << "simd vs simd-portable, n=" << n;
-    EXPECT_LE(max_abs_diff_vec(per_backend[0], per_backend[1]), kReassocTol) << "n=" << n;
   }
 }
 
@@ -389,39 +390,29 @@ TEST(BitConsistency, StepBoundedValuesStayInTheUnitInterval) {
   }
 }
 
-TEST(BitConsistency, CtmcReachabilityAndTransientAcrossBackendsAndThreads) {
+TEST(BitConsistency, CtmcReachabilityAcrossBackendsAndThreads) {
   for (std::size_t n : kSizes) {
     Rng rng(4000 + n);
     const Ctmc chain = testing::random_ctmc(rng, {.num_states = n});
     const BitVector goal = testing::random_goal(rng, chain.num_states());
 
     std::vector<std::vector<double>> reach_per_backend;
-    std::vector<std::vector<double>> trans_per_backend;
     for (Backend backend : kBackends) {
       TransientOptions options;
       options.backend = backend;
       options.threads = 1;
       const auto reach_ref = timed_reachability(chain, goal, 0.8, options);
-      const auto trans_ref = transient_distribution(chain, 0.8, options);
       for (unsigned threads : kThreadCounts) {
         options.threads = threads;
         const auto reach = timed_reachability(chain, goal, 0.8, options);
-        const auto trans = transient_distribution(chain, 0.8, options);
         EXPECT_EQ(reach.probabilities, reach_ref.probabilities)
-            << "thread-variance in " << backend_name(backend) << " n=" << n
-            << " threads=" << threads;
-        EXPECT_EQ(trans.probabilities, trans_ref.probabilities)
             << "thread-variance in " << backend_name(backend) << " n=" << n
             << " threads=" << threads;
       }
       reach_per_backend.push_back(reach_ref.probabilities);
-      trans_per_backend.push_back(trans_ref.probabilities);
     }
     EXPECT_EQ(reach_per_backend[1], reach_per_backend[2]) << "simd vs simd-portable, n=" << n;
-    EXPECT_EQ(trans_per_backend[1], trans_per_backend[2]) << "simd vs simd-portable, n=" << n;
     EXPECT_LE(max_abs_diff_vec(reach_per_backend[0], reach_per_backend[1]), kReassocTol)
-        << "n=" << n;
-    EXPECT_LE(max_abs_diff_vec(trans_per_backend[0], trans_per_backend[1]), kReassocTol)
         << "n=" << n;
   }
 }
@@ -474,6 +465,7 @@ TEST(BitConsistency, LockingOnOffBitwiseAcrossBackendsAndThreads) {
 }
 
 TEST(BitConsistency, CtmcLockingOnOffBitwiseAcrossBackendsAndThreads) {
+  std::uint64_t locked = 0;
   for (std::size_t n : {5u, 29u, 67u}) {
     Rng rng(6000 + n);
     const Ctmc chain = testing::random_ctmc(rng, {.num_states = n});
@@ -492,56 +484,17 @@ TEST(BitConsistency, CtmcLockingOnOffBitwiseAcrossBackendsAndThreads) {
           EXPECT_EQ(run.probabilities, unlocked.probabilities)
               << backend_name(backend) << " n=" << n << " threads=" << threads
               << " locking=" << locking;
-        }
-      }
-    }
-  }
-}
-
-/// Locking reaches every CTMC sweep: the forward rows of
-/// transient_distribution close over their source columns, and interval
-/// phase B locks rows of the unmodified chain.  Both stay bitwise the
-/// unlocked run, iteration counts included.
-TEST(BitConsistency, CtmcTransientAndIntervalLockingOnOffBitwise) {
-  std::uint64_t trans_locked = 0;
-  std::uint64_t ival_locked = 0;
-  for (std::size_t n : {5u, 29u, 67u}) {
-    Rng rng(7000 + n);
-    const Ctmc chain = testing::random_ctmc(rng, {.num_states = n});
-    const BitVector goal = testing::random_goal(rng, chain.num_states());
-    for (Backend backend : kBackends) {
-      TransientOptions options;
-      options.backend = backend;
-      options.threads = 1;
-      options.locking = false;
-      const auto trans_ref = transient_distribution(chain, 8.0, options);
-      const auto ival_ref = interval_reachability(chain, goal, 4.0, 9.0, options);
-      for (bool locking : {false, true}) {
-        for (unsigned threads : {1u, 3u}) {
-          options.locking = locking;
-          options.threads = threads;
-          const auto trans = transient_distribution(chain, 8.0, options);
-          const auto ival = interval_reachability(chain, goal, 4.0, 9.0, options);
-          const std::string where = std::string(backend_name(backend)) + " n=" +
-                                    std::to_string(n) + " threads=" + std::to_string(threads) +
-                                    " locking=" + std::to_string(locking);
-          EXPECT_EQ(trans.probabilities, trans_ref.probabilities) << "transient " << where;
-          EXPECT_EQ(trans.iterations_executed, trans_ref.iterations_executed) << where;
-          EXPECT_EQ(ival.probabilities, ival_ref.probabilities) << "interval " << where;
-          EXPECT_EQ(ival.iterations_executed, ival_ref.iterations_executed) << where;
+          EXPECT_EQ(run.iterations_executed, unlocked.iterations_executed);
           if (!locking) {
-            EXPECT_EQ(trans.locked_final, 0u) << where;
-            EXPECT_EQ(ival.locked_final, 0u) << where;
+            EXPECT_EQ(run.locked_final, 0u);
           }
-          trans_locked += trans.locked_final;
-          ival_locked += ival.locked_final;
+          locked += run.locked_final;
         }
       }
     }
   }
   // Rows must actually lock, or the comparison proves nothing.
-  EXPECT_GT(trans_locked, 0u);
-  EXPECT_GT(ival_locked, 0u);
+  EXPECT_GT(locked, 0u);
 }
 
 // --------------------------------------------- scheduler-resume regression
@@ -684,13 +637,6 @@ TEST(EarlyTermination, GatedOnWindowBoundsAtHugeLambda) {
   EXPECT_LT(early.iterations_executed, early.iterations_planned);  // it did fire
   EXPECT_NEAR(early.values[0], full.values[0], 1e-8);
   EXPECT_DOUBLE_EQ(early.values[1], 1.0);
-
-  // Same gate in the policy-evaluation sweep.
-  const std::vector<std::uint64_t> choice{0, 0};
-  const auto eval_full = evaluate_scheduler(model, goal, t, choice, full_options);
-  const auto eval_early = evaluate_scheduler(model, goal, t, choice, early_options);
-  EXPECT_LT(eval_early.iterations_executed, eval_early.iterations_planned);
-  EXPECT_NEAR(eval_early.values[0], eval_full.values[0], 1e-8);
 
   // With a realistic delta the answer must stay within delta + epsilon of
   // the exact run on every backend.

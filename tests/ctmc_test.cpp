@@ -89,75 +89,6 @@ TEST(Ctmc, MakeAbsorbingRemovesOutgoing) {
   EXPECT_DOUBLE_EQ(c.exit_rate(0), 1.0);
 }
 
-// ---------------------------------------------------------- transient
-
-TEST(Transient, SingleStateStaysPut) {
-  CtmcBuilder b(1);
-  b.ensure_states(1);
-  const auto r = transient_distribution(b.build(), 10.0);
-  ASSERT_EQ(r.probabilities.size(), 1u);
-  EXPECT_NEAR(r.probabilities[0], 1.0, 1e-9);
-}
-
-TEST(Transient, PureDecayMatchesExponential) {
-  // 0 --lambda--> 1 (absorbing): P(in 1 at t) = 1 - e^{-lambda t}.
-  CtmcBuilder b(2);
-  b.ensure_states(2);
-  b.add_transition(0, 0.7, 1);
-  const Ctmc c = b.build();
-  for (double t : {0.1, 1.0, 3.0, 10.0}) {
-    const auto r = transient_distribution(c, t);
-    EXPECT_NEAR(r.probabilities[1], 1.0 - std::exp(-0.7 * t), 1e-6) << t;
-  }
-}
-
-TEST(Transient, TwoStateChainMatchesClosedForm) {
-  // Closed form: P(in 1 at t | start 0) = l/(l+m) (1 - e^{-(l+m)t}).
-  const double l = 1.5, m = 0.5;
-  const Ctmc c = two_state_chain(l, m);
-  for (double t : {0.2, 1.0, 5.0}) {
-    const auto r = transient_distribution(c, t, TransientOptions{1e-9});
-    const double expected = l / (l + m) * (1.0 - std::exp(-(l + m) * t));
-    EXPECT_NEAR(r.probabilities[1], expected, 1e-7) << t;
-  }
-}
-
-TEST(Transient, DistributionSumsToOne) {
-  const Ctmc c = two_state_chain(1.0, 2.0);
-  const auto r = transient_distribution(c, 3.0);
-  EXPECT_NEAR(std::accumulate(r.probabilities.begin(), r.probabilities.end(), 0.0), 1.0, 1e-6);
-}
-
-TEST(Transient, TimeZeroIsInitialDistribution) {
-  const Ctmc c = two_state_chain(1.0, 2.0);
-  const auto r = transient_distribution(c, 0.0);
-  EXPECT_NEAR(r.probabilities[0], 1.0, 1e-12);
-  EXPECT_NEAR(r.probabilities[1], 0.0, 1e-12);
-}
-
-TEST(Transient, NegativeTimeThrows) {
-  EXPECT_THROW(transient_distribution(two_state_chain(1.0, 1.0), -1.0), ModelError);
-}
-
-class UniformizationInvariance : public ::testing::TestWithParam<double> {};
-
-TEST_P(UniformizationInvariance, TransientUnaffectedByRateChoice) {
-  // Jensen [19]: uniformization at any admissible rate leaves transient
-  // probabilities unchanged.
-  const double rate = GetParam();
-  const Ctmc base = two_state_chain(1.0, 2.0);
-  const Ctmc uni = base.uniformize(rate);
-  for (double t : {0.5, 2.0, 8.0}) {
-    const auto r0 = transient_distribution(base, t);
-    const auto r1 = transient_distribution(uni, t);
-    EXPECT_NEAR(r0.probabilities[0], r1.probabilities[0], 1e-7);
-    EXPECT_NEAR(r0.probabilities[1], r1.probabilities[1], 1e-7);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Rates, UniformizationInvariance,
-                         ::testing::Values(2.0, 3.0, 5.0, 10.0, 50.0));
-
 // ---------------------------------------------------- timed reachability
 
 TEST(TimedReachability, SingleStepMatchesExponentialCdf) {
@@ -208,6 +139,12 @@ TEST(TimedReachability, GoalSizeMismatchThrows) {
   EXPECT_THROW(timed_reachability(two_state_chain(1.0, 1.0), {true}, 1.0), ModelError);
 }
 
+TEST(TimedReachability, NegativeTimeThrows) {
+  const Ctmc c = two_state_chain(1.0, 1.0);
+  EXPECT_THROW(timed_reachability(c, {false, true}, -1.0), ModelError);
+  EXPECT_THROW(timed_reachability_batch(c, {false, true}, {1.0, -1.0}), ModelError);
+}
+
 TEST(TimedReachability, ErlangChainMatchesClosedForm) {
   // 3-stage Erlang with rate 2: P(absorbed by t) = 1 - e^{-2t} sum_{k<3} (2t)^k/k!.
   CtmcBuilder b(4);
@@ -227,64 +164,6 @@ TEST(TimedReachability, ErlangChainMatchesClosedForm) {
                 1e-7)
         << t;
   }
-}
-
-TEST(IntervalReachability, ZeroLeftBoundMatchesTimedReachability) {
-  const Ctmc c = two_state_chain(0.4, 0.2);
-  const std::vector<bool> goal{false, true};
-  const auto interval = interval_reachability(c, goal, 0.0, 3.0, TransientOptions{1e-9});
-  const auto plain = timed_reachability(c, goal, 3.0, TransientOptions{1e-9});
-  EXPECT_NEAR(interval.probabilities[0], plain.probabilities[0], 1e-9);
-}
-
-TEST(IntervalReachability, PointIntervalIsOccupancyProbability) {
-  // [t, t]: the chain must BE in the goal at exactly t — the transient
-  // occupancy (no absorption beforehand).
-  const double l = 1.0, m = 0.5;
-  const Ctmc c = two_state_chain(l, m);
-  const std::vector<bool> goal{false, true};
-  for (double t : {0.5, 2.0, 10.0}) {
-    const auto r = interval_reachability(c, goal, t, t, TransientOptions{1e-10});
-    const double expected = l / (l + m) * (1.0 - std::exp(-(l + m) * t));
-    EXPECT_NEAR(r.probabilities[0], expected, 1e-7) << t;
-  }
-}
-
-TEST(IntervalReachability, WiderIntervalGivesLargerProbability) {
-  const Ctmc c = two_state_chain(0.3, 5.0);
-  const std::vector<bool> goal{false, true};
-  const double narrow = interval_reachability(c, goal, 2.0, 2.5).probabilities[0];
-  const double wide = interval_reachability(c, goal, 2.0, 8.0).probabilities[0];
-  EXPECT_LE(narrow, wide + 1e-9);
-}
-
-TEST(IntervalReachability, CanBeSmallerThanTimeBoundedAtT2) {
-  // With a fast return rate the chain may visit the goal before t1 and be
-  // back: Pr([t1,t2]) < Pr([0,t2]).
-  const Ctmc c = two_state_chain(0.3, 5.0);
-  const std::vector<bool> goal{false, true};
-  const double interval = interval_reachability(c, goal, 4.0, 5.0).probabilities[0];
-  const double bounded = timed_reachability(c, goal, 5.0).probabilities[0];
-  EXPECT_LT(interval, bounded);
-}
-
-TEST(IntervalReachability, ValidatesArguments) {
-  const Ctmc c = two_state_chain(1.0, 1.0);
-  EXPECT_THROW(interval_reachability(c, {false, true}, 2.0, 1.0), ModelError);
-  EXPECT_THROW(interval_reachability(c, {false, true}, -1.0, 1.0), ModelError);
-  EXPECT_THROW(interval_reachability(c, {true}, 0.0, 1.0), ModelError);
-}
-
-TEST(Transient, EarlyTerminationMatchesFullRunOnLongHorizon) {
-  const Ctmc c = two_state_chain(1.0, 2.0);
-  TransientOptions options;
-  options.epsilon = 1e-8;
-  const auto full = transient_distribution(c, 500.0, options);
-  options.early_termination = true;
-  const auto early = transient_distribution(c, 500.0, options);
-  EXPECT_LT(early.iterations_executed, full.iterations_executed);
-  EXPECT_NEAR(full.probabilities[0], early.probabilities[0], 1e-7);
-  EXPECT_NEAR(full.probabilities[1], early.probabilities[1], 1e-7);
 }
 
 TEST(TimedReachability, EarlyTerminationMatchesFullRunOnLongHorizon) {
@@ -323,20 +202,6 @@ Ctmc ring_chain(std::size_t n) {
   return b.build();
 }
 
-TEST(Transient, ParallelMatchesSerial) {
-  const Ctmc c = ring_chain(97);
-  TransientOptions serial;
-  serial.threads = 1;
-  TransientOptions parallel;
-  parallel.threads = 4;
-  const auto a = transient_distribution(c, 3.0, serial);
-  const auto b = transient_distribution(c, 3.0, parallel);
-  ASSERT_EQ(a.probabilities.size(), b.probabilities.size());
-  for (std::size_t s = 0; s < a.probabilities.size(); ++s) {
-    EXPECT_NEAR(a.probabilities[s], b.probabilities[s], 1e-12) << s;
-  }
-}
-
 TEST(TimedReachability, ParallelMatchesSerialOnCtmc) {
   const Ctmc c = ring_chain(61);
   std::vector<bool> goal(61, false);
@@ -352,37 +217,24 @@ TEST(TimedReachability, ParallelMatchesSerialOnCtmc) {
   }
 }
 
-TEST(IntervalReachability, ParallelMatchesSerialOnCtmc) {
-  const Ctmc c = ring_chain(45);
-  std::vector<bool> goal(45, false);
-  goal[10] = goal[30] = true;
-  TransientOptions serial;
-  serial.threads = 1;
-  TransientOptions parallel;
-  parallel.threads = 3;
-  const auto a = interval_reachability(c, goal, 1.0, 4.0, serial);
-  const auto b = interval_reachability(c, goal, 1.0, 4.0, parallel);
-  for (std::size_t s = 0; s < a.probabilities.size(); ++s) {
-    EXPECT_NEAR(a.probabilities[s], b.probabilities[s], 1e-12) << s;
-  }
-}
-
-TEST(Transient, GuardedRunPublishesEveryStepAndMatchesTheUnguardedRun) {
+TEST(TimedReachability, GuardedRunPublishesEveryStepAndMatchesTheUnguardedRun) {
   const Ctmc c = ring_chain(31);
+  std::vector<bool> goal(31, false);
+  goal[12] = goal[25] = true;
   TransientOptions options;
   options.threads = 1;
-  const auto clean = transient_distribution(c, 2.5, options);
+  const auto clean = timed_reachability(c, goal, 2.5, options);
 
   RunGuard guard;
   std::vector<std::uint64_t> steps;
   guard.set_checkpoint([&](const RunCheckpoint& cp) {
-    EXPECT_STREQ(cp.stage, "transient_distribution");
+    EXPECT_STREQ(cp.stage, "ctmc_timed_reachability");
     EXPECT_EQ(cp.planned, clean.iterations);
     EXPECT_EQ(cp.values.size(), c.num_states());
     steps.push_back(cp.step);
   });
   options.guard = &guard;
-  const auto guarded = transient_distribution(c, 2.5, options);
+  const auto guarded = timed_reachability(c, goal, 2.5, options);
   EXPECT_EQ(guarded.status, RunStatus::Converged);
   EXPECT_EQ(guarded.probabilities, clean.probabilities);
   std::vector<std::uint64_t> expected(clean.iterations);

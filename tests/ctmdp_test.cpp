@@ -60,23 +60,6 @@ TEST(Ctmdp, DuplicateTargetsMergeWithinTransition) {
   EXPECT_DOUBLE_EQ(c.exit_rate(0), 3.0);
 }
 
-TEST(Ctmdp, RestrictedKeepsTransitionsVerbatim) {
-  const Ctmdp c = two_choice_model();
-  const Ctmdp r = c.restricted({1, 2});  // state 0 keeps "slow", state 1 its loop
-  ASSERT_EQ(r.num_states(), 2u);
-  ASSERT_EQ(r.num_transitions(), 2u);
-  EXPECT_EQ(r.num_transitions_of(0), 1u);
-  EXPECT_EQ(r.initial(), c.initial());
-  EXPECT_EQ(r.source(1), 1u);
-  EXPECT_EQ(r.words().str(r.label(0), r.actions()), "slow");
-  ASSERT_EQ(r.rates(0).size(), c.rates(1).size());
-  for (std::size_t j = 0; j < r.rates(0).size(); ++j) EXPECT_EQ(r.rates(0)[j], c.rates(1)[j]);
-  EXPECT_EQ(r.exit_rate(0), c.exit_rate(1));
-  EXPECT_EQ(c.restricted({}).num_transitions(), 0u);
-  EXPECT_THROW(c.restricted({2, 1}), ModelError);
-  EXPECT_THROW(c.restricted({1, 7}), ModelError);
-}
-
 TEST(Ctmdp, EmptyTransitionRejected) {
   CtmdpBuilder b;
   b.ensure_states(1);

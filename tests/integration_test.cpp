@@ -67,10 +67,6 @@ TEST(Pipeline, AnalysisRejectsNonUniformInput) {
   b.add_markov(1, 5.0, 0);
   const Imc m = b.build();
   EXPECT_THROW(analyze_timed_reachability(m, {false, true}, 1.0), UniformityError);
-  UimcAnalysisOptions options;
-  options.check_uniformity = false;
-  // Bypassing the check still fails at the algorithm level.
-  EXPECT_THROW(analyze_timed_reachability(m, {false, true}, 1.0, options), UniformityError);
 }
 
 TEST(Pipeline, FtwcOptimalSchedulerDominatesHeuristics) {

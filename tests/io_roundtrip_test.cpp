@@ -7,7 +7,6 @@
 #include <sstream>
 #include <string>
 
-#include "io/dot.hpp"
 #include "io/tra.hpp"
 #include "support/rng.hpp"
 #include "testing/generate.hpp"
@@ -142,24 +141,6 @@ TEST(IoRoundtrip, EmptyTransitionModels) {
   io::write_goal(out, std::vector<bool>(4, false));
   std::istringstream in(out.str());
   EXPECT_EQ(io::read_goal(in, 4), std::vector<bool>(4, false));
-}
-
-TEST(IoRoundtrip, DotOutputSmoke) {
-  Rng rng(2028);
-  const Imc m = random_uniform_imc(rng);
-  std::ostringstream imc_dot;
-  io::write_dot(imc_dot, m);
-  EXPECT_NE(imc_dot.str().find("digraph"), std::string::npos);
-  EXPECT_NE(imc_dot.str().find("->"), std::string::npos);
-
-  const Ctmdp model = random_uniform_ctmdp(rng);
-  std::ostringstream ctmdp_dot;
-  io::write_dot(ctmdp_dot, model);
-  EXPECT_NE(ctmdp_dot.str().find("digraph"), std::string::npos);
-  // Deterministic: same model, same bytes.
-  std::ostringstream again;
-  io::write_dot(again, model);
-  EXPECT_EQ(ctmdp_dot.str(), again.str());
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include "core/transform.hpp"
 #include "ctmdp/reachability.hpp"
 #include "ftwc/direct.hpp"
-#include "io/dot.hpp"
 #include "io/tra.hpp"
 #include "support/errors.hpp"
 
@@ -216,31 +215,6 @@ TEST(TraIo, FileHelpersWorkAndThrowOnBadPaths) {
   EXPECT_EQ(loaded.num_states(), c.num_states());
   EXPECT_THROW(io::load_ctmc("/nonexistent/dir/x.tra"), ParseError);
   EXPECT_THROW(io::save_ctmc("/nonexistent/dir/x.tra", c), ParseError);
-}
-
-TEST(Dot, ImcExportMentionsStatesAndRates) {
-  ImcBuilder b;
-  b.add_state("start");
-  b.add_state("stop");
-  b.set_initial(0);
-  b.add_interactive(0, "a", 1);
-  b.add_markov(1, 2.5, 0);
-  std::stringstream out;
-  io::write_dot(out, b.build());
-  const std::string dot = out.str();
-  EXPECT_NE(dot.find("digraph imc"), std::string::npos);
-  EXPECT_NE(dot.find("start"), std::string::npos);
-  EXPECT_NE(dot.find("label=\"a\""), std::string::npos);
-  EXPECT_NE(dot.find("2.5"), std::string::npos);
-}
-
-TEST(Dot, CtmdpExportHasTransitionBoxes) {
-  std::stringstream out;
-  io::write_dot(out, sample_ctmdp());
-  const std::string dot = out.str();
-  EXPECT_NE(dot.find("digraph ctmdp"), std::string::npos);
-  EXPECT_NE(dot.find("shape=box"), std::string::npos);
-  EXPECT_NE(dot.find("r_a.g_b"), std::string::npos);
 }
 
 }  // namespace

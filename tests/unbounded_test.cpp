@@ -2,11 +2,8 @@
 
 #include <cmath>
 
-#include "core/transform.hpp"
 #include "ctmdp/unbounded.hpp"
 #include "support/errors.hpp"
-#include "support/rng.hpp"
-#include "test_util.hpp"
 
 namespace unicon {
 namespace {
@@ -59,53 +56,6 @@ TEST(ZeroStates, AbsorbingNonGoalAvoidsTrivially) {
   const std::vector<bool> goal{false, false};
   const auto zero = zero_states(c, goal, Objective::Minimize);
   EXPECT_TRUE(zero[1]);
-}
-
-TEST(UnboundedReachability, MaxAndMinValues) {
-  const Ctmdp c = escape_model();
-  const std::vector<bool> goal{false, false, true, false};
-  const auto max_r = unbounded_reachability(c, goal);
-  // Best: go toward, then 50/50 at state 1.
-  EXPECT_NEAR(max_r.values[0], 0.5, 1e-9);
-  EXPECT_NEAR(max_r.values[1], 0.5, 1e-9);
-  EXPECT_DOUBLE_EQ(max_r.values[2], 1.0);
-  EXPECT_DOUBLE_EQ(max_r.values[3], 0.0);
-
-  UnboundedOptions min_options;
-  min_options.objective = Objective::Minimize;
-  const auto min_r = unbounded_reachability(c, goal, min_options);
-  EXPECT_DOUBLE_EQ(min_r.values[0], 0.0);
-  EXPECT_NEAR(min_r.values[1], 0.5, 1e-9);
-}
-
-TEST(UnboundedReachability, RetryLoopReachesAlmostSurely) {
-  // 0 -> goal w.p. 1/3, else back to 0: eventually 1.
-  CtmdpBuilder b;
-  b.ensure_states(2);
-  b.begin_transition(0, "try");
-  b.add_rate(1, 1.0);
-  b.add_rate(0, 2.0);
-  b.begin_transition(1, "stay");
-  b.add_rate(1, 3.0);
-  const Ctmdp c = b.build();
-  const auto r = unbounded_reachability(c, {false, true});
-  EXPECT_NEAR(r.values[0], 1.0, 1e-9);
-}
-
-TEST(UnboundedReachability, DominatesTimedReachability) {
-  Rng rng(31);
-  const Imc m = testutil::random_uniform_imc(rng);
-  (void)m;  // documented relationship checked on a fixed model below
-  const Ctmdp c = escape_model();
-  const std::vector<bool> goal{false, false, true, false};
-  const double unbounded = unbounded_reachability(c, goal).values[0];
-  const double timed = timed_reachability(c, goal, 3.0).values[0];
-  EXPECT_GE(unbounded + 1e-9, timed);
-}
-
-TEST(UnboundedReachability, SizeMismatchThrows) {
-  const Ctmdp c = escape_model();
-  EXPECT_THROW(unbounded_reachability(c, {true}), ModelError);
 }
 
 TEST(AlmostSure, MaximizeIsProb1E) {
@@ -272,16 +222,12 @@ TEST(DegenerateInputs, UnboundedTimedAndZeroStatesAgreeExactly) {
   for (const DegenerateCase& c : degenerate_cases()) {
     SCOPED_TRACE(c.name);
     for (Objective obj : {Objective::Maximize, Objective::Minimize}) {
-      UnboundedOptions options;
-      options.objective = obj;
-      const auto unbounded = unbounded_reachability(c.model, c.goal, options);
       const auto zero = zero_states(c.model, c.goal, obj);
       TimedReachabilityOptions timed_options;
       timed_options.objective = obj;
       const auto timed = timed_reachability(c.model, c.goal, 1.0, timed_options);
       for (StateId s = 0; s < c.model.num_states(); ++s) {
         SCOPED_TRACE(s);
-        EXPECT_DOUBLE_EQ(unbounded.values[s], c.expected[s]);
         EXPECT_EQ(zero[s], c.expected[s] == 0.0);
         EXPECT_DOUBLE_EQ(timed.values[s], c.expected[s]);
       }
@@ -293,8 +239,8 @@ TEST(DegenerateInputs, TransitionlessSingleState) {
   CtmdpBuilder b;
   b.ensure_states(1);
   const Ctmdp c = b.build();
-  EXPECT_DOUBLE_EQ(unbounded_reachability(c, {true}).values[0], 1.0);
-  EXPECT_DOUBLE_EQ(unbounded_reachability(c, {false}).values[0], 0.0);
+  EXPECT_DOUBLE_EQ(timed_reachability(c, {true}, 1.0).values[0], 1.0);
+  EXPECT_DOUBLE_EQ(timed_reachability(c, {false}, 1.0).values[0], 0.0);
   EXPECT_FALSE(zero_states(c, {true}, Objective::Maximize)[0]);
   EXPECT_TRUE(zero_states(c, {false}, Objective::Minimize)[0]);
 }
@@ -306,29 +252,6 @@ TEST(DegenerateInputs, TimeZeroIsTheGoalIndicator) {
   EXPECT_DOUBLE_EQ(r.values[0], 0.0);
   EXPECT_DOUBLE_EQ(r.values[2], 1.0);
 }
-
-class UnboundedConsistency : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(UnboundedConsistency, StepBoundedConvergesToUnbounded) {
-  Rng rng(GetParam());
-  testutil::RandomImcConfig config;
-  config.num_states = 10;
-  const Imc m = testutil::random_uniform_imc(rng, config);
-  const BitVector goal = testutil::random_goal(rng, m.num_states());
-  const auto transformed = transform_to_ctmdp(m, &goal);
-  const Ctmdp& c = transformed.ctmdp;
-  for (Objective obj : {Objective::Maximize, Objective::Minimize}) {
-    UnboundedOptions options;
-    options.objective = obj;
-    const auto unbounded = unbounded_reachability(c, transformed.goal, options);
-    const auto bounded = step_bounded_reachability(c, transformed.goal, 4000, obj);
-    for (StateId s = 0; s < c.num_states(); ++s) {
-      EXPECT_NEAR(unbounded.values[s], bounded[s], 1e-6) << "state " << s;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, UnboundedConsistency, ::testing::Range<std::uint64_t>(0, 6));
 
 }  // namespace
 }  // namespace unicon
