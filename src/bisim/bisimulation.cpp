@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <optional>
-#include <unordered_map>
 
 #include "support/errors.hpp"
 #include "support/bit_vector.hpp"
@@ -19,35 +17,40 @@ namespace {
 /// that differ only by floating-point summation order compare equal.
 std::int64_t quantize(double rate) { return std::llround(rate * 1e9); }
 
-struct VecU64Hash {
-  std::size_t operator()(const std::vector<std::uint64_t>& v) const {
-    std::size_t h = 0xcbf29ce484222325ull;
-    for (std::uint64_t x : v) {
-      h ^= x;
-      h *= 0x100000001b3ull;
-      h ^= x >> 32;
-      h *= 0x100000001b3ull;
-    }
-    return h;
-  }
-};
-
 constexpr std::uint64_t kInteractiveTag = 1ull << 62;
 constexpr std::uint64_t kRateTag = 1ull << 63;
 
-/// Appends the lumped Markov rate vector of @p s under @p blocks.
-void append_rate_signature(const Imc& m, StateId s, const std::vector<std::uint32_t>& blocks,
-                           std::vector<std::uint64_t>& sig) {
-  std::unordered_map<std::uint32_t, double> lumped;
-  for (const MarkovTransition& t : m.out_markov(s)) lumped[blocks[t.to]] += t.rate;
-  for (const auto& [blk, rate] : lumped) {
-    sig.push_back(kRateTag | blk);
-    sig.push_back(static_cast<std::uint64_t>(quantize(rate)));
-  }
-}
+/// Lumps Markov rates per target block in a dense per-block scratch array.
+/// Each block's sum accumulates in out_markov order, so a sum (and its
+/// quantized signature item) depends on the transitions alone, not on how
+/// blocks are numbered.  Markov rates are positive, so a zero sum marks an
+/// untouched block.
+class RateLumper {
+ public:
+  void reset(std::size_t num_blocks) { sums_.assign(num_blocks, 0.0); }
 
-/// Signature items are (tag|payload, extra) u64 pairs; sorts and dedupes
-/// the pairs stored from index @p from onward.
+  /// Calls @p emit(block, rate) once per block that @p s reaches.
+  template <class Emit>
+  void lump(const Imc& m, StateId s, const std::vector<std::uint32_t>& blocks, Emit&& emit) {
+    for (const MarkovTransition& t : m.out_markov(s)) {
+      const std::uint32_t blk = blocks[t.to];
+      if (sums_[blk] == 0.0) touched_.push_back(blk);
+      sums_[blk] += t.rate;
+    }
+    for (const std::uint32_t blk : touched_) {
+      emit(blk, sums_[blk]);
+      sums_[blk] = 0.0;
+    }
+    touched_.clear();
+  }
+
+ private:
+  std::vector<double> sums_;
+  std::vector<std::uint32_t> touched_;
+};
+
+/// One signature item: (kInteractiveTag | action, target block) or
+/// (kRateTag | block, quantized rate).
 struct SigItem {
   std::uint64_t a, b;
   friend bool operator<(const SigItem& x, const SigItem& y) {
@@ -55,100 +58,187 @@ struct SigItem {
   }
   friend bool operator==(const SigItem&, const SigItem&) = default;
 };
-static_assert(sizeof(SigItem) == 2 * sizeof(std::uint64_t));
 
-void sort_dedupe(std::vector<std::uint64_t>& sig, std::size_t from) {
-  auto* items = reinterpret_cast<SigItem*>(sig.data() + from);
-  const std::size_t n = (sig.size() - from) / 2;
-  std::sort(items, items + n);
-  const auto* end = std::unique(items, items + n);
-  sig.resize(from + 2 * static_cast<std::size_t>(end - items));
-}
+/// One round's signatures: every state's sorted, deduplicated items are a
+/// range of one pool.  States may share a range (the members of a cyclic
+/// inert SCC do).
+class SignaturePool {
+ public:
+  explicit SignaturePool(std::size_t n) : first_(n), last_(n) {}
 
-/// Tau-SCC decomposition (iterative Tarjan restricted to tau edges).
-/// SCCs are emitted successors-first (reverse topological order of the
-/// condensation), which is exactly the order the inert closure needs.
-struct TauSccResult {
-  std::vector<std::uint32_t> scc_of;
-  std::uint32_t num_sccs = 0;
-  std::vector<std::vector<StateId>> members;  // per SCC, in emission order
+  void clear() { items_.clear(); }
+  std::size_t size() const { return items_.size(); }
+  std::size_t bytes() const { return items_.size() * sizeof(SigItem); }
+
+  void push(std::uint64_t a, std::uint64_t b) { items_.push_back(SigItem{a, b}); }
+  void push_rates(RateLumper& lumper, const Imc& m, StateId s,
+                  const std::vector<std::uint32_t>& blocks) {
+    lumper.lump(m, s, blocks, [&](std::uint32_t blk, double rate) {
+      push(kRateTag | blk, static_cast<std::uint64_t>(quantize(rate)));
+    });
+  }
+  /// Appends a copy of @p t's finished signature.
+  void push_signature_of(StateId t) {
+    const std::size_t at = items_.size();
+    items_.resize(at + (last_[t] - first_[t]));
+    std::copy(items_.begin() + static_cast<std::ptrdiff_t>(first_[t]),
+              items_.begin() + static_cast<std::ptrdiff_t>(last_[t]),
+              items_.begin() + static_cast<std::ptrdiff_t>(at));
+  }
+  /// Sorts and dedupes the items from @p from to the end and makes them
+  /// the signature of @p s.
+  void close(StateId s, std::size_t from) {
+    const auto begin = items_.begin() + static_cast<std::ptrdiff_t>(from);
+    std::sort(begin, items_.end());
+    items_.erase(std::unique(begin, items_.end()), items_.end());
+    first_[s] = from;
+    last_[s] = items_.size();
+  }
+  /// Makes @p s share @p t's signature.
+  void share(StateId s, StateId t) {
+    first_[s] = first_[t];
+    last_[s] = last_[t];
+  }
+
+  bool equal(StateId s, StateId t) const {
+    return std::equal(items_.begin() + static_cast<std::ptrdiff_t>(first_[s]),
+                      items_.begin() + static_cast<std::ptrdiff_t>(last_[s]),
+                      items_.begin() + static_cast<std::ptrdiff_t>(first_[t]),
+                      items_.begin() + static_cast<std::ptrdiff_t>(last_[t]));
+  }
+  std::uint64_t hash(StateId s, std::uint64_t seed) const {
+    std::uint64_t h = seed;
+    for (std::size_t i = first_[s]; i < last_[s]; ++i) {
+      h = (h ^ items_[i].a) * 0x9e3779b97f4a7c15ull;
+      h = (h ^ items_[i].b) * 0x9e3779b97f4a7c15ull;
+      h ^= h >> 32;
+    }
+    return h;
+  }
+
+ private:
+  std::vector<SigItem> items_;
+  std::vector<std::size_t> first_, last_;  // per state: its range of items_
 };
 
-/// When @p blocks is non-null only *inert* tau edges (same block at both
-/// ends) are considered; otherwise all tau edges.
-TauSccResult tau_sccs(const Imc& m, const std::vector<std::uint32_t>* blocks = nullptr) {
-  const std::size_t n = m.num_states();
+/// Splits every block by signature: two states share a new block iff they
+/// share their old block and their signature.  New blocks are numbered in
+/// order of their first state, through an open-addressing table of
+/// representative states.
+class BlockSplitter {
+ public:
+  explicit BlockSplitter(std::size_t n) {
+    std::size_t capacity = 16;
+    while (capacity < 2 * n) capacity *= 2;
+    slots_.resize(capacity);
+  }
 
-  // Tau successor lists (transitions are sorted with tau first).
-  std::vector<std::vector<StateId>> tau_succ(n);
-  for (StateId s = 0; s < n; ++s) {
-    for (const LtsTransition& t : m.out_interactive(s)) {
-      if (t.action != kTau) break;
-      if (blocks != nullptr && (*blocks)[t.to] != (*blocks)[t.from]) continue;
-      tau_succ[s].push_back(t.to);
+  /// Fills @p next with the new block of every state; returns their count.
+  std::uint32_t split(const std::vector<std::uint32_t>& blocks, const SignaturePool& sigs,
+                      std::vector<std::uint32_t>& next) {
+    std::fill(slots_.begin(), slots_.end(), kEmpty);
+    const std::size_t mask = slots_.size() - 1;
+    std::uint32_t count = 0;
+    for (StateId s = 0; s < blocks.size(); ++s) {
+      const std::uint64_t h = sigs.hash(s, blocks[s] * 0xff51afd7ed558ccdull);
+      const auto tag = static_cast<std::uint32_t>(h >> 32);
+      for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+        const std::uint64_t slot = slots_[i];
+        if (slot == kEmpty) {
+          slots_[i] = static_cast<std::uint64_t>(tag) << 32 | s;
+          next[s] = count++;
+          break;
+        }
+        const auto rep = static_cast<StateId>(slot);
+        if (slot >> 32 == tag && blocks[rep] == blocks[s] && sigs.equal(rep, s)) {
+          next[s] = next[rep];
+          break;
+        }
+      }
+    }
+    return count;
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~0ull;
+  std::vector<std::uint64_t> slots_;  // tag << 32 | representative state
+};
+
+/// Tau-SCCs of the inert subgraph: tau edges whose ends share a block,
+/// read straight off the tau prefix of each state's interactive row.
+/// Iterative Tarjan; SCCs are emitted successors-first (reverse
+/// topological order of the condensation), which is exactly the order the
+/// inert closure needs.
+class InertSccs {
+ public:
+  explicit InertSccs(std::size_t n) : scc_of(n), index_(n), low_(n), on_stack_(n) {}
+
+  std::vector<std::uint32_t> scc_of;
+  std::vector<StateId> members;      // states grouped by SCC, in emission order
+  std::vector<std::size_t> scc_end;  // SCC k is members[scc_end[k-1], scc_end[k])
+
+  void run(const Imc& m, const std::vector<std::uint32_t>& blocks) {
+    const std::size_t n = m.num_states();
+    std::fill(index_.begin(), index_.end(), kUnvisited);
+    members.clear();
+    scc_end.clear();
+    std::uint32_t next_index = 0;
+
+    for (StateId root = 0; root < n; ++root) {
+      if (index_[root] != kUnvisited) continue;
+      visit(root, next_index);
+      while (!call_.empty()) {
+        Frame& f = call_.back();
+        const StateId s = f.s;
+        const auto out = m.out_interactive(s);
+        if (f.edge < out.size() && out[f.edge].action == kTau) {
+          const StateId t = out[f.edge++].to;
+          if (blocks[t] != blocks[s]) continue;
+          if (index_[t] == kUnvisited) {
+            visit(t, next_index);
+          } else if (on_stack_[t]) {
+            low_[s] = std::min(low_[s], index_[t]);
+          }
+          continue;
+        }
+        // All edges of s explored: maybe close an SCC, then return.
+        if (low_[s] == index_[s]) {
+          const auto scc = static_cast<std::uint32_t>(scc_end.size());
+          for (;;) {
+            const StateId w = stack_.back();
+            stack_.pop_back();
+            on_stack_[w] = false;
+            scc_of[w] = scc;
+            members.push_back(w);
+            if (w == s) break;
+          }
+          scc_end.push_back(members.size());
+        }
+        call_.pop_back();
+        if (!call_.empty()) low_[call_.back().s] = std::min(low_[call_.back().s], low_[s]);
+      }
     }
   }
 
-  TauSccResult r;
-  r.scc_of.assign(n, static_cast<std::uint32_t>(-1));
-
-  constexpr std::uint32_t kUnvisited = static_cast<std::uint32_t>(-1);
-  std::vector<std::uint32_t> index(n, kUnvisited), low(n, 0);
-  BitVector on_stack(n, false);
-  std::vector<StateId> scc_stack;
-  std::uint32_t next_index = 0;
-
+ private:
+  static constexpr std::uint32_t kUnvisited = static_cast<std::uint32_t>(-1);
   struct Frame {
     StateId s;
     std::size_t edge = 0;
   };
-  std::vector<Frame> call;
 
-  for (StateId root = 0; root < n; ++root) {
-    if (index[root] != kUnvisited) continue;
-    call.push_back(Frame{root});
-    index[root] = low[root] = next_index++;
-    scc_stack.push_back(root);
-    on_stack[root] = true;
-
-    while (!call.empty()) {
-      Frame& f = call.back();
-      const StateId s = f.s;
-      if (f.edge < tau_succ[s].size()) {
-        const StateId t = tau_succ[s][f.edge++];
-        if (index[t] == kUnvisited) {
-          index[t] = low[t] = next_index++;
-          scc_stack.push_back(t);
-          on_stack[t] = true;
-          call.push_back(Frame{t});
-        } else if (on_stack[t]) {
-          low[s] = std::min(low[s], index[t]);
-        }
-        continue;
-      }
-      // All edges of s explored: maybe close an SCC, then return.
-      if (low[s] == index[s]) {
-        const auto scc = r.num_sccs++;
-        r.members.emplace_back();
-        for (;;) {
-          const StateId w = scc_stack.back();
-          scc_stack.pop_back();
-          on_stack[w] = false;
-          r.scc_of[w] = scc;
-          r.members.back().push_back(w);
-          if (w == s) break;
-        }
-      }
-      call.pop_back();
-      if (!call.empty()) low[call.back().s] = std::min(low[call.back().s], low[s]);
-    }
+  void visit(StateId s, std::uint32_t& next_index) {
+    index_[s] = low_[s] = next_index++;
+    stack_.push_back(s);
+    on_stack_[s] = true;
+    call_.push_back(Frame{s});
   }
-  return r;
-}
 
-}  // namespace
-
-namespace {
+  std::vector<std::uint32_t> index_, low_;
+  BitVector on_stack_;
+  std::vector<StateId> stack_;
+  std::vector<Frame> call_;
+};
 
 /// Initial partition: trivial, or the label classes when labels are given.
 Partition seed_partition(std::size_t n, const std::vector<std::uint32_t>* labels) {
@@ -162,6 +252,44 @@ Partition seed_partition(std::size_t n, const std::vector<std::uint32_t>* labels
   return p;
 }
 
+/// Refines @p p to the coarsest stable partition.  @p sign fills the pool
+/// with one signature per state under the current blocks.
+template <class Sign>
+Partition refine(const Imc& m, Partition p, const char* stage, RunGuard* guard,
+                 std::optional<Telemetry::Span>& span, Sign&& sign) {
+  const std::size_t n = m.num_states();
+  SignaturePool sigs(n);
+  RateLumper lumper;
+  BlockSplitter splitter(n);
+  std::vector<std::uint32_t> next(n);
+  std::uint64_t rounds = 0;
+  std::uint64_t splitters = 0;
+  std::size_t signature_bytes = 0;
+  for (;;) {
+    if (guard != nullptr) guard->check(stage);
+    ++rounds;
+    sigs.clear();
+    lumper.reset(p.num_blocks);
+    sign(p.block_of, sigs, lumper);
+    signature_bytes = std::max(signature_bytes, sigs.bytes());
+    const std::uint32_t num_blocks = splitter.split(p.block_of, sigs, next);
+    const bool fixpoint = num_blocks == p.num_blocks;
+    if (num_blocks > p.num_blocks) splitters += num_blocks - p.num_blocks;
+    p.block_of.swap(next);
+    p.num_blocks = num_blocks;
+    if (fixpoint) break;
+  }
+  p.canonicalize();
+  if (span) {
+    span->metric("states", n);
+    span->metric("rounds", rounds);
+    span->metric("splitters", splitters);
+    span->metric("final_blocks", p.num_blocks);
+    span->metric("signature_bytes", signature_bytes);
+  }
+  return p;
+}
+
 }  // namespace
 
 Partition strong_bisimulation(const Imc& m, const std::vector<std::uint32_t>* labels,
@@ -172,44 +300,20 @@ Partition strong_bisimulation(const Imc& m, const std::vector<std::uint32_t>* la
   if (telemetry != nullptr) span.emplace(telemetry->span("bisim"));
   if (n == 0) return p;
 
-  std::uint64_t rounds = 0;
-  std::uint64_t splitters = 0;
-  for (;;) {
-    if (guard != nullptr) guard->check("strong_bisimulation");
-    ++rounds;
-    std::unordered_map<std::vector<std::uint64_t>, std::uint32_t, VecU64Hash> sig_ids;
-    std::vector<std::uint32_t> next(n);
-    std::vector<std::uint64_t> sig;
-    for (StateId s = 0; s < n; ++s) {
-      sig.clear();
-      sig.push_back(p.block_of[s]);  // embedding the old block keeps refinement monotone
-      const std::size_t from = sig.size();
-      for (const LtsTransition& t : m.out_interactive(s)) {
-        sig.push_back(kInteractiveTag | t.action);
-        sig.push_back(p.block_of[t.to]);
-      }
-      // Rates of tau-unstable states are preempted by maximal progress and
-      // do not enter the signature.
-      if (m.stable(s)) append_rate_signature(m, s, p.block_of, sig);
-      sort_dedupe(sig, from);
-      auto [it, inserted] = sig_ids.emplace(sig, static_cast<std::uint32_t>(sig_ids.size()));
-      next[s] = it->second;
-    }
-    const auto num_blocks = static_cast<std::uint32_t>(sig_ids.size());
-    const bool fixpoint = num_blocks == p.num_blocks;
-    if (num_blocks > p.num_blocks) splitters += num_blocks - p.num_blocks;
-    p.block_of = std::move(next);
-    p.num_blocks = num_blocks;
-    if (fixpoint) break;
-  }
-  p.canonicalize();
-  if (span) {
-    span->metric("states", n);
-    span->metric("rounds", rounds);
-    span->metric("splitters", splitters);
-    span->metric("final_blocks", p.num_blocks);
-  }
-  return p;
+  return refine(m, std::move(p), "strong_bisimulation", guard, span,
+                [&](const std::vector<std::uint32_t>& blocks, SignaturePool& sigs,
+                    RateLumper& lumper) {
+                  for (StateId s = 0; s < n; ++s) {
+                    const std::size_t from = sigs.size();
+                    for (const LtsTransition& t : m.out_interactive(s)) {
+                      sigs.push(kInteractiveTag | t.action, blocks[t.to]);
+                    }
+                    // Rates of tau-unstable states are preempted by maximal
+                    // progress and do not enter the signature.
+                    if (m.stable(s)) sigs.push_rates(lumper, m, s, blocks);
+                    sigs.close(s, from);
+                  }
+                });
 }
 
 Partition branching_bisimulation(const Imc& m, const std::vector<std::uint32_t>* labels,
@@ -219,79 +323,44 @@ Partition branching_bisimulation(const Imc& m, const std::vector<std::uint32_t>*
   if (telemetry != nullptr) span.emplace(telemetry->span("bisim"));
   if (n == 0) return Partition::trivial(0);
 
-  std::vector<std::vector<std::uint64_t>> state_sigs(n);
+  InertSccs sccs(n);
+  return refine(
+      m, seed_partition(n, labels), "branching_bisimulation", guard, span,
+      [&](const std::vector<std::uint32_t>& blocks, SignaturePool& sigs, RateLumper& lumper) {
+        // The inert subgraph (tau edges within one block) changes as the
+        // partition refines; its SCC condensation is recomputed every round.
+        sccs.run(m, blocks);
 
-  std::uint64_t rounds = 0;
-  std::uint64_t splitters = 0;
-  Partition p = seed_partition(n, labels);
-  for (;;) {
-    if (guard != nullptr) guard->check("branching_bisimulation");
-    ++rounds;
-    // The inert subgraph (tau edges within one block) changes as the
-    // partition refines; its SCC condensation is recomputed every round.
-    // Tarjan emits SCCs successors-first, which is the order the closure
-    // needs: every inert tau successor in another SCC is finished first.
-    const TauSccResult sccs = tau_sccs(m, &p.block_of);
-
-    // Per-state signatures with inert closure, SCC by SCC.  An inert tau
-    // step to a different inert SCC absorbs the successor's finished
-    // signature; members of a cyclic inert SCC reach each other inertly
-    // and are unified immediately so that later SCCs absorb the complete
-    // closure.
-    std::vector<std::uint64_t> sig;
-    for (const auto& members : sccs.members) {
-      for (StateId s : members) {
-        sig.clear();
-        for (const LtsTransition& t : m.out_interactive(s)) {
-          const bool inert = t.action == kTau && p.block_of[t.to] == p.block_of[s];
-          if (inert) {
-            if (sccs.scc_of[t.to] != sccs.scc_of[s]) {
-              const auto& inner = state_sigs[t.to];
-              sig.insert(sig.end(), inner.begin(), inner.end());
+        // Per-state signatures with inert closure, SCC by SCC.  An inert tau
+        // step to a different inert SCC absorbs the successor's finished
+        // signature; members of a cyclic inert SCC reach each other inertly
+        // and share one merged signature, so that later SCCs absorb the
+        // complete closure.  A cyclic SCC's member signatures are adjacent in
+        // the pool, so the merge sorts that stretch in place.
+        std::size_t begin = 0;
+        for (const std::size_t end : sccs.scc_end) {
+          const std::size_t scc_from = sigs.size();
+          for (std::size_t k = begin; k < end; ++k) {
+            const StateId s = sccs.members[k];
+            const std::size_t from = sigs.size();
+            for (const LtsTransition& t : m.out_interactive(s)) {
+              if (t.action == kTau && blocks[t.to] == blocks[s]) {
+                if (sccs.scc_of[t.to] != sccs.scc_of[s]) sigs.push_signature_of(t.to);
+              } else {
+                sigs.push(kInteractiveTag | t.action, blocks[t.to]);
+              }
             }
-          } else {
-            sig.push_back(kInteractiveTag | t.action);
-            sig.push_back(p.block_of[t.to]);
+            if (m.stable(s)) sigs.push_rates(lumper, m, s, blocks);
+            sigs.close(s, from);
           }
+          if (end - begin > 1) {
+            const StateId head = sccs.members[begin];
+            sigs.close(head, scc_from);
+            for (std::size_t k = begin + 1; k < end; ++k) sigs.share(sccs.members[k], head);
+          }
+          begin = end;
         }
-        if (m.stable(s)) append_rate_signature(m, s, p.block_of, sig);
-        sort_dedupe(sig, 0);
-        state_sigs[s] = sig;
-      }
-      if (members.size() > 1) {
-        std::vector<std::uint64_t> merged;
-        for (StateId s : members) {
-          merged.insert(merged.end(), state_sigs[s].begin(), state_sigs[s].end());
-        }
-        sort_dedupe(merged, 0);
-        for (StateId s : members) state_sigs[s] = merged;
-      }
-    }
-
-    // Pass 3: split by (old block, signature).
-    std::unordered_map<std::vector<std::uint64_t>, std::uint32_t, VecU64Hash> sig_ids;
-    std::vector<std::uint32_t> next(n);
-    for (StateId s = 0; s < n; ++s) {
-      sig.assign(1, p.block_of[s]);
-      sig.insert(sig.end(), state_sigs[s].begin(), state_sigs[s].end());
-      auto [it, inserted] = sig_ids.emplace(sig, static_cast<std::uint32_t>(sig_ids.size()));
-      next[s] = it->second;
-    }
-    const auto num_blocks = static_cast<std::uint32_t>(sig_ids.size());
-    const bool fixpoint = num_blocks == p.num_blocks;
-    if (num_blocks > p.num_blocks) splitters += num_blocks - p.num_blocks;
-    p.block_of = std::move(next);
-    p.num_blocks = num_blocks;
-    if (fixpoint) break;
-  }
-  p.canonicalize();
-  if (span) {
-    span->metric("states", n);
-    span->metric("rounds", rounds);
-    span->metric("splitters", splitters);
-    span->metric("final_blocks", p.num_blocks);
-  }
-  return p;
+      });
 }
 
 Imc quotient(const Imc& m, const Partition& partition, QuotientStyle style) {
@@ -321,14 +390,17 @@ Imc quotient(const Imc& m, const Partition& partition, QuotientStyle style) {
 
   // Markov transitions: lumped vector of the first stable member of each
   // block; blocks without stable members carry none (maximal progress).
+  // The builder orders them by target, so the lumping's emission order
+  // does not show.
+  RateLumper lumper;
+  lumper.reset(k);
   BitVector done(k, false);
   for (StateId s = 0; s < m.num_states(); ++s) {
     const std::uint32_t blk = partition.block_of[s];
     if (done[blk] || !m.stable(s)) continue;
     done[blk] = true;
-    std::unordered_map<std::uint32_t, double> lumped;
-    for (const MarkovTransition& t : m.out_markov(s)) lumped[partition.block_of[t.to]] += t.rate;
-    for (const auto& [to, rate] : lumped) b.add_markov(blk, rate, to);
+    lumper.lump(m, s, partition.block_of,
+                [&](std::uint32_t to, double rate) { b.add_markov(blk, rate, to); });
   }
 
   return b.build();

@@ -324,7 +324,7 @@ lang::BuiltModel lower_dft(const CheckedDft& dft, const LowerOptions& options) {
   }
   expr.emplace(CompositionExpr::hide_all(std::move(*expr)));
 
-  std::vector<std::vector<StateId>> tuples;
+  std::vector<StateId> tuples;  // flat, stride num_leaves()
   ExploreOptions explore;
   explore.urgent = true;
   explore.record_names = options.record_names;
@@ -359,7 +359,7 @@ lang::BuiltModel lower_dft(const CheckedDft& dft, const LowerOptions& options) {
   }
   std::vector<bool> mask(built.system.num_states(), false);
   for (std::size_t cs = 0; cs < built.system.num_states(); ++cs) {
-    const StateId leaf_state = tuples[cs][dft.top];
+    const StateId leaf_state = tuples[cs * built.num_leaves + dft.top];
     mask[cs] = leaf_state < top_failed.size() && top_failed[leaf_state];
   }
   built.prop_names = {"failed"};

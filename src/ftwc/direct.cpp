@@ -55,11 +55,14 @@ void repair_one(Config& c, Component comp) {
 }
 
 std::string name_of(const SemState& s) {
-  std::string name = "(" + std::to_string(s.config.failed_left) + "," +
-                     std::to_string(s.config.failed_right) + "," +
-                     (s.config.sw_left_up ? "o" : "d") + "," +
-                     (s.config.sw_right_up ? "o" : "d") + "," +
-                     (s.config.backbone_up ? "o" : "d") + ",";
+  std::string name = "(";
+  name += std::to_string(s.config.failed_left);
+  name += ',';
+  name += std::to_string(s.config.failed_right);
+  name += ',';
+  name += s.config.sw_left_up ? "o," : "d,";
+  name += s.config.sw_right_up ? "o," : "d,";
+  name += s.config.backbone_up ? "o," : "d,";
   switch (s.ru.kind) {
     case RuStatus::Idle: name += "idle"; break;
     case RuStatus::Busy: name += std::string("busy_") + tag(s.ru.component); break;

@@ -36,18 +36,21 @@ struct ExploreOptions {
   bool record_names = false;
   /// Abort with ModelError when more product states than this are reached.
   std::size_t max_states = static_cast<std::size_t>(-1);
-  /// When non-null, receives the leaf-state tuple of every composite state,
-  /// indexed by composite StateId (leaves in left-to-right expression
-  /// order).  Cheaper and more robust than parsing record_names output;
-  /// used by the modeling-language frontend to transfer per-leaf atomic
-  /// propositions onto the product.
-  std::vector<std::vector<StateId>>* record_tuples = nullptr;
+  /// When non-null, receives the leaf-state tuples of all composite states
+  /// as one flat array with stride num_leaves(): the local state of leaf l
+  /// (leaves in left-to-right expression order) in composite state s is
+  /// (*record_tuples)[s * num_leaves() + l].  This is the explorer's own
+  /// tuple arena, handed over without a copy.  Cheaper and more robust than
+  /// parsing record_names output; used by the modeling-language and DFT
+  /// frontends to transfer per-leaf atomic propositions onto the product.
+  std::vector<StateId>* record_tuples = nullptr;
   /// Optional execution control, checked once per explored frontier state.
   /// State-space generation has no partial-result story, so a budget stop
   /// raises BudgetError.
   RunGuard* guard = nullptr;
   /// Optional observability: explore() opens a "compose" span recording
-  /// product states/transitions, dedup hits and the peak frontier size.
+  /// product states/transitions, dedup hits, the peak frontier size and
+  /// arena_bytes (the tuple arena plus the state table at the end).
   Telemetry* telemetry = nullptr;
 };
 
@@ -72,6 +75,11 @@ class CompositionExpr {
   static CompositionExpr hide_all(CompositionExpr inner);
 
   /// Explores the reachable composite state space and returns it as an IMC.
+  /// State ids follow discovery order from the initial tuple (id 0), taking
+  /// each state's successors in SOS order: interactive moves (at a parallel
+  /// node: left-only, right-only, then synchronised pairs, left-major),
+  /// then Markov moves leaf by leaf.  The result is a deterministic function
+  /// of the expression and the options.
   Imc explore(const ExploreOptions& options = {}) const;
 
   /// Number of component leaves.

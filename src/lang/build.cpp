@@ -45,7 +45,7 @@ class Lowering {
     explore.max_states = options_.max_states;
     explore.guard = options_.guard;
     explore.telemetry = options_.telemetry;
-    std::vector<std::vector<StateId>> tuples;
+    std::vector<StateId> tuples;  // flat, stride num_leaves()
     explore.record_tuples = &tuples;
 
     BuiltModel built;
@@ -64,10 +64,11 @@ class Lowering {
     // Transfer atomic propositions: composite state s carries label L iff
     // some leaf's local state carries L.
     const std::size_t n = built.system.num_states();
+    const std::size_t width = built.num_leaves;
     std::vector<std::vector<bool>> masks(label_names_.size(), std::vector<bool>(n, false));
     for (StateId s = 0; s < n; ++s) {
-      const std::vector<StateId>& tuple = tuples[s];
-      for (std::size_t leaf = 0; leaf < tuple.size(); ++leaf) {
+      const StateId* tuple = tuples.data() + static_cast<std::size_t>(s) * width;
+      for (std::size_t leaf = 0; leaf < width; ++leaf) {
         for (const std::uint32_t label : leaf_labels_[leaf][tuple[leaf]]) {
           masks[label][s] = true;
         }
@@ -204,16 +205,21 @@ BuiltModel minimize_model(const BuiltModel& built, RunGuard* guard, Telemetry* t
   if (telemetry != nullptr) span.emplace(telemetry->span("minimize"));
 
   // Initial label classes = proposition signatures, so the bisimulation
-  // never merges states that disagree on any label or prop.
-  std::unordered_map<std::string, std::uint32_t> classes;
+  // never merges states that disagree on any label or prop.  The classes
+  // are refined one mask at a time: (class so far, bit) pairs are numbered
+  // by first occurrence, which numbers the full bit strings by first
+  // occurrence too.
   std::vector<std::uint32_t> labels(n, 0);
-  std::string signature(built.prop_masks.size(), '0');
-  for (StateId s = 0; s < n; ++s) {
-    for (std::size_t p = 0; p < built.prop_masks.size(); ++p) {
-      signature[p] = built.prop_masks[p][s] ? '1' : '0';
+  std::uint32_t num_classes = n == 0 ? 0 : 1;
+  std::vector<std::uint32_t> renumber;
+  for (const std::vector<bool>& mask : built.prop_masks) {
+    renumber.assign(2 * static_cast<std::size_t>(num_classes), kNoState);
+    num_classes = 0;
+    for (StateId s = 0; s < n; ++s) {
+      std::uint32_t& id = renumber[2 * static_cast<std::size_t>(labels[s]) + (mask[s] ? 1 : 0)];
+      if (id == kNoState) id = num_classes++;
+      labels[s] = id;
     }
-    labels[s] =
-        classes.emplace(signature, static_cast<std::uint32_t>(classes.size())).first->second;
   }
 
   const Partition partition = branching_bisimulation(built.system, &labels, guard, telemetry);
@@ -235,7 +241,7 @@ BuiltModel minimize_model(const BuiltModel& built, RunGuard* guard, Telemetry* t
   if (span) {
     span->metric("input_states", n);
     span->metric("output_states", partition.num_blocks);
-    span->metric("prop_classes", classes.size());
+    span->metric("prop_classes", num_classes);
   }
   return out;
 }

@@ -20,6 +20,12 @@ namespace {
 
 Name nm(std::string text) { return Name{std::move(text), SourceLoc{}}; }
 
+/// @p prefix followed by @p i ("s3").
+std::string numbered(std::string prefix, unsigned i) {
+  prefix += std::to_string(i);
+  return prefix;
+}
+
 ExprPtr ref_expr(std::string name) {
   auto e = std::make_unique<Expr>();
   e->kind = Expr::Kind::Ref;
@@ -120,7 +126,7 @@ void add_ring(Model& m, Rng& rng, const std::string& prefix, unsigned len) {
   c.name = nm(prefix);
   std::vector<std::string> actions;
   for (unsigned j = 0; j < len; ++j) {
-    c.states.push_back(nm("s" + std::to_string(j)));
+    c.states.push_back(nm(numbered("s", j)));
     actions.push_back(prefix + "_a" + std::to_string(j));
   }
   c.initial = nm("s0");
@@ -130,8 +136,8 @@ void add_ring(Model& m, Rng& rng, const std::string& prefix, unsigned len) {
     c.labels.push_back(LabelDecl{nm(prefix + "_run"), {nm("s1")}});
   }
   for (unsigned j = 0; j < len; ++j) {
-    c.interactive.push_back(InteractiveDecl{nm(actions[j]), nm("s" + std::to_string(j)),
-                                            nm("s" + std::to_string((j + 1) % len))});
+    c.interactive.push_back(
+        InteractiveDecl{nm(actions[j]), nm(numbered("s", j)), nm(numbered("s", (j + 1) % len))});
   }
   m.components.push_back(std::move(c));
 
@@ -222,14 +228,14 @@ Model random_model(std::uint64_t seed) {
   const unsigned max_len = num_rings == 2 ? 3 : 4;
   for (unsigned i = 0; i < num_rings; ++i) {
     const unsigned len = 2 + static_cast<unsigned>(rng.next_below(max_len - 1));
-    add_ring(m, rng, "c" + std::to_string(i), len);
+    add_ring(m, rng, numbered("c", i), len);
   }
   const bool noise = rng.next_below(3) == 0;
   if (noise) add_noise(m, rng);
 
   ExprPtr system = ref_expr("c0_sys");
   for (unsigned i = 1; i < num_rings; ++i) {
-    system = par_expr(std::move(system), {}, ref_expr("c" + std::to_string(i) + "_sys"));
+    system = par_expr(std::move(system), {}, ref_expr(numbered("c", i) + "_sys"));
   }
   if (noise) system = par_expr(std::move(system), {}, ref_expr("noise"));
   m.systems.push_back(SystemDecl{std::move(system), SourceLoc{}});

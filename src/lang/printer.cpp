@@ -21,13 +21,21 @@ std::string name_list(const std::vector<Name>& names) {
   return out;
 }
 
+/// @p open, then @p inner, then @p close.
+std::string wrap(const char* open, const std::string& inner, const char* close) {
+  std::string out = open;
+  out += inner;
+  out += close;
+  return out;
+}
+
 /// Operand of a parallel operator: chains associate to the left, so a
 /// parallel left child needs no parentheses; anything that is not a plain
 /// leaf does on the right (and hide always does).
 std::string print_operand(const Expr& e, bool left_position) {
   const bool bare = e.kind == Expr::Kind::Ref || e.kind == Expr::Kind::Elapse ||
                     (left_position && e.kind == Expr::Kind::Parallel);
-  return bare ? print_expr(e) : "(" + print_expr(e) + ")";
+  return bare ? print_expr(e) : wrap("(", print_expr(e), ")");
 }
 
 }  // namespace
@@ -63,11 +71,11 @@ std::string print_prop_expr(const PropExpr& e) {
     case PropExpr::Kind::Not: {
       const bool bare = e.a->kind == PropExpr::Kind::Atom || e.a->kind == PropExpr::Kind::Const ||
                         e.a->kind == PropExpr::Kind::Not;
-      return bare ? "!" + print_prop_expr(*e.a) : "!(" + print_prop_expr(*e.a) + ")";
+      return bare ? wrap("!", print_prop_expr(*e.a), "") : wrap("!(", print_prop_expr(*e.a), ")");
     }
     case PropExpr::Kind::And: {
       auto operand = [](const PropExpr& x) {
-        return x.kind == PropExpr::Kind::Or ? "(" + print_prop_expr(x) + ")"
+        return x.kind == PropExpr::Kind::Or ? wrap("(", print_prop_expr(x), ")")
                                             : print_prop_expr(x);
       };
       return operand(*e.a) + " & " + operand(*e.b);

@@ -124,12 +124,19 @@ void Telemetry::append_span_json(std::string& out, std::uint32_t id, int indent)
           ? std::chrono::duration<double>(std::chrono::steady_clock::now() - node.start).count()
           : node.seconds;
   append_indent(out, indent);
-  out += "{\"name\": \"" + telemetry::json_escape(node.name) + "\", \"seconds\": " +
-         render_seconds(seconds) + ", \"open\": " + (node.open ? "true" : "false") +
-         ", \"metrics\": {";
+  out += "{\"name\": \"";
+  out += telemetry::json_escape(node.name);
+  out += "\", \"seconds\": ";
+  out += render_seconds(seconds);
+  out += ", \"open\": ";
+  out += node.open ? "true" : "false";
+  out += ", \"metrics\": {";
   for (std::size_t i = 0; i < node.metrics.size(); ++i) {
     if (i) out += ", ";
-    out += "\"" + telemetry::json_escape(node.metrics[i].first) + "\": " + node.metrics[i].second;
+    out += '"';
+    out += telemetry::json_escape(node.metrics[i].first);
+    out += "\": ";
+    out += node.metrics[i].second;
   }
   out += "}";
   if (node.children.empty()) {

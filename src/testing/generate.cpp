@@ -11,12 +11,22 @@
 
 namespace unicon::testing {
 
+namespace {
+
+/// @p prefix followed by @p i ("s3").
+std::string numbered(std::string prefix, std::size_t i) {
+  prefix += std::to_string(i);
+  return prefix;
+}
+
+}  // namespace
+
 Imc random_uniform_imc(Rng& rng, const RandomImcConfig& config) {
   const std::size_t n = std::max<std::size_t>(config.num_states, 2);
   ImcBuilder b;
   const Action visible_a = b.intern("a");
   const Action visible_b = b.intern("b");
-  for (std::size_t s = 0; s < n; ++s) b.add_state("s" + std::to_string(s));
+  for (std::size_t s = 0; s < n; ++s) b.add_state(numbered("s", s));
   b.set_initial(0);
 
   // Decide kinds: last state is Markov so interactive chains terminate.
@@ -105,7 +115,7 @@ ComposedModel random_composed_uimc(Rng& rng, const RandomComposedConfig& config)
   // Sequential component: an m-ring of delayed actions, each triggered by
   // its predecessor; constraint 0 runs from time zero so the system moves.
   LtsBuilder ring(actions);
-  for (unsigned i = 0; i < m; ++i) ring.add_state("r" + std::to_string(i));
+  for (unsigned i = 0; i < m; ++i) ring.add_state(numbered("r", i));
   ring.set_initial(0);
   std::vector<TimeConstraint> ring_constraints;
   for (unsigned i = 0; i < m; ++i) {
@@ -124,7 +134,7 @@ ComposedModel random_composed_uimc(Rng& rng, const RandomComposedConfig& config)
   if (config.extra_actions > 0 && config.extra_states > 0) {
     LtsBuilder extra(actions);
     const unsigned k = std::max(config.extra_states, 2u);
-    for (unsigned i = 0; i < k; ++i) extra.add_state("x" + std::to_string(i));
+    for (unsigned i = 0; i < k; ++i) extra.add_state(numbered("x", i));
     extra.set_initial(0);
     std::vector<TimeConstraint> extra_constraints;
     for (unsigned a = 0; a < config.extra_actions; ++a) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
+#include <set>
+#include <tuple>
+
 #include "bisim/bisimulation.hpp"
 #include "core/analysis.hpp"
 #include "imc/imc.hpp"
@@ -320,6 +325,138 @@ TEST_P(MinimizationProperties, LabeledPartitionRefinesLabelClasses) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MinimizationProperties, ::testing::Range<std::uint64_t>(0, 15));
+
+// ------------------------------------------- reference refinement oracle
+//
+// Signature refinement written as naively as possible: a signature is a
+// std::set of items, rates are lumped per state in a std::map (summed in
+// out_markov order, quantized to 1e-9 like the production signatures),
+// and a branching signature is the union over every state inertly
+// reachable (tau steps inside the block) by plain search instead of an
+// SCC condensation.  (old block, signature) keys are numbered in a
+// std::map.  The production refinements must return the same canonical
+// partitions.
+
+using RefItem = std::tuple<int, std::uint64_t, std::int64_t>;  // kind, action/block, block/rate
+
+Partition reference_refinement(const Imc& m, const std::vector<std::uint32_t>* labels,
+                               bool branching) {
+  const std::size_t n = m.num_states();
+  Partition p;
+  p.block_of = labels != nullptr ? *labels : std::vector<std::uint32_t>(n, 0);
+  p.num_blocks = static_cast<std::uint32_t>(std::set<std::uint32_t>(p.block_of.begin(),
+                                                                    p.block_of.end()).size());
+  for (;;) {
+    std::map<std::pair<std::uint32_t, std::set<RefItem>>, std::uint32_t> ids;
+    std::vector<std::uint32_t> next(n);
+    for (StateId s = 0; s < n; ++s) {
+      // States inertly reachable from s (s itself for strong bisimulation).
+      std::vector<StateId> reach{s};
+      std::vector<bool> seen(n, false);
+      seen[s] = true;
+      for (std::size_t i = 0; branching && i < reach.size(); ++i) {
+        for (const LtsTransition& t : m.out_interactive(reach[i])) {
+          if (t.action == kTau && p.block_of[t.to] == p.block_of[s] && !seen[t.to]) {
+            seen[t.to] = true;
+            reach.push_back(t.to);
+          }
+        }
+      }
+      std::set<RefItem> signature;
+      for (const StateId u : reach) {
+        for (const LtsTransition& t : m.out_interactive(u)) {
+          const bool inert = t.action == kTau && p.block_of[t.to] == p.block_of[u];
+          if (branching && inert) continue;
+          signature.emplace(0, t.action, p.block_of[t.to]);
+        }
+        if (m.stable(u)) {
+          std::map<std::uint32_t, double> lumped;
+          for (const MarkovTransition& t : m.out_markov(u)) lumped[p.block_of[t.to]] += t.rate;
+          for (const auto& [block, rate] : lumped) {
+            signature.emplace(1, block, std::llround(rate * 1e9));
+          }
+        }
+      }
+      const auto key = std::make_pair(p.block_of[s], std::move(signature));
+      next[s] = ids.emplace(key, static_cast<std::uint32_t>(ids.size())).first->second;
+    }
+    const bool fixpoint = ids.size() == p.num_blocks;
+    p.block_of = std::move(next);
+    p.num_blocks = static_cast<std::uint32_t>(ids.size());
+    if (fixpoint) break;
+  }
+  p.canonicalize();
+  return p;
+}
+
+bool has_tau_cycle(const Imc& m) {
+  // Colour DFS over tau edges: 0 new, 1 on the path, 2 done.
+  std::vector<int> colour(m.num_states(), 0);
+  std::vector<std::pair<StateId, std::size_t>> stack;
+  for (StateId root = 0; root < m.num_states(); ++root) {
+    if (colour[root] != 0) continue;
+    stack.emplace_back(root, 0);
+    colour[root] = 1;
+    while (!stack.empty()) {
+      auto& [s, edge] = stack.back();
+      const auto out = m.out_interactive(s);
+      if (edge < out.size() && out[edge].action == kTau) {
+        const StateId t = out[edge++].to;
+        if (colour[t] == 1) return true;
+        if (colour[t] == 0) {
+          colour[t] = 1;
+          stack.emplace_back(t, 0);
+        }
+        continue;
+      }
+      colour[s] = 2;
+      stack.pop_back();
+    }
+  }
+  return false;
+}
+
+bool has_parallel_markov_edges(const Imc& m) {
+  for (StateId s = 0; s < m.num_states(); ++s) {
+    std::set<StateId> targets;
+    for (const MarkovTransition& t : m.out_markov(s)) {
+      if (!targets.insert(t.to).second) return true;
+    }
+  }
+  return false;
+}
+
+TEST(BisimOracle, RefinementsMatchTheReferenceRefinement) {
+  std::size_t cyclic = 0, parallel = 0, merged = 0;
+  for (std::uint64_t seed = 0; seed < 240; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed + 4100);
+    testutil::RandomImcConfig config;
+    config.num_states = 4 + seed % 24;
+    config.max_fanout = 2 + static_cast<unsigned>(seed % 4);
+    config.tau_cycle_density = 0.15 * static_cast<double>(seed % 4);
+    config.tau_bias = 0.6;
+    const Imc m = testutil::random_uniform_imc(rng, config);
+    cyclic += has_tau_cycle(m);
+    parallel += has_parallel_markov_edges(m);
+
+    std::vector<std::uint32_t> labels(m.num_states());
+    const std::uint64_t classes = 1 + seed % 3;
+    for (std::uint32_t& l : labels) l = static_cast<std::uint32_t>(rng.next_below(classes));
+
+    const std::vector<std::uint32_t>* const seedings[] = {nullptr, &labels};
+    for (const std::vector<std::uint32_t>* seeding : seedings) {
+      const Partition branching = branching_bisimulation(m, seeding);
+      EXPECT_EQ(branching, reference_refinement(m, seeding, true));
+      EXPECT_EQ(strong_bisimulation(m, seeding), reference_refinement(m, seeding, false));
+      merged += branching.num_blocks < m.num_states();
+    }
+  }
+  // The corpus reaches what it is meant to cover.
+  EXPECT_GT(cyclic, 20u);
+  EXPECT_GT(parallel, 20u);
+  EXPECT_GT(merged, 100u);
+}
 
 }  // namespace
 }  // namespace unicon

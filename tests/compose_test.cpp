@@ -1,9 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
+#include <tuple>
+
+#include "dft/lower.hpp"
+#include "dft/sema.hpp"
 #include "imc/compose.hpp"
 #include "imc/imc.hpp"
+#include "lang/build.hpp"
+#include "lang/parser.hpp"
 #include "support/errors.hpp"
 #include "support/rng.hpp"
+#include "support/run_guard.hpp"
 #include "test_util.hpp"
 
 namespace unicon {
@@ -282,6 +296,405 @@ TEST_P(UniformityPreservation, HidingPreservesUniformity) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, UniformityPreservation, ::testing::Range<std::uint64_t>(0, 20));
+
+// ------------------------------------------- reference explorer oracle
+//
+// A deliberately naive explorer: tuples are std::vector keys of a
+// std::map, and every state recomputes its move lists recursively with
+// freshly allocated vectors, in the SOS order compose.hpp documents.  The
+// production explorer must reproduce it byte for byte: the same state
+// order, names and tuples, and the same transitions with the same rates.
+
+struct RefNode {
+  enum class Kind { Leaf, Parallel, Hide, HideAll } kind = Kind::Leaf;
+  std::size_t leaf = 0;        // Leaf: index into the leaf list
+  std::set<Action> actions;    // Parallel: sync set; Hide: hidden set
+  std::vector<RefNode> children;
+};
+
+struct RefMove {
+  Action action;
+  std::vector<std::pair<std::size_t, StateId>> updates;
+};
+
+struct RefTree {
+  std::vector<Imc> leaves;
+  RefNode root;
+};
+
+std::vector<RefMove> ref_interactive(const RefTree& tree, const RefNode& node,
+                                     const std::vector<StateId>& tuple) {
+  std::vector<RefMove> out;
+  switch (node.kind) {
+    case RefNode::Kind::Leaf:
+      for (const LtsTransition& t : tree.leaves[node.leaf].out_interactive(tuple[node.leaf])) {
+        out.push_back(RefMove{t.action, {{node.leaf, t.to}}});
+      }
+      break;
+    case RefNode::Kind::Parallel: {
+      const auto left = ref_interactive(tree, node.children[0], tuple);
+      const auto right = ref_interactive(tree, node.children[1], tuple);
+      for (const RefMove& l : left) {
+        if (node.actions.count(l.action) == 0) out.push_back(l);
+      }
+      for (const RefMove& r : right) {
+        if (node.actions.count(r.action) == 0) out.push_back(r);
+      }
+      for (const RefMove& l : left) {
+        if (node.actions.count(l.action) == 0) continue;
+        for (const RefMove& r : right) {
+          if (r.action != l.action) continue;
+          RefMove joint = l;
+          joint.updates.insert(joint.updates.end(), r.updates.begin(), r.updates.end());
+          out.push_back(joint);
+        }
+      }
+      break;
+    }
+    case RefNode::Kind::Hide:
+    case RefNode::Kind::HideAll:
+      out = ref_interactive(tree, node.children[0], tuple);
+      for (RefMove& m : out) {
+        if (node.kind == RefNode::Kind::HideAll || node.actions.count(m.action) != 0) {
+          m.action = kTau;
+        }
+      }
+      break;
+  }
+  return out;
+}
+
+struct RefResult {
+  Imc system;
+  std::vector<StateId> tuples;  // flat, stride = number of leaves
+  std::size_t joint_moves_3 = 0;  // interactive moves that update >= 3 leaves
+};
+
+RefResult ref_explore(const RefTree& tree, bool urgent, bool names) {
+  const std::size_t width = tree.leaves.size();
+  ImcBuilder builder(tree.leaves.front().action_table());
+  std::map<std::vector<StateId>, StateId> ids;
+  std::vector<std::vector<StateId>> frontier;
+  RefResult result;
+  auto intern = [&](const std::vector<StateId>& tuple) {
+    const auto it = ids.find(tuple);
+    if (it != ids.end()) return it->second;
+    std::string name;
+    if (names) {
+      name = "(";
+      for (std::size_t i = 0; i < width; ++i) {
+        if (i) name += ',';
+        const std::string& local = tree.leaves[i].state_name(tuple[i]);
+        name += local.empty() ? std::to_string(tuple[i]) : local;
+      }
+      name += ')';
+    }
+    const StateId id = builder.add_state(name);
+    ids.emplace(tuple, id);
+    frontier.push_back(tuple);
+    result.tuples.insert(result.tuples.end(), tuple.begin(), tuple.end());
+    return id;
+  };
+  std::vector<StateId> initial;
+  for (const Imc& leaf : tree.leaves) initial.push_back(leaf.initial());
+  builder.set_initial(intern(initial));
+  for (std::size_t cursor = 0; cursor < frontier.size(); ++cursor) {
+    const std::vector<StateId> tuple = frontier[cursor];
+    const auto from = static_cast<StateId>(cursor);
+    const std::vector<RefMove> moves = ref_interactive(tree, tree.root, tuple);
+    for (const RefMove& m : moves) {
+      std::vector<StateId> next = tuple;
+      for (const auto& [leaf, to] : m.updates) next[leaf] = to;
+      if (m.updates.size() >= 3) ++result.joint_moves_3;
+      builder.add_interactive(from, m.action, intern(next));
+    }
+    if (urgent && !moves.empty()) continue;
+    for (std::size_t leaf = 0; leaf < width; ++leaf) {
+      for (const MarkovTransition& t : tree.leaves[leaf].out_markov(tuple[leaf])) {
+        std::vector<StateId> next = tuple;
+        next[leaf] = t.to;
+        builder.add_markov(from, t.rate, intern(next));
+      }
+    }
+  }
+  result.system = builder.build();
+  return result;
+}
+
+/// A small random component over {tau, a, b, c, d}: self-loops, parallel
+/// Markov edges and unnamed states included.
+Imc random_component(Rng& rng, const std::shared_ptr<ActionTable>& actions) {
+  static const char* const kActions[] = {"tau", "a", "b", "c", "d"};
+  ImcBuilder b(actions);
+  const auto n = static_cast<StateId>(1 + rng.next_below(4));
+  for (StateId s = 0; s < n; ++s) {
+    b.add_state(rng.next_double() < 0.3 ? std::string() : std::string("q").append(std::to_string(s)));
+  }
+  b.set_initial(static_cast<StateId>(rng.next_below(n)));
+  for (StateId s = 0; s < n; ++s) {
+    for (std::uint64_t k = rng.next_below(4); k > 0; --k) {
+      b.add_interactive(s, kActions[rng.next_below(5)], static_cast<StateId>(rng.next_below(n)));
+    }
+    for (std::uint64_t k = rng.next_below(3); k > 0; --k) {
+      b.add_markov(s, 0.25 + 3.0 * rng.next_double(), static_cast<StateId>(rng.next_below(n)));
+    }
+  }
+  return b.build();
+}
+
+std::set<Action> random_action_set(Rng& rng, const std::shared_ptr<ActionTable>& actions) {
+  std::set<Action> set;
+  for (const char* a : {"a", "b", "c", "d"}) {
+    if (rng.next_double() < 0.5) set.insert(actions->intern(a));
+  }
+  return set;
+}
+
+/// Builds a random expression and its reference mirror side by side.
+CompositionExpr random_tree(Rng& rng, const std::shared_ptr<ActionTable>& actions, unsigned depth,
+                            RefTree& tree, RefNode& node) {
+  const double r = rng.next_double();
+  if (depth == 0 || r < 0.2) {
+    node.kind = RefNode::Kind::Leaf;
+    node.leaf = tree.leaves.size();
+    tree.leaves.push_back(random_component(rng, actions));
+    return CompositionExpr::leaf(tree.leaves.back());
+  }
+  if (r < 0.75) {
+    node.kind = RefNode::Kind::Parallel;
+    node.children.resize(2);
+    CompositionExpr left = random_tree(rng, actions, depth - 1, tree, node.children[0]);
+    node.actions = random_action_set(rng, actions);
+    CompositionExpr right = random_tree(rng, actions, depth - 1, tree, node.children[1]);
+    return CompositionExpr::parallel(
+        std::move(left), std::unordered_set<Action>(node.actions.begin(), node.actions.end()),
+        std::move(right));
+  }
+  node.children.resize(1);
+  CompositionExpr inner = random_tree(rng, actions, depth - 1, tree, node.children[0]);
+  if (r < 0.9) {
+    node.kind = RefNode::Kind::Hide;
+    node.actions = random_action_set(rng, actions);
+    return CompositionExpr::hide(
+        std::move(inner), std::unordered_set<Action>(node.actions.begin(), node.actions.end()));
+  }
+  node.kind = RefNode::Kind::HideAll;
+  return CompositionExpr::hide_all(std::move(inner));
+}
+
+void expect_same_imc(const Imc& got, const Imc& want) {
+  ASSERT_EQ(got.num_states(), want.num_states());
+  EXPECT_EQ(got.initial(), want.initial());
+  for (StateId s = 0; s < want.num_states(); ++s) {
+    ASSERT_EQ(got.state_name(s), want.state_name(s)) << "state " << s;
+  }
+  ASSERT_EQ(got.num_interactive_transitions(), want.num_interactive_transitions());
+  for (std::size_t i = 0; i < want.num_interactive_transitions(); ++i) {
+    ASSERT_EQ(got.interactive_transitions()[i], want.interactive_transitions()[i]) << i;
+  }
+  ASSERT_EQ(got.num_markov_transitions(), want.num_markov_transitions());
+  for (std::size_t i = 0; i < want.num_markov_transitions(); ++i) {
+    const MarkovTransition& g = got.markov_transitions()[i];
+    const MarkovTransition& w = want.markov_transitions()[i];
+    ASSERT_EQ(g.from, w.from) << i;
+    ASSERT_EQ(g.to, w.to) << i;
+    ASSERT_EQ(std::memcmp(&g.rate, &w.rate, sizeof(double)), 0) << i;
+  }
+}
+
+TEST(ComposeOracle, ExploreMatchesTheReferenceExplorerByteForByte) {
+  std::size_t joint_moves_3 = 0, hides = 0, hide_alls = 0, total_states = 0;
+  for (std::uint64_t seed = 0; seed < 240; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    auto actions = std::make_shared<ActionTable>();
+    RefTree tree;
+    const CompositionExpr expr =
+        random_tree(rng, actions, 1 + static_cast<unsigned>(seed % 5), tree, tree.root);
+    ASSERT_EQ(expr.num_leaves(), tree.leaves.size());
+    std::vector<const RefNode*> stack{&tree.root};
+    while (!stack.empty()) {
+      const RefNode* n = stack.back();
+      stack.pop_back();
+      hides += n->kind == RefNode::Kind::Hide;
+      hide_alls += n->kind == RefNode::Kind::HideAll;
+      for (const RefNode& c : n->children) stack.push_back(&c);
+    }
+    for (const bool urgent : {false, true}) {
+      for (const bool names : {false, true}) {
+        const RefResult want = ref_explore(tree, urgent, names);
+        ExploreOptions options;
+        options.urgent = urgent;
+        options.record_names = names;
+        std::vector<StateId> tuples{42};  // stale content must be replaced
+        options.record_tuples = &tuples;
+        const Imc got = expr.explore(options);
+        expect_same_imc(got, want.system);
+        EXPECT_EQ(tuples, want.tuples);
+        joint_moves_3 += want.joint_moves_3;
+        total_states += want.system.num_states();
+      }
+    }
+  }
+  // The corpus reaches what it is meant to cover.
+  EXPECT_GT(joint_moves_3, 0u);
+  EXPECT_GT(hides, 0u);
+  EXPECT_GT(hide_alls, 0u);
+  EXPECT_GT(total_states, 5000u);
+}
+
+/// The first seed whose product has at least @p min_states states.
+std::pair<CompositionExpr, std::size_t> tree_with_states(std::size_t min_states) {
+  for (std::uint64_t seed = 0;; ++seed) {
+    Rng rng(seed);
+    auto actions = std::make_shared<ActionTable>();
+    RefTree tree;
+    CompositionExpr expr = random_tree(rng, actions, 4, tree, tree.root);
+    const std::size_t n = expr.explore().num_states();
+    if (n >= min_states) return {std::move(expr), n};
+  }
+}
+
+TEST(ComposeOracle, StateLimitStopsMidExploration) {
+  const auto [expr, n] = tree_with_states(40);
+  ExploreOptions options;
+  options.max_states = n;
+  EXPECT_EQ(expr.explore(options).num_states(), n);
+  options.max_states = n - 1;
+  EXPECT_THROW(expr.explore(options), ModelError);
+  options.max_states = n / 2;
+  EXPECT_THROW(expr.explore(options), ModelError);
+}
+
+TEST(ComposeOracle, GuardStopsMidExploration) {
+  const auto [expr, n] = tree_with_states(40);
+  RunGuard guard;
+  guard.cancel_after_polls(n / 2);  // one poll per expanded state
+  ExploreOptions options;
+  options.guard = &guard;
+  try {
+    expr.explore(options);
+    FAIL() << "a cancelled exploration returned";
+  } catch (const BudgetError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::Cancelled);
+  }
+  RunGuard generous;
+  generous.cancel_after_polls(n + 1);
+  options.guard = &generous;
+  EXPECT_EQ(expr.explore(options).num_states(), n);
+}
+
+// --------------------------------------- pinned shipped-model products
+//
+// Product and quotient sizes and digests of every shipped model.  A change
+// to state order, transition order, names or rates anywhere in
+// build/lower -> explore -> minimize shows here.
+
+/// FNV-1a over little-endian words and length-prefixed names.
+class Fnv {
+ public:
+  void word(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(x >> (8 * i)));
+  }
+  void text(const std::string& s) {
+    word(s.size());
+    for (const char c : s) byte(static_cast<unsigned char>(c));
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void byte(unsigned char b) {
+    h_ ^= b;
+    h_ *= 0x100000001b3ull;
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t imc_digest(const Imc& m) {
+  Fnv h;
+  h.word(m.num_states());
+  h.word(m.initial());
+  for (StateId s = 0; s < m.num_states(); ++s) h.text(m.state_name(s));
+  for (const LtsTransition& t : m.interactive_transitions()) {
+    h.word(t.from);
+    h.text(m.actions().name(t.action));
+    h.word(t.to);
+  }
+  // Parallel Markov edges (same ends) tie in the Imc's order; hashing them
+  // by rate as well keeps the digest independent of how a sort breaks ties.
+  std::vector<std::tuple<StateId, StateId, std::uint64_t>> markov;
+  for (const MarkovTransition& t : m.markov_transitions()) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &t.rate, sizeof bits);
+    markov.emplace_back(t.from, t.to, bits);
+  }
+  std::sort(markov.begin(), markov.end());
+  for (const auto& [from, to, bits] : markov) {
+    h.word(from);
+    h.word(bits);
+    h.word(to);
+  }
+  return h.value();
+}
+
+struct PinnedModel {
+  const char* file;
+  std::size_t states, interactive, markov;
+  std::size_t quotient_states, quotient_interactive, quotient_markov;
+  std::uint64_t digest, quotient_digest;
+};
+
+std::string read_text(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+TEST(ComposePinned, ShippedModelsExploreAndMinimizeUnchanged) {
+  static const PinnedModel kPinned[] = {
+      {"erlang_job_shop.uni", 57, 24, 74, 57, 24, 73, 0xd1d44fcbefd7edecull, 0x72cb48aacbf462c8ull},
+      {"ftwc.uni", 2822, 2688, 6286, 2758, 2624, 2248, 0xf45dab1fb60311c1ull, 0x796a7407700c2e1aull},
+      {"quickstart.uni", 15, 10, 20, 15, 10, 13, 0x478655ec9c853ca1ull, 0xeda23b7eb5a88074ull},
+      {"and2.dft", 9, 5, 8, 5, 1, 7, 0x6bd6c507fd7ce84cull, 0x7d641f523c9f52b3ull},
+      {"cas.dft", 3976, 4088, 3850, 20, 1, 70, 0x9eb94c2088176c49ull, 0xb9b68421f6b0dde5ull},
+      {"fdep_pand.dft", 31, 27, 21, 6, 3, 7, 0xd494ff93f54a42a8ull, 0x90c24fe0df9d31d1ull},
+      {"pand.dft", 10, 5, 10, 5, 1, 6, 0xf077f0d86a1a3e64ull, 0x581cc2bd970a7e57ull},
+      {"spare_cold.dft", 7, 4, 6, 4, 1, 5, 0xa137248f7c846e94ull, 0x22395fb8c7387617ull},
+      {"spare_warm.dft", 10, 6, 9, 4, 1, 5, 0xc339e64ee0e72cf5ull, 0x4e96567eef7c768full},
+      {"vot23.dft", 23, 15, 24, 4, 1, 4, 0xf61a11fa948a11acull, 0x82eacfacc447f98aull},
+  };
+  // Every shipped model is pinned.
+  std::set<std::string> shipped, pinned;
+  for (const char* dir : {UNICON_MODELS_DIR, UNICON_DFT_DIR}) {
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      const std::string ext = entry.path().extension().string();
+      if (ext == ".uni" || ext == ".dft") shipped.insert(entry.path().filename().string());
+    }
+  }
+  for (const PinnedModel& p : kPinned) pinned.insert(p.file);
+  EXPECT_EQ(shipped, pinned);
+
+  for (const PinnedModel& p : kPinned) {
+    SCOPED_TRACE(p.file);
+    const std::string file = p.file;
+    const bool is_dft = file.ends_with(".dft");
+    const std::filesystem::path path =
+        std::filesystem::path(is_dft ? UNICON_DFT_DIR : UNICON_MODELS_DIR) / file;
+    const lang::BuiltModel built =
+        is_dft ? dft::lower_dft(dft::parse_and_check_dft(read_text(path), file))
+               : lang::build_model(lang::parse_and_check(read_text(path), file));
+    const lang::BuiltModel minimized = lang::minimize_model(built);
+    EXPECT_EQ(built.system.num_states(), p.states);
+    EXPECT_EQ(built.system.num_interactive_transitions(), p.interactive);
+    EXPECT_EQ(built.system.num_markov_transitions(), p.markov);
+    EXPECT_EQ(minimized.system.num_states(), p.quotient_states);
+    EXPECT_EQ(minimized.system.num_interactive_transitions(), p.quotient_interactive);
+    EXPECT_EQ(minimized.system.num_markov_transitions(), p.quotient_markov);
+    EXPECT_EQ(imc_digest(built.system), p.digest);
+    EXPECT_EQ(imc_digest(minimized.system), p.quotient_digest);
+  }
+}
 
 }  // namespace
 }  // namespace unicon

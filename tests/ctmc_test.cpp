@@ -113,7 +113,7 @@ TEST(TimedReachability, GoalStatesAreSticky) {
   EXPECT_NEAR(r.probabilities[0], 1.0, 1e-6);
 }
 
-TEST(TimedReachability, MonotoneInTime) {
+TEST(TimedReachability, CtmcMonotoneInTime) {
   const Ctmc c = two_state_chain(0.2, 0.1);
   const std::vector<bool> goal{false, true};
   double prev = -1.0;

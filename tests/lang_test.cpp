@@ -533,13 +533,15 @@ TEST(PipelineTelemetry, QuickstartGoldenSpanTree) {
       "\"children\": [\n"
       "      {\"name\": \"compose\", \"seconds\": T, \"open\": false, \"metrics\": "
       "{\"leaves\": 7, \"states\": 15, \"interactive_transitions\": 10, "
-      "\"markov_transitions\": 20, \"dedup_hits\": 16, \"peak_frontier\": 4}, "
+      "\"markov_transitions\": 20, \"dedup_hits\": 16, \"peak_frontier\": 4, "
+      "\"arena_bytes\": 932}, "
       "\"children\": []}\n"
       "    ]},\n"
       "    {\"name\": \"minimize\", \"seconds\": T, \"open\": false, \"metrics\": "
       "{\"input_states\": 15, \"output_states\": 15, \"prop_classes\": 4}, \"children\": [\n"
       "      {\"name\": \"bisim\", \"seconds\": T, \"open\": false, \"metrics\": "
-      "{\"states\": 15, \"rounds\": 3, \"splitters\": 11, \"final_blocks\": 15}, "
+      "{\"states\": 15, \"rounds\": 3, \"splitters\": 11, \"final_blocks\": 15, "
+      "\"signature_bytes\": 368}, "
       "\"children\": []}\n"
       "    ]},\n"
       "    {\"name\": \"transform\", \"seconds\": T, \"open\": false, \"metrics\": "

@@ -738,7 +738,7 @@ TEST(ServerTest, AllocFaultNeverFailsAConcurrentCleanRequest) {
   // bad_alloc must never land on the clean request's thread, even though
   // that thread allocates continuously while the fault is armed.
   for (int i = 0; i < 20; ++i) {
-    QueryRequest faulted = request_for(fixture, "chaos", "f" + std::to_string(i));
+    QueryRequest faulted = request_for(fixture, "chaos", std::string("f").append(std::to_string(i)));
     faulted.fault_alloc_nth = 1 + static_cast<std::uint64_t>(i) * 7;
     const QueryResponse r = service.query(std::move(faulted));
     EXPECT_TRUE(r.error == ErrorCode::OutOfMemory || r.error == ErrorCode::Ok)

@@ -12,6 +12,9 @@
 
 #include "core/transform.hpp"
 #include "ctmdp/reachability.hpp"
+#include "dft/lower.hpp"
+#include "dft/sema.hpp"
+#include "lang/build.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
@@ -47,7 +50,7 @@ TEST(TelemetryCounter, HandleIsAddressStable) {
   Telemetry telemetry;
   Counter& a = telemetry.counter("a");
   // Creating many more instruments must not move the first.
-  for (int i = 0; i < 100; ++i) telemetry.counter("c" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) telemetry.counter(std::string("c").append(std::to_string(i)));
   EXPECT_EQ(&a, &telemetry.counter("a"));
 }
 
@@ -303,6 +306,51 @@ TEST(TelemetryBench, MalformedExistingFileIsReportedAndReplaced) {
     EXPECT_NE(err.find(path.str()), std::string::npos) << err;
     EXPECT_EQ(path.labels(), (std::vector<std::string>{"fresh"}));
   }
+}
+
+// ------------------------------------------------------ per-stage memory
+
+/// Finds the first span named @p name anywhere in a span list.
+const Json* find_span(const JsonArray& spans, const std::string& name) {
+  for (const Json& span : spans) {
+    if (span.get_string("name", "") == name) return &span;
+    if (const Json* children = span.find("children")) {
+      if (const Json* found = find_span(children->as_array(), name)) return found;
+    }
+  }
+  return nullptr;
+}
+
+/// Composition and minimization report their working memory: the explorer's
+/// tuple arena plus state table, and the largest signature pool of any
+/// refinement round.
+TEST(TelemetryStageMemory, ComposeAndBisimReportBytesOnCas) {
+  std::ifstream in(std::string(UNICON_DFT_DIR) + "/cas.dft");
+  std::ostringstream source;
+  source << in.rdbuf();
+  Telemetry telemetry;
+  dft::LowerOptions lower;
+  lower.telemetry = &telemetry;
+  const lang::BuiltModel built =
+      dft::lower_dft(dft::parse_and_check_dft(source.str(), "cas.dft"), lower);
+  lang::minimize_model(built, nullptr, &telemetry);
+
+  const Json json = Json::parse(telemetry.to_json());
+  const JsonArray& spans = json.find("spans")->as_array();
+  const Json* compose = find_span(spans, "compose");
+  const Json* bisim = find_span(spans, "bisim");
+  ASSERT_NE(compose, nullptr);
+  ASSERT_NE(bisim, nullptr);
+  const Json& compose_metrics = *compose->find("metrics");
+  const Json& bisim_metrics = *bisim->find("metrics");
+  ASSERT_NE(compose_metrics.find("arena_bytes"), nullptr);
+  ASSERT_NE(bisim_metrics.find("signature_bytes"), nullptr);
+  // The arena alone holds one leaf state per leaf per product state.
+  const double states = compose_metrics.get_number("states", 0);
+  const double leaves = compose_metrics.get_number("leaves", 0);
+  EXPECT_EQ(states, 3976);
+  EXPECT_GE(compose_metrics.get_number("arena_bytes", 0), states * leaves * sizeof(StateId));
+  EXPECT_GT(bisim_metrics.get_number("signature_bytes", 0), 0);
 }
 
 // ----------------------------------------------------------- determinism
