@@ -43,17 +43,6 @@ Ctmc Ctmc::uniformize(double rate) const {
   return b.build();
 }
 
-Ctmc Ctmc::make_absorbing(const BitVector& absorbing) const {
-  CtmcBuilder b(num_states());
-  b.ensure_states(num_states());
-  b.set_initial(initial_);
-  for (StateId s = 0; s < num_states(); ++s) {
-    if (s < absorbing.size() && absorbing[s]) continue;
-    for (const SparseEntry& t : out(s)) b.add_transition(s, t.value, t.col);
-  }
-  return b.build();
-}
-
 StateId CtmcBuilder::add_state() {
   builder_.reserve_rows(num_states_ + 1);
   return static_cast<StateId>(num_states_++);

@@ -11,7 +11,6 @@
 #include <optional>
 #include <vector>
 
-#include "support/bit_vector.hpp"
 #include "support/sparse.hpp"
 #include "support/symbols.hpp"
 
@@ -48,10 +47,6 @@ class Ctmc {
   /// rate; passing 0 selects the maximal exit rate itself.  The transient
   /// behaviour (state probabilities over time) is unchanged.
   Ctmc uniformize(double rate = 0.0) const;
-
-  /// Returns a copy in which every state flagged in @p absorbing has all
-  /// outgoing transitions removed.  Used for time-bounded reachability.
-  Ctmc make_absorbing(const BitVector& absorbing) const;
 
   std::size_t memory_bytes() const { return rates_.memory_bytes(); }
 

@@ -5,7 +5,9 @@
 // P the uniformized jump matrix of that chain at rate E, the probability
 // to reach B from s within t is sum_n psi(n, E t) (P^n 1_B)(s), so every
 // answer is one uniformization run, v_{i+1} = P v_i from the goal
-// indicator with psi(i) v_i accumulated per time bound.
+// indicator with psi(i) v_i accumulated per time bound.  A goal state's
+// entry of v_i is 1 forever, so the sweeps run over the non-goal ("live")
+// rows only, with every goal column read from one shared constant slot.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +33,9 @@ struct TransientOptions {
   /// once tail_mass * ubar drops under the other epsilon/2.  The fold is
   /// checked after sweep j only while those j survival sweeps are fewer
   /// than the right - j sweeps it would skip; one that never fires leaves
-  /// the solve bitwise the FoxGlynn solve at epsilon/2.
+  /// the solve bitwise the FoxGlynn solve at epsilon/2.  A horizon whose
+  /// fold provably cannot fire within that budget (the probe gate, DESIGN.md
+  /// Sec. 14.2) pays for no survival sweep at all.
   Truncation truncation = Truncation::Auto;
   /// On-the-fly convergence locking: rows whose value is bitwise unchanged
   /// with all their successors locked are skipped from then on.  Values and
@@ -62,8 +66,10 @@ struct TransientOptions {
   /// ~2k states inside parallel sweeps.  On a stop the solver returns a
   /// partial result: `status` names the cause, `residual_bound` bounds
   /// |reported - true| per state by the unaccumulated Poisson window mass
-  /// (plus the window's truncation error).  Checkpoints publish the iterate
-  /// under the stage "ctmc_timed_reachability".  Null = unguarded,
+  /// (plus the window's truncation error).  Checkpoints publish the iterate,
+  /// one entry per state, under the stage "ctmc_timed_reachability"; all
+  /// goal states share one entry of the solver's iterate, so rewriting any
+  /// goal entry rewrites it for every goal state.  Null = unguarded,
   /// bit-identical to pre-guard behaviour.
   RunGuard* guard = nullptr;
   /// Optional observability: a "ctmc_reachability" span (a batch reports a
@@ -99,12 +105,14 @@ struct TransientResult {
   /// k_lyapunov); 0 when it never did.
   std::uint64_t k_lyapunov = 0;
   /// Survival sweeps this horizon's fold checks paid for (bounded by the
-  /// probe budget, about right/2); 0 when the certificate was not engaged.
+  /// probe budget, about right/2); 0 when the certificate was not engaged,
+  /// and 0 when the probe gate proved that its fold cannot fire.
   std::uint64_t lyapunov_probes = 0;
-  /// Row relaxations actually performed across the executed sweeps (rows
-  /// skipped by convergence locking excluded).
+  /// Row relaxations actually performed across the executed sweeps: live
+  /// (non-goal) rows only, rows skipped by convergence locking excluded.
   std::uint64_t state_updates = 0;
-  /// Rows locked by on-the-fly convergence detection at the end.
+  /// Rows locked by on-the-fly convergence detection at the end.  Goal rows
+  /// are never swept and count as locked whenever locking is on.
   std::uint64_t locked_final = 0;
 };
 

@@ -54,12 +54,17 @@ std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t seed) {
   return hash;
 }
 
-std::string content_hash(std::string_view bytes) {
+std::string content_hash(std::string_view bytes) { return content_hash({bytes}); }
+
+std::string content_hash(std::initializer_list<std::string_view> parts) {
   // Two independently seeded passes give 128 key bits; the second seed is
-  // the first pass's offset basis xor-folded with an arbitrary odd
-  // constant so the passes never coincide.
-  const std::uint64_t a = fnv1a64(bytes);
-  const std::uint64_t b = fnv1a64(bytes, a ^ 0x9e3779b97f4a7c15ull);
+  // the first pass's result xor-folded with an arbitrary odd constant so
+  // the passes never coincide.  FNV-1a is a left fold over the bytes, so
+  // chaining it over the parts hashes their concatenation.
+  std::uint64_t a = kFnvOffsetBasis;
+  for (const std::string_view part : parts) a = fnv1a64(part, a);
+  std::uint64_t b = a ^ 0x9e3779b97f4a7c15ull;
+  for (const std::string_view part : parts) b = fnv1a64(part, b);
   char buffer[33];
   std::snprintf(buffer, sizeof buffer, "%016llx%016llx", static_cast<unsigned long long>(a),
                 static_cast<unsigned long long>(b));
@@ -110,19 +115,16 @@ const DenseKernel& CachedModel::dense_kernel(Objective objective) const {
   return *dense_[slot];
 }
 
-ModelCache::Resolved ModelCache::resolve(ModelKind kind, const std::string& source,
-                                         const std::string& labels, const std::string& goal_name,
-                                         RunGuard* guard, Telemetry* telemetry) {
-  std::string source_key_bytes;
-  source_key_bytes += model_kind_name(kind);
-  source_key_bytes += '\n';
-  source_key_bytes += goal_name;
-  source_key_bytes += '\n';
-  source_key_bytes += source;
-  source_key_bytes += '\0';
-  source_key_bytes += labels;
-  const std::string source_key = content_hash(source_key_bytes);
+std::string ModelCache::source_key(ModelKind kind, std::string_view source,
+                                   std::string_view labels, std::string_view goal_name) {
+  return content_hash({model_kind_name(kind), "\n", goal_name, "\n", source,
+                       std::string_view("\0", 1), labels});
+}
 
+ModelCache::Resolved ModelCache::resolve(const std::string& source_key, ModelKind kind,
+                                         const std::string& source, const std::string& labels,
+                                         const std::string& goal_name, RunGuard* guard,
+                                         Telemetry* telemetry) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto alias = source_to_canonical_.find(source_key);

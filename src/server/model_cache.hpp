@@ -28,6 +28,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -49,13 +50,18 @@ class Telemetry;
 
 namespace unicon::server {
 
+inline constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ull;
+
 /// 64-bit FNV-1a over @p bytes, seedable for independent streams.
-std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t seed = 14695981039346656037ull);
+std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t seed = kFnvOffsetBasis);
 
 /// 32-hex-digit content hash (two independently seeded FNV-1a passes).
 /// Not cryptographic — it keys a trusted-process cache, not an integrity
 /// check; 128 bits keep accidental collisions out of reach.
 std::string content_hash(std::string_view bytes);
+
+/// content_hash of the concatenation of @p parts, without building it.
+std::string content_hash(std::initializer_list<std::string_view> parts);
 
 enum class ModelKind : std::uint8_t { Uni, Dft, CtmdpFile, CtmcFile };
 
@@ -149,6 +155,12 @@ class ModelCache {
     bool hit = false;  ///< either cache level (no lowering ran, or it was discarded)
   };
 
+  /// The level-1 key of a request: the content hash of its kind, goal
+  /// name, source and labels.  Snapshots persist it as a source alias, so
+  /// these bytes are part of the `unicon-cache-v1` format.
+  static std::string source_key(ModelKind kind, std::string_view source,
+                                std::string_view labels, std::string_view goal_name);
+
   /// Resolves a request's model source, lowering and inserting on a miss.
   /// @p labels is the .lab file content (file kinds; ignored for Uni),
   /// @p goal_name the UNI proposition to transfer (Uni only).  Lowering
@@ -157,7 +169,16 @@ class ModelCache {
   /// lowering pipeline's typed errors (Parse/Model/Zeno/Uniformity/...).
   Resolved resolve(ModelKind kind, const std::string& source, const std::string& labels,
                    const std::string& goal_name, RunGuard* guard = nullptr,
-                   Telemetry* telemetry = nullptr);
+                   Telemetry* telemetry = nullptr) {
+    return resolve(source_key(kind, source, labels, goal_name), kind, source, labels, goal_name,
+                   guard, telemetry);
+  }
+
+  /// resolve() for a caller that already holds the request's source_key(),
+  /// so a large source is hashed once per request.
+  Resolved resolve(const std::string& source_key, ModelKind kind, const std::string& source,
+                   const std::string& labels, const std::string& goal_name,
+                   RunGuard* guard = nullptr, Telemetry* telemetry = nullptr);
 
   CacheStats stats() const;
 

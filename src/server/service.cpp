@@ -33,15 +33,8 @@ AnalysisService::~AnalysisService() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-std::string AnalysisService::solve_key_of(const QueryRequest& request) {
-  std::string key;
-  key += model_kind_name(request.kind);
-  key += '\n';
-  key += request.goal_name;
-  key += '\n';
-  key += request.source;
-  key += '\0';
-  key += request.labels;
+std::string AnalysisService::solve_key_of(const std::string& source_key,
+                                          const QueryRequest& request) {
   char params[128];
   // %a renders epsilon exactly, so keys never merge across precisions
   // that happen to print alike in decimal.
@@ -50,8 +43,7 @@ std::string AnalysisService::solve_key_of(const QueryRequest& request) {
                 request.early_termination ? 1 : 0, backend_name(request.backend),
                 truncation_name(request.truncation), request.locking ? 1 : 0,
                 request.threads);
-  key += params;
-  return content_hash(key);
+  return content_hash({source_key, params});
 }
 
 void AnalysisService::submit(QueryRequest request, Callback done) {
@@ -61,7 +53,11 @@ void AnalysisService::submit(QueryRequest request, Callback done) {
   // fault may only ever damage the answer of the request that asked for
   // it, never a clean identical co-passenger's.
   const bool coalescible = request.deadline == 0.0 && !request.has_fault_plan();
-  job->solve_key = coalescible ? solve_key_of(request) : std::string();
+  // The one pass over the source: the cache resolves by this key, and the
+  // coalescing key extends it with the solve parameters.
+  job->source_key =
+      ModelCache::source_key(request.kind, request.source, request.labels, request.goal_name);
+  job->solve_key = coalescible ? solve_key_of(job->source_key, request) : std::string();
   job->request = std::move(request);
   job->done = std::move(done);
 
@@ -266,7 +262,8 @@ void AnalysisService::deliver(const JobPtr& job, QueryResponse response) {
 }
 
 void AnalysisService::execute_group(Group& group) {
-  const QueryRequest& lead = group.members.front()->request;
+  const Job& lead_job = *group.members.front();
+  const QueryRequest& lead = lead_job.request;
   Stopwatch batch_watch;
 
   // Per-request spans live on per-request registries only.
@@ -298,8 +295,8 @@ void AnalysisService::execute_group(Group& group) {
     Telemetry* solo_telemetry = group.members.size() == 1 ? lead.telemetry : nullptr;
 
     const ModelCache::Resolved resolved =
-        cache_.resolve(lead.kind, lead.source, lead.labels, lead.goal_name, &group.guard,
-                       solo_telemetry);
+        cache_.resolve(lead_job.source_key, lead.kind, lead.source, lead.labels, lead.goal_name,
+                       &group.guard, solo_telemetry);
     const CachedModel& model = *resolved.model;
 
     if (lead.fault_throw) {

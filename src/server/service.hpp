@@ -198,7 +198,8 @@ class AnalysisService {
   struct Job {
     QueryRequest request;
     Callback done;
-    std::string solve_key;  ///< empty = never coalesce
+    std::string source_key;  ///< ModelCache::source_key of the request
+    std::string solve_key;   ///< empty = never coalesce
     bool cancelled = false;
     bool delivered = false;  ///< answered; deliver() is exactly-once
     Group* group = nullptr;  ///< non-null while executing
@@ -218,7 +219,8 @@ class AnalysisService {
   std::vector<JobPtr> pop_group_locked();
   void execute_group(Group& group);
   void deliver(const JobPtr& job, QueryResponse response);
-  static std::string solve_key_of(const QueryRequest& request);
+  /// The coalescing key: @p source_key plus every solve parameter.
+  static std::string solve_key_of(const std::string& source_key, const QueryRequest& request);
   /// Suggested client back-off for an Overloaded answer: the queue depth
   /// in worker-sized groups times the EWMA batch solve time.  Requires
   /// mutex_.

@@ -13,6 +13,7 @@
 #include "ctmdp/simulate.hpp"
 #include "io/tra.hpp"
 #include "support/errors.hpp"
+#include "support/lyapunov_bound.hpp"
 #include "support/numerics.hpp"
 #include "support/rng.hpp"
 #include "testing/generate.hpp"
@@ -653,6 +654,46 @@ constexpr double kLongHorizonMass = 1500.0;
 constexpr Truncation kTruncationModes[] = {Truncation::FoxGlynn, Truncation::Lyapunov,
                                            Truncation::Auto};
 
+/// The step at which the CTMC transient fold fires for bound @p t under
+/// @p mode, or 0 when it never does, replayed from an independent survival
+/// series: every state keeps its row (goal rows absorbing), the serial
+/// gather, and every probe step of the horizon's budget, with no gate.  The
+/// solver's k_lyapunov must equal it, so a gate that skips a fold that would
+/// have fired is caught.
+std::uint64_t reference_fold_step(const Ctmc& chain, const BitVector& goal, double t,
+                                  Truncation mode, double epsilon) {
+  const std::size_t n = chain.num_states();
+  double rate = 0.0;
+  for (StateId s = 0; s < n; ++s) {
+    if (!goal[s]) rate = std::max(rate, chain.exit_rate(s));
+  }
+  if (rate == 0.0) rate = 1.0;
+  const TruncationPlan plan = plan_truncation(mode, rate * t, epsilon);
+  if (!plan.engaged()) return 0;
+  std::vector<double> u(n);
+  std::vector<double> next(n);
+  for (std::size_t s = 0; s < n; ++s) u[s] = goal[s] ? 0.0 : 1.0;
+  LyapunovSeries series(epsilon / 2.0);
+  const std::uint64_t right = plan.window.right();
+  for (std::uint64_t a = 1; a < right && LyapunovSeries::within_budget(a, right - a); ++a) {
+    for (StateId s = 0; s < n; ++s) {
+      if (goal[s]) continue;  // absorbing: survival stays 0 in both buffers
+      double acc = std::max(0.0, 1.0 - chain.exit_rate(s) / rate) * u[s];
+      for (const SparseEntry& e : chain.out(s)) acc += (e.value / rate) * u[e.col];
+      next[s] = acc;
+    }
+    u.swap(next);
+    double ub = 0.0;
+    for (const double x : u) {
+      if (!(x <= ub)) ub = x;
+    }
+    series.record(ub);
+    if (series.should_disengage(series.size())) return 0;
+    if (plan.window.tail_mass(a) * ub <= epsilon / 2.0) return a;
+  }
+  return 0;
+}
+
 void scenario_truncation(const Ctx& ctx, const Scaled& cfg) {
   const TruncationInstance instance = make_truncation_instance(ctx.seed, cfg);
   const DifferentialConfig& config = ctx.config;
@@ -755,6 +796,13 @@ void scenario_truncation(const Ctx& ctx, const Scaled& cfg) {
       ctx.require(off.probabilities == on.probabilities, "truncation-ctmc-locking-bitwise",
                   tag + " values differ by " +
                       num(vector_diff(off.probabilities, on.probabilities)));
+      const std::uint64_t fold_step = reference_fold_step(
+          instance.chain, instance.chain_goal, t, mode, config.epsilon);
+      ctx.require(off.k_lyapunov == fold_step && on.k_lyapunov == fold_step,
+                  "truncation-ctmc-fold-step",
+                  tag + " folded at " + std::to_string(off.k_lyapunov) + "/" +
+                      std::to_string(on.k_lyapunov) + " (locking off/on), the ungated " +
+                      "survival series folds at " + std::to_string(fold_step));
       if (mode == Truncation::FoxGlynn) {
         ctx.require(off.truncation == Truncation::FoxGlynn, "truncation-ctmc-resolve",
                     tag + " fox-glynn request resolved to lyapunov");

@@ -26,6 +26,7 @@
 #include "support/backend.hpp"
 #include "support/bit_vector.hpp"
 #include "support/errors.hpp"
+#include "support/fox_glynn.hpp"
 #include "support/numerics.hpp"
 #include "support/rng.hpp"
 #include "support/run_guard.hpp"
@@ -495,6 +496,208 @@ TEST(BitConsistency, CtmcLockingOnOffBitwiseAcrossBackendsAndThreads) {
   }
   // Rows must actually lock, or the comparison proves nothing.
   EXPECT_GT(locked, 0u);
+}
+
+// ----------------------------------------- CTMC goal-compacted sweeps
+
+/// The full-state layout of the goal-absorbed uniformized chain: one row
+/// per state, every goal row absorbing (diagonal 1, no entries), at the
+/// largest non-goal exit rate.  The CTMC solver sweeps only the non-goal
+/// rows and reads every goal column from one shared slot; this reference
+/// keeps every state.
+struct FullStateRows {
+  double rate = 1.0;
+  std::vector<double> diag;
+  std::vector<std::uint64_t> first{0};
+  std::vector<double> prob;
+  std::vector<std::uint32_t> col;
+
+  FullStateRows(const Ctmc& chain, const BitVector& goal) {
+    const std::size_t n = chain.num_states();
+    double max_exit = 0.0;
+    for (StateId s = 0; s < n; ++s) {
+      if (!goal[s]) max_exit = std::max(max_exit, chain.exit_rate(s));
+    }
+    if (max_exit > 0.0) rate = max_exit;
+    for (StateId s = 0; s < n; ++s) {
+      if (goal[s]) {
+        diag.push_back(1.0);
+      } else {
+        diag.push_back(std::max(0.0, 1.0 - chain.exit_rate(s) / rate));
+        for (const SparseEntry& t : chain.out(s)) {
+          prob.push_back(t.value / rate);
+          col.push_back(t.col);
+        }
+      }
+      first.push_back(prob.size());
+    }
+  }
+
+  GatherView view() const {
+    return GatherView{diag.size(), diag.data(), first.data(), prob.data(), col.data()};
+  }
+};
+
+/// Fox-Glynn timed reachability on the full-state rows: the serial loop for
+/// Backend::Serial, else the backend's gather over all rows at once.
+/// @p iterates, when given, receives v_1 .. v_right.
+std::vector<double> full_state_reachability(const FullStateRows& rows, const BitVector& goal,
+                                            double t, double epsilon, Backend backend,
+                                            std::vector<std::vector<double>>* iterates = nullptr) {
+  const GatherView g = rows.view();
+  const std::size_t n = g.num_rows;
+  const PoissonWindow window = PoissonWindow::compute(rows.rate * t, epsilon);
+  std::vector<double> cur(n);
+  std::vector<double> next(n);
+  std::vector<double> acc(n, 0.0);
+  for (std::size_t s = 0; s < n; ++s) cur[s] = goal[s] ? 1.0 : 0.0;
+  for (std::uint64_t i = 0;; ++i) {
+    const double w = window.psi(i);
+    if (w > 0.0) {
+      for (std::size_t s = 0; s < n; ++s) acc[s] += w * cur[s];
+    }
+    if (i >= window.right()) break;
+    if (backend == Backend::Serial) {
+      for (std::size_t r = 0; r < n; ++r) {
+        double a = g.diag[r] * cur[r];
+        for (std::uint64_t j = g.row_first[r]; j < g.row_first[r + 1]; ++j) {
+          a += g.prob[j] * cur[g.col[j]];
+        }
+        next[r] = a;
+      }
+    } else {
+      kernel_ops(backend).gather_rows(g, cur.data(), next.data(), 0, n);
+    }
+    cur.swap(next);
+    if (iterates != nullptr) iterates->push_back(cur);
+  }
+  for (std::size_t s = 0; s < n; ++s) acc[s] = goal[s] ? 1.0 : clamp01(acc[s]);
+  return acc;
+}
+
+void expect_same_bits(const std::vector<double>& a, const std::vector<double>& b,
+                      const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t s = 0; s < a.size(); ++s) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a[s]), std::bit_cast<std::uint64_t>(b[s]))
+        << what << " differs at state " << s << ": " << a[s] << " vs " << b[s];
+  }
+}
+
+struct CtmcCase {
+  std::string name;
+  Ctmc chain;
+  BitVector goal;
+};
+
+std::vector<CtmcCase> compaction_cases() {
+  std::vector<CtmcCase> cases;
+  {
+    Rng rng(7100);
+    Ctmc chain = testing::random_ctmc(rng, {.num_states = 23});
+    BitVector goal = testing::random_goal(rng, chain.num_states());
+    cases.push_back({"random", std::move(chain), std::move(goal)});
+  }
+  {
+    Rng rng(7200);
+    Ctmc chain = testing::random_ctmc(rng, {.num_states = 9});
+    cases.push_back({"all goal", std::move(chain), BitVector(9, true)});
+  }
+  {
+    Rng rng(7300);
+    Ctmc chain = testing::random_ctmc(rng, {.num_states = 12});
+    cases.push_back({"no goal", std::move(chain), BitVector(12, false)});
+  }
+  {
+    // States 0..3 circulate; the goal, state 4, only leaves.
+    CtmcBuilder b(5);
+    for (StateId s = 0; s < 4; ++s) b.add_transition(s, 1.0 + s, (s + 1) % 4);
+    b.add_transition(4, 2.0, 0);
+    BitVector goal(5);
+    goal.set(4);
+    cases.push_back({"goal unreachable", b.build(), std::move(goal)});
+  }
+  {
+    Rng rng(7400);
+    Ctmc chain = testing::random_ctmc(rng, {.num_states = 31, .absorbing_density = 0.4});
+    BitVector goal = testing::random_goal(rng, chain.num_states());
+    cases.push_back({"non-goal absorbing", std::move(chain), std::move(goal)});
+  }
+  return cases;
+}
+
+TEST(BitConsistency, CtmcGoalCompactionIsTheFullStateSweep) {
+  const std::vector<double> times = {0.4, 3.0};
+  constexpr double kEpsilon = 1e-6;
+  bool saw_absorbing_live_state = false;
+  for (const CtmcCase& c : compaction_cases()) {
+    const FullStateRows rows(c.chain, c.goal);
+    for (StateId s = 0; s < c.chain.num_states(); ++s) {
+      if (!c.goal[s] && c.chain.exit_rate(s) == 0.0) saw_absorbing_live_state = true;
+    }
+    for (const Backend backend : kBackends) {
+      std::vector<std::vector<double>> reference;
+      for (const double t : times) {
+        reference.push_back(full_state_reachability(rows, c.goal, t, kEpsilon, backend));
+      }
+      for (const bool locking : {false, true}) {
+        for (const unsigned threads : {1u, 3u}) {
+          const std::string tag = c.name + " " + backend_name(backend) +
+                                  " locking=" + std::to_string(locking) +
+                                  " threads=" + std::to_string(threads);
+          TransientOptions options;
+          options.epsilon = kEpsilon;
+          options.truncation = Truncation::FoxGlynn;
+          options.backend = backend;
+          options.locking = locking;
+          options.threads = threads;
+          const auto batch = timed_reachability_batch(c.chain, c.goal, times, options);
+          ASSERT_EQ(batch.size(), times.size());
+          for (std::size_t j = 0; j < times.size(); ++j) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[j].uniform_rate),
+                      std::bit_cast<std::uint64_t>(rows.rate))
+                << tag;
+            expect_same_bits(batch[j].probabilities, reference[j],
+                             tag + " t=" + std::to_string(times[j]));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_absorbing_live_state);
+}
+
+TEST(BitConsistency, CtmcCheckpointsPublishTheFullStateIterate) {
+  // Every published checkpoint carries one entry per state, goal entries
+  // at 1, and equals the full-state sweep's iterate of that step.
+  Rng rng(7500);
+  const Ctmc chain = testing::random_ctmc(rng, {.num_states = 17});
+  const BitVector goal = testing::random_goal(rng, chain.num_states());
+  const FullStateRows rows(chain, goal);
+  for (const Backend backend : kBackends) {
+    SCOPED_TRACE(backend_name(backend));
+    std::vector<std::vector<double>> iterates;
+    full_state_reachability(rows, goal, 2.0, 1e-6, backend, &iterates);
+    RunGuard guard;
+    std::vector<std::vector<double>> published;
+    guard.set_checkpoint([&](const RunCheckpoint& cp) {
+      published.emplace_back(cp.values.begin(), cp.values.end());
+    });
+    TransientOptions options;
+    options.truncation = Truncation::FoxGlynn;
+    options.backend = backend;
+    options.guard = &guard;
+    timed_reachability(chain, goal, 2.0, options);
+    ASSERT_EQ(published.size(), iterates.size());
+    for (std::size_t k = 0; k < published.size(); ++k) {
+      for (std::size_t s = 0; s < chain.num_states(); ++s) {
+        if (goal[s]) {
+          ASSERT_EQ(published[k][s], 1.0) << "step " << k + 1 << " state " << s;
+        }
+      }
+      expect_same_bits(published[k], iterates[k], "checkpoint " + std::to_string(k + 1));
+    }
+  }
 }
 
 // --------------------------------------------- scheduler-resume regression

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "ctmc/ctmc.hpp"
 #include "ctmc/transient.hpp"
@@ -81,12 +83,6 @@ TEST(Ctmc, UniformizeWithExplicitRate) {
 
 TEST(Ctmc, UniformizeBelowMaxThrows) {
   EXPECT_THROW(two_state_chain(1.0, 2.0).uniformize(1.5), UniformityError);
-}
-
-TEST(Ctmc, MakeAbsorbingRemovesOutgoing) {
-  const Ctmc c = two_state_chain(1.0, 2.0).make_absorbing({false, true});
-  EXPECT_DOUBLE_EQ(c.exit_rate(1), 0.0);
-  EXPECT_DOUBLE_EQ(c.exit_rate(0), 1.0);
 }
 
 // ---------------------------------------------------- timed reachability
@@ -240,6 +236,35 @@ TEST(TimedReachability, GuardedRunPublishesEveryStepAndMatchesTheUnguardedRun) {
   std::vector<std::uint64_t> expected(clean.iterations);
   std::iota(expected.begin(), expected.end(), 1u);
   EXPECT_EQ(steps, expected);
+}
+
+TEST(TimedReachability, PoisonedGoalEntryRaisesNumericErrorNamingTheState) {
+  // Goal state 1 is read only by state 4.  The solver keeps goal entries in
+  // one shared slot after its non-goal rows (compact index 4; state 4 sits
+  // at compact index 3), so the error must come from the expanded result.
+  CtmcBuilder b(5);
+  b.add_transition(0, 1.0, 2);
+  b.add_transition(2, 1.0, 0);
+  b.add_transition(3, 1.0, 0);
+  b.add_transition(4, 1.0, 1);
+  b.add_transition(4, 0.5, 3);
+  const Ctmc c = b.build();
+  BitVector goal(5);
+  goal.set(1);
+  RunGuard guard;
+  guard.set_checkpoint([](const RunCheckpoint& cp) {
+    ASSERT_EQ(cp.values.size(), 5u);
+    if (cp.step == 1) cp.values[1] = std::numeric_limits<double>::quiet_NaN();
+  });
+  TransientOptions options;
+  options.guard = &guard;
+  try {
+    timed_reachability(c, goal, 2.0, options);
+    FAIL() << "a NaN in a goal entry went unnoticed";
+  } catch (const NumericError& e) {
+    EXPECT_NE(std::string(e.what()).find("non-finite value at state 1 "), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

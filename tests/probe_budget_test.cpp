@@ -16,6 +16,7 @@
 #include "core/transform.hpp"
 #include "ctmc/transient.hpp"
 #include "ctmdp/reachability.hpp"
+#include "ftwc/ctmc_variant.hpp"
 #include "ftwc/direct.hpp"
 #include "support/backend.hpp"
 #include "support/run_guard.hpp"
@@ -268,6 +269,57 @@ Ctmc quarter_leak_chain() {
   b.add_transition(1, 1.0, 2);
   b.set_initial(0);
   return b.build();
+}
+
+/// A stiff chain: state 0 leaks into the goal (state 3) at rate 1e-3, next
+/// to a rate-200 race between states 1 and 2.  The race sets the uniform
+/// rate, so state 0 keeps 1 - 5e-6 of its survival per jump: over any probe
+/// budget the fold test tail * ubar <= epsilon/2 stays out of reach.
+Ctmc stiff_leak_chain() {
+  CtmcBuilder b(4);
+  b.add_transition(0, 1e-3, 3);
+  b.add_transition(1, 200.0, 2);
+  b.add_transition(2, 200.0, 1);
+  b.add_transition(2, 1.0, 3);
+  b.set_initial(0);
+  return b.build();
+}
+
+TEST(ProbeBudget, CtmcGateSkipsEveryProbeOfAFoldThatCannotFire) {
+  struct Case {
+    const char* name;
+    Ctmc chain;
+    BitVector goal;
+    double t;
+  };
+  ftwc::Parameters params;
+  params.n = 2;
+  ftwc::CtmcResult ftwc2 = ftwc::build_ctmc_variant(params);
+  const Ctmc stiff = stiff_leak_chain();
+  const Case cases[] = {
+      {"stiff leak", stiff, last_state_goal(stiff.num_states()), 10.0},
+      {"ftwc ctmc N=2", std::move(ftwc2.ctmc), std::move(ftwc2.goal), 5.0},
+  };
+  for (const Case& c : cases) {
+    for (const Backend backend : {Backend::Serial, Backend::Simd}) {
+      SCOPED_TRACE(std::string(c.name) + " " + backend_name(backend));
+      TransientOptions options;
+      options.backend = backend;
+      const auto run = timed_reachability(c.chain, c.goal, c.t, options);
+      ASSERT_EQ(run.truncation, Truncation::Lyapunov);
+      EXPECT_EQ(run.lyapunov_probes, 0u);
+      EXPECT_EQ(run.k_lyapunov, 0u);
+
+      TransientOptions fox = options;
+      fox.truncation = Truncation::FoxGlynn;
+      fox.epsilon = options.epsilon / 2.0;
+      const auto reference = timed_reachability(c.chain, c.goal, c.t, fox);
+      EXPECT_EQ(run.iterations, reference.iterations);
+      EXPECT_EQ(run.iterations_executed, reference.iterations_executed);
+      EXPECT_EQ(bits(run.residual_bound), bits(reference.residual_bound));
+      expect_bitwise(run.probabilities, reference.probabilities, "probabilities");
+    }
+  }
 }
 
 TEST(ProbeBudget, CtmcFoldThatNeverFiresIsTheFoxGlynnSolve) {

@@ -252,6 +252,48 @@ TEST(SnapshotTest, FileSaveIsAtomicAndLoadsBack) {
   EXPECT_EQ(missing.entries_corrupt, 0u);
 }
 
+TEST(SnapshotTest, ServedQueryKeyReloadsAsASourceHit) {
+  // The service hashes a request's source once, at submit, and resolves by
+  // that key; the alias it persists must be the very key a cache computes
+  // for itself, so a reloaded snapshot answers the same request as a
+  // level-1 hit without lowering anything.
+  Rng rng(0x3c1d);
+  gen::RandomCtmcConfig config;
+  config.num_states = 8;
+  const Ctmc chain = gen::random_ctmc(rng, config);
+  QueryRequest request;
+  request.client = "snap";
+  request.id = "q";
+  request.kind = ModelKind::CtmcFile;
+  request.source = serialize_ctmc(chain);
+  request.labels = serialize_goal(gen::random_goal(rng, chain.num_states(), 0.3));
+  request.times = {0.5};
+
+  std::string snapshot;
+  {
+    AnalysisService service(ServiceOptions{.workers = 1});
+    ASSERT_EQ(service.query(request).error, ErrorCode::Ok);
+    const std::string path = ::testing::TempDir() + "unicon_snapshot_served.v1";
+    service.save_cache(path);
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream bytes;
+    bytes << in.rdbuf();
+    snapshot = bytes.str();
+    std::remove(path.c_str());
+  }
+
+  ModelCache restored;
+  const SnapshotStats loaded = load_from(restored, snapshot);
+  EXPECT_EQ(loaded.entries_loaded, 1u);
+  EXPECT_EQ(loaded.aliases_loaded, 1u);
+  const auto hit = restored.resolve(request.kind, request.source, request.labels,
+                                    request.goal_name);
+  EXPECT_TRUE(hit.hit);
+  EXPECT_EQ(restored.stats().source_hits, 1u);
+  EXPECT_EQ(restored.stats().canonical_hits, 0u);
+  EXPECT_EQ(restored.stats().misses, 0u);
+}
+
 TEST(SnapshotTest, WarmStartedServiceAnswersBitIdentically) {
   Rng rng(0x77a3);
   gen::RandomCtmdpConfig config;
