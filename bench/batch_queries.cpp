@@ -195,8 +195,6 @@ int main() {
     TransientOptions options;
     options.epsilon = 1e-6;
     options.threads = 1;
-    options.early_termination = true;
-    options.early_termination_delta = 1e-10;
 
     Stopwatch batch_timer;
     const auto results = timed_reachability_batch(approx.ctmc, approx.goal, bounds, options);

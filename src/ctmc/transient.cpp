@@ -137,7 +137,6 @@ struct Horizon {
   RunStatus status = RunStatus::Converged;
   double residual = 0.0;
   std::uint64_t executed = 0;
-  std::uint64_t early_step = 0;
   std::uint64_t k_lyapunov = 0;
   std::uint64_t probes = 0;  // survival sweeps the fold checks paid for
   std::uint64_t state_updates = 0;
@@ -171,7 +170,7 @@ bool fold_possible(const TruncationPlan& plan, double dmax, double stop_epsilon)
 /// and step these are the very multiply-adds of a run of that bound alone,
 /// while the matrix work is paid once (DESIGN.md Sec. 11).  Owns guard polls
 /// and sweep aborts, checkpoints (published with one entry per state of
-/// @p goal), early termination, convergence locking and the Lyapunov fold.
+/// @p goal), convergence locking and the Lyapunov fold.
 /// Returns the worker count.
 unsigned uniformize(const JumpKernel& rows, const BitVector& goal, std::vector<Horizon>& horizons,
                     const TransientOptions& options) {
@@ -343,13 +342,11 @@ unsigned uniformize(const JumpKernel& rows, const BitVector& goal, std::vector<H
     };
     const bool cert_open =
         cert_active && std::any_of(horizons.begin(), horizons.end(), probing);
-    if (locking && locked_count == live && guard == nullptr && !options.early_termination &&
-        !cert_open) {
+    if (locking && locked_count == live && guard == nullptr && !cert_open) {
       // Every row is frozen: rows . cur == cur bitwise, so the sweep and
       // swap are provable no-ops; only the Poisson accumulations above
       // still run.  Gated off under a guard (a published checkpoint must
-      // see a fresh buffer) and under early termination (its delta probe
-      // reads both buffers).
+      // see a fresh buffer).
       ++executed;
       continue;
     }
@@ -388,19 +385,6 @@ unsigned uniformize(const JumpKernel& rows, const BitVector& goal, std::vector<H
       // The checkpoint span is externally writable, so the twin-buffer
       // invariant of every locked row is void — drop all locks.
       if (locked_count != 0) reset_locks();
-    }
-    if (options.early_termination &&
-        max_abs_diff(cur, next) <= options.early_termination_delta) {
-      // The iterate has converged; the remaining window mass of every
-      // still-open horizon sits on the fixed point (the shared vector
-      // sequence makes the first qualifying step the same for all).
-      for (Horizon& h : horizons) {
-        if (h.done) continue;
-        h.residual += options.early_termination_delta;
-        h.early_step = executed;
-        fold(h, h.plan.window.tail_mass(i + 1));
-      }
-      break;
     }
     if (cert_open) {
       // Advance the survival iterate u_{i+1} = P u_i; its sup bounds the
@@ -521,7 +505,6 @@ std::vector<TransientResult> reach_horizons(const Ctmc& chain, const BitVector& 
     span->metric("poisson_width", psi.right() - psi.left() + 1);
     span->metric("iterations_planned", psi.right());
     span->metric("iterations_executed", h.executed);
-    span->metric("early_termination_step", h.early_step);
     span->metric("threads", threads);
     span->metric("residual_bound", h.residual);
     truncation_metrics(*span, h);
@@ -541,7 +524,6 @@ std::vector<TransientResult> reach_horizons(const Ctmc& chain, const BitVector& 
     hspan.metric("poisson_left", h.plan.window.left());
     hspan.metric("poisson_right", h.plan.window.right());
     hspan.metric("iterations_executed", h.executed);
-    hspan.metric("early_termination_step", h.early_step);
     hspan.metric("residual_bound", h.residual);
     truncation_metrics(hspan, h);
   }

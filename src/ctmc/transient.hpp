@@ -43,12 +43,6 @@ struct TransientOptions {
   /// row is locked the matrix sweeps stop entirely and only the Poisson
   /// accumulation continues.
   bool locking = true;
-  /// Steady-state detection: once the iteration vector has converged to
-  /// within early_termination_delta in sup norm, the remaining Poisson mass
-  /// is folded in analytically and the loop stops.  Exact for absorbing
-  /// chains up to the requested precision; a large win for long horizons.
-  bool early_termination = false;
-  double early_termination_delta = 1e-12;
   /// Worker threads for the per-iteration matrix sweeps.  0 picks
   /// hardware_concurrency, 1 is the serial path (no threads spawned).
   /// Results are bit-identical for every thread count: the sweep is a
@@ -74,10 +68,10 @@ struct TransientOptions {
   RunGuard* guard = nullptr;
   /// Optional observability: a "ctmc_reachability" span (a batch reports a
   /// "ctmc_reachability_batch" span with one child per bound) with the
-  /// Poisson window, iteration counts, the early-termination step and the
-  /// truncation outcome, plus per-worker row counters
-  /// ("ctmc.rows.worker<i>") batched once per sweep.  A live registry
-  /// only observes — results stay bit-identical with telemetry on or off.
+  /// Poisson window, iteration counts and the truncation outcome, plus
+  /// per-worker row counters ("ctmc.rows.worker<i>") batched once per
+  /// sweep.  A live registry only observes — results stay bit-identical
+  /// with telemetry on or off.
   Telemetry* telemetry = nullptr;
 };
 
@@ -87,8 +81,9 @@ struct TransientResult {
   /// Number of jump-matrix applications the Poisson window demands (the
   /// right truncation bound).
   std::uint64_t iterations = 0;
-  /// Applications actually performed (< iterations when steady-state
-  /// detection fired).
+  /// Applications actually performed: iterations, unless the Lyapunov fold
+  /// fired or a guard stopped the solve.  A step skipped because every row
+  /// was locked counts as performed (it is a provable no-op).
   std::uint64_t iterations_executed = 0;
   /// Uniformization rate actually used: the maximal exit rate of the chain
   /// with the goal made absorbing (1 when that chain has no transitions).
@@ -128,9 +123,9 @@ TransientResult timed_reachability(const Ctmc& chain, const BitVector& goal,
 /// step vectors v_i of the absorbing uniformized chain do not depend on
 /// the time bound — only the Poisson weights do — so the batch performs
 /// the matrix sweeps once and keeps one weighted accumulator per horizon.
-/// Every answer (values, residual bound, iteration counts, early
-/// termination) is bit-identical to an independent
-/// `timed_reachability(chain, goal, times[j], options)` call.  A guard
+/// Every answer (values, residual bound, iteration counts, fold step) is
+/// bit-identical to an independent `timed_reachability(chain, goal,
+/// times[j], options)` call.  A guard
 /// stop finalizes the unfinished horizons with their own sound residual
 /// bounds.  The shared iterate is published as one guard checkpoint per
 /// step, under the largest open planned count and residual.

@@ -403,10 +403,8 @@ struct Horizon {
   bool record_all = false;
   bool lock_sweep = false;  // this step stages lock candidates
   bool done = false;
-  bool early_fired = false;
   bool lyap_fired = false;
   bool fixpoint = false;
-  std::uint64_t early_step = 0;
   std::uint64_t executed = 0;
   std::uint64_t probes = 0;  // survival ages the certificate checks paid for
   double weight = 0.0;       // psi(g), or G_g for goal-folded engines
@@ -519,8 +517,8 @@ unsigned sweep_horizons(const Rows& rows, const std::vector<double>* seed,
       if (!by_start[a]->done) active.push_back(by_start[a]);
     }
     if (active.empty()) {
-      // Everything in flight stopped early; fast-forward to the next
-      // (strictly smaller) horizon start, or stop when none remain.
+      // Everything in flight stopped below its window; fast-forward to the
+      // next (strictly smaller) horizon start, or stop when none remain.
       if (started == by_start.size()) break;
       g = by_start[started]->start + 1;
       continue;
@@ -632,25 +630,11 @@ unsigned sweep_horizons(const Rows& rows, const std::vector<double>* seed,
         }
       }
 
-      // Early termination: below the window no further psi mass arrives,
-      // so once the vector stops moving the remaining iterations are no-ops
-      // up to early_termination_delta.  Gated on the window bound only:
-      // inside the window every stored weight is strictly positive by
-      // construction (PoissonWindow::compute throws at the underflow
-      // frontier), and firing on an interior psi == 0 would silently skip
-      // steps that still carry mass without widening residual_bound.
-      if (options.early_termination && g > 1 && g - 1 < h.psi.left() &&
-          delta <= options.early_termination_delta) {
-        if (options.extract_scheduler) r.initial_decision = h.decision;
-        h.early_fired = true;
-        h.early_step = g;
-        h.done = true;
-      }
       // Exact fixpoint below the window: delta == 0 means q_g and q_{g+1}
       // are bit-identical, and with psi == 0 every remaining sweep applies
       // the same operator to the same vector — provable no-ops, zero extra
       // error.
-      if (!h.done && locking && g > 1 && g <= h.psi.left() && delta == 0.0) {
+      if (locking && g > 1 && g <= h.psi.left() && delta == 0.0) {
         h.fixpoint = true;
         h.done = true;
       }
@@ -687,8 +671,7 @@ unsigned sweep_horizons(const Rows& rows, const std::vector<double>* seed,
     } else if (h.lyap_fired) {
       r.residual_bound = h.window_epsilon + h.lyap_error;
     } else {
-      r.residual_bound =
-          h.window_epsilon + (h.early_fired ? options.early_termination_delta : 0.0);
+      r.residual_bound = h.window_epsilon;
     }
     rows.finish(h.q_next, h.goal_value, partial, r);
     h.q_next = std::vector<double>();
@@ -821,7 +804,6 @@ std::vector<TimedReachabilityResult> solve(const Ctmdp& model, const BitVector& 
     span->metric("poisson_width", h.k - h.psi.left() + 1);
     span->metric("iterations_planned", h.k);
     span->metric("iterations_executed", h.executed);
-    span->metric("early_termination_step", h.early_step);
     span->metric("threads", threads);
     span->metric("residual_bound", r.residual_bound);
     span->metric("truncation.k_fox_glynn", h.fox_glynn_right);
@@ -848,7 +830,6 @@ std::vector<TimedReachabilityResult> solve(const Ctmdp& model, const BitVector& 
     hspan.metric("poisson_right", h.k);
     hspan.metric("iterations_planned", h.k);
     hspan.metric("iterations_executed", h.executed);
-    hspan.metric("early_termination_step", h.early_step);
     hspan.metric("residual_bound", r.residual_bound);
     hspan.metric("truncation.k_fox_glynn", h.fox_glynn_right);
     hspan.metric("truncation.k_effective", h.executed);
@@ -872,9 +853,9 @@ double uniform_rate_of(const Ctmdp& model, const char* who) {
 
 /// Policy evaluation of a validated table at uniform rate @p e: a
 /// one-horizon solve on the replay rows, with the pure Fox-Glynn schedule
-/// and nothing to extract, resume or avoid.  No locking and no early stop:
-/// a choice may change from step to step, so a bitwise-stable row is not a
-/// fixpoint of the remaining steps.
+/// and nothing to extract, resume or avoid.  No locking, so no fixpoint
+/// break: a choice may change from step to step, so a bitwise-stable row is
+/// not a fixpoint of the remaining steps.
 TimedReachabilityResult replay(const Ctmdp& model, const BitVector& goal, double e, double t,
                                const CountdownScheduler& scheduler,
                                const TimedReachabilityOptions& options) {
@@ -884,7 +865,6 @@ TimedReachabilityResult replay(const Ctmdp& model, const BitVector& goal, double
   policy.extract_scheduler = false;
   policy.resume = nullptr;
   policy.locking = false;
-  policy.early_termination = false;
   const auto replay_rows = [&scheduler](const auto& m, const auto& g, const auto& o, auto&& fn) {
     const DiscreteKernel kernel(m, g);
     fn(CountdownRows(kernel, g, o.avoid, scheduler));
@@ -984,8 +964,8 @@ std::vector<double> step_bounded_reachability(const Ctmdp& model, const BitVecto
   // The lambda = 0 window has psi(g) = 0 for every g >= 1, so k = steps
   // Algorithm-1 sweeps seeded with the goal indicator are the step-bounded
   // recurrence: goal rows keep their 1, the rest take the best successor
-  // average.  Nothing is below that window, so neither locking nor early
-  // termination ever engages.
+  // average.  Nothing is below that window, so neither locking nor a stop
+  // below it ever engages.
   std::vector<Horizon> horizons(1);
   horizons[0].psi = PoissonWindow::compute(0.0, options.epsilon);
   horizons[0].k = horizons[0].start = steps;

@@ -84,12 +84,6 @@ struct TimedReachabilityOptions {
   /// bit-identical to itself across all thread counts.  extract_scheduler
   /// overrides it with Serial.
   Backend backend = Backend::Auto;
-  /// Stop iterating once the Poisson window is exhausted (no further psi
-  /// mass below the current step) and the value vector has converged to
-  /// within early_termination_delta in sup norm.  The faithful iteration
-  /// count k is still reported in iterations_planned.
-  bool early_termination = false;
-  double early_termination_delta = 1e-9;
   /// Record the optimal decision (transition index) per state for the first
   /// step (i = 1) — e.g. which component the optimal FTWC policy repairs
   /// first.  Also records full per-step decisions if the table stays below
@@ -100,8 +94,9 @@ struct TimedReachabilityOptions {
   /// Worker threads for the per-iteration state sweep.  0 picks
   /// hardware_concurrency, 1 is the serial path (no threads spawned).  The
   /// sweep partitions states into contiguous per-worker slices, so results
-  /// — including the early-termination delta, a max-reduction over
-  /// disjoint slices — are bit-identical for every thread count.
+  /// — including the sweep delta the stops below the window test, a
+  /// max-reduction over disjoint slices — are bit-identical for every
+  /// thread count.
   unsigned threads = 0;
   /// Optional execution control.  Polled once per value-iteration step on
   /// the coordinating thread and every ~2k states inside parallel sweeps,
@@ -121,8 +116,8 @@ struct TimedReachabilityOptions {
   /// call; a batch reports a
   /// "reachability_batch" span with one "reachability_batch.horizon" child
   /// per bound) with states/transitions, the Poisson window
-  /// (left/right/width), iterations planned/executed and the
-  /// early-termination step, plus per-worker row counters
+  /// (left/right/width), iterations planned/executed and the truncation
+  /// metrics, plus per-worker row counters
   /// ("reachability.rows.worker<i>") batched once per sweep.  A live
   /// registry only observes — results stay bit-identical with telemetry on
   /// or off.
@@ -142,7 +137,9 @@ struct TimedReachabilityResult {
   std::vector<double> values;
   /// k — the faithful number of value-iteration steps (Table 1 column).
   std::uint64_t iterations_planned = 0;
-  /// Steps actually executed (== planned unless early termination fired).
+  /// Steps actually executed: planned, unless the exact-fixpoint break or
+  /// the Lyapunov certificate stopped below the window, or a guard stopped
+  /// the solve.
   std::uint64_t iterations_executed = 0;
   /// Uniform rate E of the model.
   double uniform_rate = 0.0;
@@ -156,10 +153,11 @@ struct TimedReachabilityResult {
   std::vector<std::vector<std::uint64_t>> decisions;
   /// Converged, or the RunGuard budget that stopped the solve early.
   RunStatus status = RunStatus::Converged;
-  /// Sound per-state bound on |values[s] - true value|: epsilon (plus the
-  /// early-termination delta when that fired) for a Converged run; for a
-  /// partial run, the Poisson-weight displacement bound of the unfinished
-  /// backward iteration (partial_residual in reachability.cpp).
+  /// Sound per-state bound on |values[s] - true value|: the window's
+  /// epsilon (plus the certified tail when the Lyapunov certificate fired)
+  /// for a Converged run; for a partial run, the Poisson-weight
+  /// displacement bound of the unfinished backward iteration
+  /// (partial_residual in reachability.cpp).
   double residual_bound = 0.0;
   /// Resolved truncation provider (never Auto).
   Truncation truncation = Truncation::FoxGlynn;
@@ -198,9 +196,9 @@ TimedReachabilityResult timed_reachability(const Ctmdp& model, const BitVector& 
 /// Multi-horizon Algorithm 1: one fused solve answering every time bound in
 /// @p times against the same (model, goal, options).  Results are returned
 /// in input order and each is *bit-identical* — values, residual bounds,
-/// iteration counts, scheduler tables, early-termination behaviour — to an
-/// independent `timed_reachability(model, goal, times[j], options)` call,
-/// by construction: every horizon keeps its own iterate and Poisson window
+/// iteration counts, scheduler tables, stop steps — to an independent
+/// `timed_reachability(model, goal, times[j], options)` call, by
+/// construction: every horizon keeps its own iterate and Poisson window
 /// and performs exactly the per-state operation sequence of its single-t
 /// run.  The horizons are fused bottom-aligned (all end at step 1
 /// together), so one pass over the shared kernel relaxes every active
@@ -224,12 +222,12 @@ std::vector<TimedReachabilityResult> timed_reachability_batch(
 /// goal or transitionless states are ignored).  A stationary scheduler is
 /// the one-row countdown table, so this is evaluate_countdown_scheduler's
 /// replay (scheduler.hpp): serial rows on every backend, the pure Fox-Glynn
-/// schedule, no locking and no early termination, with options.avoid,
-/// extract_scheduler and resume ignored.  The induced process is a uniform
-/// CTMC, so this equals CTMC timed reachability and serves as a
-/// cross-check in the tests.  Honours options.threads, guard (partial
-/// results as in timed_reachability) and telemetry.  Throws ModelError on
-/// an out-of-range choice at a non-goal state with transitions.
+/// schedule and no locking, with options.avoid, extract_scheduler and
+/// resume ignored.  The induced process is a uniform CTMC, so this equals
+/// CTMC timed reachability and serves as a cross-check in the tests.
+/// Honours options.threads, guard (partial results as in
+/// timed_reachability) and telemetry.  Throws ModelError on an
+/// out-of-range choice at a non-goal state with transitions.
 TimedReachabilityResult evaluate_scheduler(const Ctmdp& model, const BitVector& goal,
                                            double t, const std::vector<std::uint64_t>& choice,
                                            const TimedReachabilityOptions& options = {});

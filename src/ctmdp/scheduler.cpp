@@ -69,8 +69,11 @@ CountdownScheduler CountdownScheduler::from_result(const TimedReachabilityResult
 std::uint64_t CountdownScheduler::choice(std::uint64_t i, StateId s) const {
   if (i == 0) throw ModelError("CountdownScheduler: steps are 1-based");
   const auto& row = decisions_[std::min<std::size_t>(i - 1, decisions_.size() - 1)];
-  // Early termination leaves the rows below its stop step empty.
-  if (s >= row.size()) throw ModelError("CountdownScheduler: no decision recorded at this step");
+  if (s >= row.size()) {
+    throw ModelError(
+        "CountdownScheduler: no decision recorded at this step (a stopped solve leaves the rows "
+        "below its stop step empty)");
+  }
   return row[s];
 }
 

@@ -72,7 +72,7 @@ SchedulerArtifact scheduler_artifact_from_result(const TimedReachabilityResult& 
     if (row.size() != artifact.states) {
       throw ModelError("scheduler artifact: decision row has " + std::to_string(row.size()) +
                        " entries, expected " + std::to_string(artifact.states) +
-                       " (early termination leaves the rows below its stop step empty)");
+                       " (a stopped solve leaves the rows below its stop step empty)");
     }
   }
   artifact.value = value;

@@ -12,9 +12,9 @@
 //             "model": {"kind": "uni"|"dft"|"ctmdp"|"ctmc", "source": "...",
 //                       "labels": "...", "goal": "goal"},
 //             "times": [0.5, 2.0], "objective": "max"|"min",
-//             "epsilon": 1e-6, "early": false, "backend": "auto",
-//             "threads": 1, "deadline": 0, "cancel_after_polls": 0,
-//             "wait": true}
+//             "epsilon": 1e-6, "backend": "auto", "truncation": "auto",
+//             "locking": true, "threads": 1, "deadline": 0,
+//             "cancel_after_polls": 0, "wait": true}
 //   response {"id": "q1", "version": 1, "ok": true, "model_hash": "...",
 //             "cache_hit": false, "batched_with": 1,
 //             "results": [{"time", "value", "residual_bound",

@@ -38,11 +38,10 @@ std::string AnalysisService::solve_key_of(const std::string& source_key,
   char params[128];
   // %a renders epsilon exactly, so keys never merge across precisions
   // that happen to print alike in decimal.
-  std::snprintf(params, sizeof params, "\n%d|%a|%d|%s|%s|%d|%u",
+  std::snprintf(params, sizeof params, "\n%d|%a|%s|%s|%d|%u",
                 static_cast<int>(request.objective), request.epsilon,
-                request.early_termination ? 1 : 0, backend_name(request.backend),
-                truncation_name(request.truncation), request.locking ? 1 : 0,
-                request.threads);
+                backend_name(request.backend), truncation_name(request.truncation),
+                request.locking ? 1 : 0, request.threads);
   return content_hash({source_key, params});
 }
 
@@ -339,7 +338,6 @@ void AnalysisService::execute_group(Group& group) {
     if (model.is_ctmc()) {
       TransientOptions options;
       options.epsilon = lead.epsilon;
-      options.early_termination = lead.early_termination;
       options.backend = lead.backend;
       options.truncation = lead.truncation;
       options.locking = lead.locking;
@@ -359,7 +357,6 @@ void AnalysisService::execute_group(Group& group) {
       TimedReachabilityOptions options;
       options.epsilon = lead.epsilon;
       options.objective = lead.objective;
-      options.early_termination = lead.early_termination;
       options.backend = lead.backend;
       options.truncation = lead.truncation;
       options.locking = lead.locking;

@@ -7,7 +7,11 @@ namespace unicon {
 double max_abs_diff(std::span<const double> a, std::span<const double> b) {
   double m = 0.0;
   const std::size_t n = std::min(a.size(), b.size());
-  for (std::size_t i = 0; i < n; ++i) m = std::max(m, std::fabs(a[i] - b[i]));
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = std::fabs(a[i] - b[i]);
+    if (std::isnan(d)) return d;  // never agreement; std::max would drop it
+    m = std::max(m, d);
+  }
   return m;
 }
 

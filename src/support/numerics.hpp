@@ -46,7 +46,8 @@ inline std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b) {
   return a * b;
 }
 
-/// Maximum absolute difference between two equally sized vectors.
+/// Maximum absolute difference between two equally sized vectors.  NaN
+/// once any difference is NaN, so a poisoned entry never reads as agreement.
 double max_abs_diff(std::span<const double> a, std::span<const double> b);
 
 /// L1 norm of a vector.

@@ -6,7 +6,7 @@
 // exactly what governs its cost: intermediate state-space sizes for the
 // compositional stages (frontier size, product states, refinement blocks)
 // and the Poisson-window truncation for the solvers (left/right bounds,
-// iterations executed, early-termination step).
+// iterations executed, the step where a certificate stopped).
 //
 // Consumption style mirrors RunGuard: a Telemetry registry is passed as a
 // nullable pointer through options structs.  A null pointer costs one

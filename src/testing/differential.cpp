@@ -207,17 +207,6 @@ TimedReachabilityResult solver_checks(const Ctx& ctx, const Ctmdp& model,
   ctx.require(sup.values == sup_par.values, "serial-vs-parallel",
               "values differ by " + num(vector_diff(sup.values, sup_par.values)));
 
-  // Early termination within tolerance of the faithful iteration.
-  TimedReachabilityOptions early = serial;
-  early.early_termination = true;
-  early.early_termination_delta = 1e-12;
-  const TimedReachabilityResult sup_early = timed_reachability(model, goal_sup, t, early);
-  {
-    const double diff = vector_diff(sup.values, sup_early.values);
-    ctx.require(config.mutation != Mutation::None || diff <= config.tolerance,
-                "early-termination", "max deviation " + num(diff));
-  }
-
   // Step-bounded special case vs. naive oracle, serial vs. parallel.
   const std::uint64_t steps = std::min<std::uint64_t>(sup.iterations_planned, 25);
   const std::vector<double> sb =

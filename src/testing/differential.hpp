@@ -5,10 +5,10 @@
 // Variants exercised per seed (four model families):
 //  * direct uIMC      — Def.-4 audit, transform vs. brute-force oracle,
 //    Algorithm 1 vs. dense value iteration (sup and inf), serial vs.
-//    parallel bit-identity, early termination, hide_all invariance,
-//    branching-bisimulation minimization, step-bounded vs. naive oracle,
-//    extracted scheduler <= sup, induced-CTMC cross-check, Monte-Carlo
-//    estimate inside its confidence interval;
+//    parallel bit-identity, hide_all invariance, branching-bisimulation
+//    minimization, step-bounded vs. naive oracle, extracted scheduler <=
+//    sup, induced-CTMC cross-check, Monte-Carlo estimate inside its
+//    confidence interval;
 //  * composed uIMC    — uniformity *by construction* (elapse/compose/hide)
 //    audited against the constructed rate, then transform + solver checks;
 //  * direct uCTMDP    — solver-only checks, bypassing the transformation;

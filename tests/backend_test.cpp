@@ -9,7 +9,7 @@
 //    must agree with the historical serial engine up to the FP-reassociation
 //    tolerance documented in DESIGN.md Sec. 10,
 //  * regressions for the scheduler-resume decision merge and the
-//    early-termination window gate at huge Poisson parameters.
+//    exact-fixpoint break's window gate at huge Poisson parameters.
 
 #include <gtest/gtest.h>
 
@@ -802,13 +802,13 @@ TEST(CrossBackendResume, PartialResultsResumeUnderEveryBackend) {
   }
 }
 
-// -------------------------------------- early-termination window regression
+// ------------------------------------ exact-fixpoint break at huge lambda
 
 /// Two-state chain as a CTMDP: 0 -> 1 at half the uniform rate.  At huge
 /// E*t the Poisson window's left truncation point is far above 1, and the
-/// iterate converges long before the window is exhausted — exactly the
-/// regime where a psi-underflow-based early-exit check used to fire inside
-/// the window and truncate real probability mass.
+/// iterate converges long before the window is exhausted — the regime where
+/// a stop that fired inside the window would truncate real probability
+/// mass.
 Ctmdp huge_lambda_model() {
   CtmdpBuilder b;
   b.ensure_states(2);
@@ -821,33 +821,34 @@ Ctmdp huge_lambda_model() {
   return b.build();
 }
 
-TEST(EarlyTermination, GatedOnWindowBoundsAtHugeLambda) {
+TEST(ExactFixpoint, BreaksOnlyBelowTheWindowAtHugeLambda) {
   const Ctmdp model = huge_lambda_model();
   const BitVector goal{false, true};
   const double t = 10.0;  // lambda = 4000, left bound ~ 3600
+  const PoissonWindow window = PoissonWindow::compute(4000.0, 1e-9);
 
-  TimedReachabilityOptions full_options;
-  full_options.epsilon = 1e-9;
-  const auto full = timed_reachability(model, goal, t, full_options);
-
-  // An infinite delta makes the window gate the *only* thing standing
-  // between the solver and an immediate bogus exit: if the gate ever fires
-  // with psi mass still below the current step, the value collapses.
-  TimedReachabilityOptions early_options = full_options;
-  early_options.early_termination = true;
-  early_options.early_termination_delta = std::numeric_limits<double>::max();
-  const auto early = timed_reachability(model, goal, t, early_options);
-  EXPECT_LT(early.iterations_executed, early.iterations_planned);  // it did fire
-  EXPECT_NEAR(early.values[0], full.values[0], 1e-8);
-  EXPECT_DOUBLE_EQ(early.values[1], 1.0);
-
-  // With a realistic delta the answer must stay within delta + epsilon of
-  // the exact run on every backend.
-  early_options.early_termination_delta = 1e-9;
   for (Backend backend : kBackends) {
-    early_options.backend = backend;
-    const auto run = timed_reachability(model, goal, t, early_options);
-    EXPECT_NEAR(run.values[0], full.values[0], 1e-8) << backend_name(backend);
+    SCOPED_TRACE(backend_name(backend));
+    // Fox-Glynn on both sides, so the break is the only stop below the
+    // window.
+    TimedReachabilityOptions options;
+    options.epsilon = 1e-9;
+    options.truncation = Truncation::FoxGlynn;
+    options.backend = backend;
+    options.locking = false;
+    const auto full = timed_reachability(model, goal, t, options);
+    EXPECT_EQ(full.iterations_executed, full.iterations_planned);
+    options.locking = true;
+    const auto run = timed_reachability(model, goal, t, options);
+    ASSERT_EQ(run.iterations_planned, window.right());
+    EXPECT_TRUE(run.exact_fixpoint);
+    EXPECT_LT(run.iterations_executed, run.iterations_planned);  // it did fire
+    // ... and only below the window: every step that carries mass ran.
+    EXPECT_GE(run.iterations_executed, window.right() - window.left() + 1);
+    // The skipped sweeps were provable no-ops.
+    EXPECT_EQ(run.values, full.values);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(run.residual_bound),
+              std::bit_cast<std::uint64_t>(full.residual_bound));
   }
 }
 

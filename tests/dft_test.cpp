@@ -27,6 +27,7 @@
 #include "lang/build.hpp"
 #include "lang/diagnostics.hpp"
 #include "support/errors.hpp"
+#include "support/run_guard.hpp"
 #include "testing/dft_oracle.hpp"
 #include "test_util.hpp"
 
@@ -472,10 +473,10 @@ TEST(DftScheduler, ArtifactRoundTripIsBitIdenticalOnEveryBackend) {
   }
 }
 
-// Early termination ends the sweep before it reaches step 1, so the decision
-// rows below its stop step stay empty: no artifact can be made of such a
-// table (the CLI refuses --early with --export-scheduler before solving).
-TEST(DftScheduler, EarlyTerminatedTableIsNotAnArtifact) {
+// A guard stop ends the sweep before it reaches step 1, so the decision rows
+// below its stop step stay empty: no artifact can be made of such a table
+// (the CLI skips the export of a solve that did not converge).
+TEST(DftScheduler, GuardStoppedTableIsNotAnArtifact) {
   const std::filesystem::path path = std::filesystem::path(UNICON_DFT_DIR) / "cas.dft";
   std::ifstream in(path);
   ASSERT_TRUE(in.good()) << path;
@@ -485,20 +486,25 @@ TEST(DftScheduler, EarlyTerminatedTableIsNotAnArtifact) {
       lang::minimize_model(dft::lower_dft(dft::parse_and_check_dft(source.str())));
   const double t = 100.0;
   const double eps = 1e-6;
-  UimcAnalysisOptions options;
-  options.reachability.epsilon = eps;
-  options.reachability.backend = Backend::Serial;
-  options.reachability.threads = 1;
-  options.reachability.early_termination = true;
-  options.reachability.extract_scheduler = true;
-  const UimcAnalysisResult result =
-      analyze_timed_reachability(built.system, built.mask("failed"), t, options);
-  const TimedReachabilityResult& solve = result.reachability;
-  ASSERT_EQ(solve.status, RunStatus::Converged);
+  const BitVector failed = built.mask("failed");
+  const TransformResult transformed = transform_to_ctmdp(built.system, &failed);
+  const Ctmdp& ctmdp = transformed.ctmdp;
+
+  // The extracting solve under a guard that cancels at its fourth step.
+  RunGuard guard;
+  guard.cancel_after_polls(4);
+  TimedReachabilityOptions extracting;
+  extracting.epsilon = eps;
+  extracting.threads = 1;
+  extracting.extract_scheduler = true;
+  extracting.guard = &guard;
+  const TimedReachabilityResult solve =
+      timed_reachability(ctmdp, transformed.goal, t, extracting);
+  ASSERT_EQ(solve.status, RunStatus::Cancelled);
   ASSERT_LT(solve.iterations_executed, solve.iterations_planned);
   ASSERT_FALSE(solve.decisions.empty());
   EXPECT_THROW((void)io::scheduler_artifact_from_result(solve, Objective::Maximize, t, eps,
-                                                        result.value),
+                                                        solve.values[ctmdp.initial()]),
                ModelError);
 }
 

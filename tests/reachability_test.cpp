@@ -143,37 +143,6 @@ TEST(TimedReachability, IterationCountsReported) {
   EXPECT_EQ(locked.values, r.values);
 }
 
-TEST(TimedReachability, EarlyTerminationMatchesFullRun) {
-  const Ctmdp c = choice_model();
-  const std::vector<bool> goal{false, false, true};
-  TimedReachabilityOptions options;
-  options.epsilon = 1e-7;
-  const auto full = timed_reachability(c, goal, 50.0, options);
-  options.early_termination = true;
-  const auto early = timed_reachability(c, goal, 50.0, options);
-  EXPECT_LE(early.iterations_executed, full.iterations_executed);
-  EXPECT_NEAR(full.values[0], early.values[0], 1e-6);
-  EXPECT_NEAR(full.values[1], early.values[1], 1e-6);
-}
-
-TEST(TimedReachability, EarlyTerminationAgreesWithinDelta) {
-  // With a tight convergence delta the early-terminated run agrees with the
-  // full run far below the truncation precision: the residual error is the
-  // remaining Poisson mass times the converged delta.
-  const Ctmdp c = choice_model();
-  const std::vector<bool> goal{false, false, true};
-  TimedReachabilityOptions options;
-  options.epsilon = 1e-9;
-  const auto full = timed_reachability(c, goal, 80.0, options);
-  options.early_termination = true;
-  options.early_termination_delta = 1e-12;
-  const auto early = timed_reachability(c, goal, 80.0, options);
-  EXPECT_LT(early.iterations_executed, full.iterations_executed);
-  for (StateId s = 0; s < c.num_states(); ++s) {
-    EXPECT_NEAR(full.values[s], early.values[s], 1e-9) << s;
-  }
-}
-
 TEST(TimedReachability, FullDecisionTableRecorded) {
   const Ctmdp c = choice_model();
   TimedReachabilityOptions options;
@@ -321,10 +290,11 @@ TEST(Truncation, CtmcCertificateMatchesFoxGlynn) {
   }
 }
 
-TEST(Truncation, EarlyTerminationWithLockingKeepsResidualSound) {
-  // The three error sources — truncation epsilon, the certificate's
-  // forfeited tail and the early-termination delta — must all be covered
-  // by the reported residual_bound, with locking on.
+TEST(Truncation, StopsBelowTheWindowKeepResidualSound) {
+  // The stops below the window — the exact-fixpoint break under locking
+  // and the Lyapunov certificate — must keep every value within the
+  // reported residual_bound: the truncation epsilon plus, for a certified
+  // stop, its forfeited tail.
   const Ctmdp c = drift_model(20);
   const BitVector goal = last_state_goal(c.num_states());
   const double t = 400.0;
@@ -338,17 +308,15 @@ TEST(Truncation, EarlyTerminationWithLockingKeepsResidualSound) {
   for (const Truncation mode : {Truncation::FoxGlynn, Truncation::Auto}) {
     TimedReachabilityOptions options;
     options.truncation = mode;
-    options.early_termination = true;
-    options.early_termination_delta = 1e-9;
     const auto run = timed_reachability(c, goal, t, options);
     ASSERT_EQ(run.status, RunStatus::Converged);
+    // A stop fired, or this case would not exercise one.
+    EXPECT_LT(run.iterations_executed, run.iterations_planned) << truncation_name(mode);
     // The bound reports the error actually accounted for — for an engaged
     // plan the window half plus the certified stop error, which can land
     // below the requested epsilon — but never exceeds the total budget.
     EXPECT_GT(run.residual_bound, 0.0) << truncation_name(mode);
-    EXPECT_LE(run.residual_bound,
-              options.epsilon + options.early_termination_delta)
-        << truncation_name(mode);
+    EXPECT_LE(run.residual_bound, options.epsilon) << truncation_name(mode);
     for (StateId s = 0; s < c.num_states(); ++s) {
       EXPECT_LE(std::fabs(run.values[s] - reference.values[s]), run.residual_bound + 1e-12)
           << truncation_name(mode) << " state " << s;
@@ -630,23 +598,23 @@ TEST(TimedReachability, ParallelMatchesSerial) {
   }
 }
 
-TEST(TimedReachability, ParallelMatchesSerialWithEarlyTermination) {
+TEST(TimedReachability, ParallelMatchesSerialAtTheExactFixpointBreak) {
   const Ctmdp c = choice_model();
   const std::vector<bool> goal{false, false, true};
   TimedReachabilityOptions serial;
   serial.epsilon = 1e-7;
-  serial.early_termination = true;
   serial.threads = 1;
   TimedReachabilityOptions parallel = serial;
   parallel.threads = 3;
   const auto a = timed_reachability(c, goal, 50.0, serial);
   const auto b = timed_reachability(c, goal, 50.0, parallel);
-  // The delta is a max-reduction over disjoint slices, so the parallel run
-  // terminates on exactly the same iteration with identical values.
+  ASSERT_TRUE(a.exact_fixpoint);
+  ASSERT_LT(a.iterations_executed, a.iterations_planned);
+  // The sweep delta is a max-reduction over disjoint slices, so the
+  // parallel run breaks on exactly the same step with identical values.
+  EXPECT_TRUE(b.exact_fixpoint);
   EXPECT_EQ(a.iterations_executed, b.iterations_executed);
-  for (StateId s = 0; s < c.num_states(); ++s) {
-    EXPECT_DOUBLE_EQ(a.values[s], b.values[s]) << s;
-  }
+  EXPECT_EQ(a.values, b.values);
 }
 
 TEST(EvaluateScheduler, ParallelMatchesSerial) {

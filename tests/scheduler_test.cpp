@@ -176,15 +176,18 @@ TEST(CountdownReplay, GoalStatesReportOne) {
   EXPECT_GT(goals, 0u);
 }
 
-TEST(CountdownReplay, IncompleteTableIsRejectedBeforeSweeping) {
-  // Early termination records no rows below its stop step, so the table
-  // of such a solve cannot be replayed.
+TEST(CountdownReplay, GuardStoppedTableIsRejectedBeforeSweeping) {
+  // A solve stopped by its guard records no rows below its stop step, so
+  // the table of such a solve cannot be replayed.
   const Ctmdp c = choice_model();
   const std::vector<bool> goal{false, false, true};
+  RunGuard guard;
+  guard.cancel_after_polls(4);
   TimedReachabilityOptions options;
   options.extract_scheduler = true;
-  options.early_termination = true;
+  options.guard = &guard;
   const auto solve = timed_reachability(c, goal, 50.0, options);
+  ASSERT_EQ(solve.status, RunStatus::Cancelled);
   ASSERT_LT(solve.iterations_executed, solve.iterations_planned);
   EXPECT_THROW(evaluate_countdown_scheduler(c, goal, 50.0, CountdownScheduler::from_result(solve)),
                ModelError);

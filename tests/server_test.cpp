@@ -666,6 +666,32 @@ TEST(SessionTest, FaultPlanFieldsRequireTheServerOptIn) {
   }
 }
 
+TEST(SessionTest, EarlyIsAnUnknownField) {
+  // The protocol has no early-termination switch: a query that asks for one
+  // is refused before it reaches the service.
+  const Fixture fixture = make_ctmdp_fixture(85, 12, {0.5}, Objective::Maximize);
+  Json model;
+  model.set("kind", "ctmdp");
+  model.set("source", fixture.source);
+  model.set("labels", fixture.labels);
+  Json query;
+  query.set("id", "e1");
+  query.set("op", "query");
+  query.set("model", std::move(model));
+  query.set("time", 0.5);
+  query.set("early", true);
+  AnalysisService service(ServiceOptions{.workers = 1});
+  const std::vector<Json> lines = run_jsonl(service, query.dump() + "\n");
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0].get_string("id", ""), "e1");
+  EXPECT_FALSE(lines[0].get_bool("ok", true));
+  const Json* error = lines[0].find("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->get_string("code", ""), "parse");
+  EXPECT_EQ(error->get_string("message", ""), "unknown field 'early'");
+  EXPECT_EQ(service.stats().submitted, 0u);
+}
+
 TEST(SessionTest, SessionOutputIsDeterministic) {
   const Fixture fixture = make_ctmdp_fixture(91, 20, {0.5, 2.0}, Objective::Maximize);
   Json model;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <tuple>
 #include <vector>
@@ -453,6 +454,10 @@ TEST(Numerics, MaxAbsDiff) {
   const std::vector<double> a{1.0, 2.0, 3.0};
   const std::vector<double> b{1.0, 2.5, 2.0};
   EXPECT_DOUBLE_EQ(max_abs_diff(a, b), 1.0);
+  // A NaN difference latches, wherever it sits: it must not read as agreement.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(max_abs_diff(std::vector<double>{nan, 2.0, 3.0}, b)));
+  EXPECT_TRUE(std::isnan(max_abs_diff(a, std::vector<double>{1.0, 2.5, nan})));
 }
 
 TEST(Numerics, Clamp01) {

@@ -2,22 +2,20 @@
 //
 // Usage:
 //   unicon_check model <model.uni> <t> [--goal NAME] [--objective min|max]
-//                [--eps E] [--early] [--no-minimize] [--export PREFIX]
+//                [--eps E] [--no-minimize] [--export PREFIX]
 //                [--export-scheduler PATH] [common]
 //   unicon_check dft   <tree.dft> <t> [--objective min|max] [--eps E]
-//                [--early] [--no-minimize] [--export-scheduler PATH] [common]
+//                [--no-minimize] [--export-scheduler PATH] [common]
 //   unicon_check ctmdp <model.ctmdp> <goal.lab> <t> [--objective min|max]
-//                [--eps E] [--early] [--scheduler] [common]
-//   unicon_check ctmc  <model.tra>   <goal.lab> <t> [--eps E] [--early]
-//                [common]
+//                [--eps E] [--scheduler] [common]
+//   unicon_check ctmc  <model.tra>   <goal.lab> <t> [--eps E] [common]
 //
 // --min is a backward-compatible alias for --objective min.  The "dft" mode
 // parses a Galileo-format dynamic fault tree, lowers it onto the IMC
 // composition pipeline (src/dft/) and reports the unreliability bound
 // sup/inf P(top event fails within t).  --export-scheduler writes the
 // optimal step-dependent scheduler as a unicon-scheduler-v1 JSON artifact
-// (see io/scheduler_json.hpp); it requires a single-bound converged solve
-// without --early.
+// (see io/scheduler_json.hpp); it requires a single-bound converged solve.
 //
 // Batch mode (every kind): --times T1,T2,... answers several time bounds
 // with ONE fused multi-horizon solve (the positional <t> is ignored).
@@ -129,14 +127,13 @@ struct TelemetryFlusher {
 [[noreturn]] void usage() {
   std::fprintf(stderr,
                "usage: unicon_check model <model.uni> <t> [--goal NAME] [--objective min|max] "
-               "[--eps E] [--early] [--no-minimize] [--export PREFIX] "
+               "[--eps E] [--no-minimize] [--export PREFIX] "
                "[--export-scheduler PATH] [common]\n"
                "       unicon_check dft   <tree.dft> <t> [--objective min|max] [--eps E] "
-               "[--early] [--no-minimize] [--export-scheduler PATH] [common]\n"
+               "[--no-minimize] [--export-scheduler PATH] [common]\n"
                "       unicon_check ctmdp <model.ctmdp> <goal.lab> <t> [--objective min|max] "
-               "[--eps E] [--early] [--scheduler] [common]\n"
-               "       unicon_check ctmc  <model.tra>   <goal.lab> <t> [--eps E] [--early] "
-               "[common]\n"
+               "[--eps E] [--scheduler] [common]\n"
+               "       unicon_check ctmc  <model.tra>   <goal.lab> <t> [--eps E] [common]\n"
                "common: [--times T1,T2,...] [--backend auto|serial|simd|simd-portable] "
                "[--truncation auto|fox-glynn|lyapunov] [--no-locking] "
                "[--deadline S] [--mem-budget BYTES[K|M|G]] [--json-errors] "
@@ -408,7 +405,7 @@ lang::BuiltModel announce_and_minimize(lang::BuiltModel built, bool minimize, Te
 /// for the single bound @p t or the --times batch, and prints the report.
 /// @p quantity names the single-bound answer ("P(reach goal within 2)").
 int solve_built(const lang::BuiltModel& built, const std::string& goal,
-                const std::string& quantity, double t, bool minimize_flag, double eps, bool early,
+                const std::string& quantity, double t, bool minimize_flag, double eps,
                 const std::string& scheduler_path, const GuardFlags& flags,
                 const Stopwatch& total) {
   const Objective objective = minimize_flag ? Objective::Minimize : Objective::Maximize;
@@ -416,18 +413,12 @@ int solve_built(const lang::BuiltModel& built, const std::string& goal,
   UimcAnalysisOptions options;
   options.reachability.epsilon = eps;
   options.reachability.objective = objective;
-  options.reachability.early_termination = early;
   options.reachability.backend = flags.backend;
   options.reachability.truncation = flags.truncation;
   options.reachability.locking = flags.locking;
   options.reachability.guard = &g_guard;
   options.reachability.telemetry = telemetry_of(flags);
   options.reachability.extract_scheduler = !scheduler_path.empty();
-  if (!scheduler_path.empty() && early) {
-    // Early termination leaves the decision rows below its stop step empty.
-    std::fprintf(stderr, "error: --export-scheduler cannot be combined with --early\n");
-    std::exit(2);
-  }
   if (!flags.times.empty()) {
     if (!scheduler_path.empty()) {
       std::fprintf(stderr, "error: --export-scheduler requires a single time bound\n");
@@ -472,7 +463,7 @@ std::string format_bound(double t) {
 }
 
 int run_model(const std::string& path, double t, const std::string& goal_name, bool minimize_flag,
-              bool minimize, double eps, bool early, const std::string& export_prefix,
+              bool minimize, double eps, const std::string& export_prefix,
               const std::string& scheduler_path, const GuardFlags& flags) {
   Stopwatch total;
   Telemetry* const tel = telemetry_of(flags);
@@ -510,11 +501,11 @@ int run_model(const std::string& path, double t, const std::string& goal_name, b
   }
   return solve_built(built, goal_name,
                      "P(reach " + goal_name + " within " + format_bound(t) + ")", t, minimize_flag,
-                     eps, early, scheduler_path, flags, total);
+                     eps, scheduler_path, flags, total);
 }
 
 int run_dft(const std::string& path, double t, bool minimize_flag, bool minimize, double eps,
-            bool early, const std::string& scheduler_path, const GuardFlags& flags) {
+            const std::string& scheduler_path, const GuardFlags& flags) {
   Stopwatch total;
   Telemetry* const tel = telemetry_of(flags);
   std::optional<Telemetry::Span> parse_span;
@@ -531,7 +522,7 @@ int run_dft(const std::string& path, double t, bool minimize_flag, bool minimize
               checked.total_rate);
   const lang::BuiltModel built = announce_and_minimize(std::move(lowered), minimize, tel);
   return solve_built(built, "failed", "unreliability(" + format_bound(t) + ")", t, minimize_flag,
-                     eps, early, scheduler_path, flags, total);
+                     eps, scheduler_path, flags, total);
 }
 
 }  // namespace
@@ -545,7 +536,7 @@ int main(int argc, char** argv) {
     if (argc < 4) usage();
     const std::string model_path = argv[2];
     const double t = parse_nonnegative(argv[3], "time bound <t>");
-    bool minimize_objective = false, early = false, minimize = true;
+    bool minimize_objective = false, minimize = true;
     double eps = 1e-6;
     std::string goal_name = "goal", export_prefix, scheduler_path;
     for (int i = 4; i < argc; ++i) {
@@ -555,8 +546,6 @@ int main(int argc, char** argv) {
         minimize_objective = true;
       } else if (std::strcmp(argv[i], "--objective") == 0 && i + 1 < argc) {
         minimize_objective = parse_objective_flag(argv[++i]);
-      } else if (std::strcmp(argv[i], "--early") == 0) {
-        early = true;
       } else if (std::strcmp(argv[i], "--no-minimize") == 0) {
         minimize = false;
       } else if (std::strcmp(argv[i], "--eps") == 0 && i + 1 < argc) {
@@ -575,11 +564,10 @@ int main(int argc, char** argv) {
       const auto accounting = arm_guard(flags);
       const TelemetryFlusher flusher(flags);
       if (kind == "dft") {
-        return run_dft(model_path, t, minimize_objective, minimize, eps, early, scheduler_path,
-                       flags);
+        return run_dft(model_path, t, minimize_objective, minimize, eps, scheduler_path, flags);
       }
-      return run_model(model_path, t, goal_name, minimize_objective, minimize, eps, early,
-                       export_prefix, scheduler_path, flags);
+      return run_model(model_path, t, goal_name, minimize_objective, minimize, eps, export_prefix,
+                       scheduler_path, flags);
     } catch (const Error& e) {
       return report_error(e, flags);
     } catch (const std::bad_alloc&) {
@@ -595,7 +583,7 @@ int main(int argc, char** argv) {
   const std::string goal_path = argv[3];
   const double t = parse_nonnegative(argv[4], "time bound <t>");
 
-  bool minimize = false, early = false, scheduler = false;
+  bool minimize = false, scheduler = false;
   double eps = 1e-6;
   for (int i = 5; i < argc; ++i) {
     if (parse_common_flag(argc, argv, i, flags)) {
@@ -604,8 +592,6 @@ int main(int argc, char** argv) {
       minimize = true;
     } else if (std::strcmp(argv[i], "--objective") == 0 && i + 1 < argc) {
       minimize = parse_objective_flag(argv[++i]);
-    } else if (std::strcmp(argv[i], "--early") == 0) {
-      early = true;
     } else if (std::strcmp(argv[i], "--scheduler") == 0) {
       scheduler = true;
     } else if (std::strcmp(argv[i], "--eps") == 0 && i + 1 < argc) {
@@ -624,7 +610,6 @@ int main(int argc, char** argv) {
       TimedReachabilityOptions options;
       options.epsilon = eps;
       options.objective = minimize ? Objective::Minimize : Objective::Maximize;
-      options.early_termination = early;
       options.extract_scheduler = scheduler;
       options.backend = flags.backend;
       options.truncation = flags.truncation;
@@ -672,7 +657,6 @@ int main(int argc, char** argv) {
       const BitVector goal = load_goal(goal_path, model.num_states());
       TransientOptions options;
       options.epsilon = eps;
-      options.early_termination = early;
       options.backend = flags.backend;
       options.truncation = flags.truncation;
       options.locking = flags.locking;
