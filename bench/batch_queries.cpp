@@ -195,6 +195,7 @@ int main() {
     TransientOptions options;
     options.epsilon = 1e-6;
     options.threads = 1;
+    options.backend = Backend::Serial;  // the kernel the record below names
 
     Stopwatch batch_timer;
     const auto results = timed_reachability_batch(approx.ctmc, approx.goal, bounds, options);

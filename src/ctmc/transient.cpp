@@ -394,9 +394,7 @@ unsigned uniformize(const JumpKernel& rows, const BitVector& goal, std::vector<H
       });
       u.swap(u_next);
       double ub = 0.0;
-      for (std::size_t s = 0; s < live; ++s) {
-        if (!(u[s] <= ub)) ub = u[s];  // NaN-latching sup
-      }
+      for (std::size_t s = 0; s < live; ++s) ub = latching_max(ub, u[s]);
       series.record(ub);
       // Not contracting within the probe cap: stop paying for the second
       // sweep; every horizon continues on its pure window.

@@ -47,17 +47,6 @@ double partial_residual(const PoissonWindow& psi, std::uint64_t next_i, double e
   return std::min(bound, 1.0);
 }
 
-/// NaN-latching max over per-worker slots.  WorkerPool::reduce_max drops
-/// NaN (a > comparison); the survival sup must propagate it so a poisoned
-/// certificate can never certify a stop.
-double reduce_max_latch(const std::vector<WorkerPool::Slot>& slots) {
-  double value = 0.0;
-  for (const WorkerPool::Slot& slot : slots) {
-    if (!(slot.value <= value)) value = slot.value;
-  }
-  return value;
-}
-
 // ---------------------------------------------------------------------------
 // Row engines.  An engine owns the layout of the iterate the sweep below
 // double-buffers and the kernel its rows relax; everything external (resume
@@ -122,11 +111,7 @@ class SerialRows {
             best_t = tr;
           }
         }
-        // NaN-capturing max: identical to std::max for finite deltas
-        // (bit-identical results) but latches NaN, which std::max would
-        // silently drop.
-        const double dev = std::fabs(best - q[s]);
-        if (!(dev <= delta)) delta = dev;
+        delta = latching_max(delta, std::fabs(best - q[s]));
         out[s] = best;
         if (dec != nullptr) dec[s] = best_t;
         if (cand != nullptr && same_bits(best, q[s]) && closed(*locked, s)) cand->push_back(s);
@@ -162,14 +147,14 @@ class SerialRows {
         double best = 0.0;
         for (std::uint64_t tr = first; tr < last; ++tr) {
           const double acc = kernel.transition_value(tr, 0.0, x);
-          if (!(acc <= best)) best = acc;  // NaN-latching
+          best = latching_max(best, acc);
         }
         u_next[s] = best;
-        if (!(best <= local)) local = best;
+        local = latching_max(local, best);
       }
       slots[worker].value = local;
     });
-    return reduce_max_latch(slots);
+    return WorkerPool::reduce_max(slots);
   }
 
   std::vector<double>& expose(std::vector<double>& q, double, std::vector<double>&) const {
@@ -232,8 +217,7 @@ class CountdownRows : public SerialRows {
       }
       const std::uint64_t tr = table_.choice(g, s);
       out[s] = tr == kNoTransition ? 0.0 : kernel_.transition_value(tr, w, q);
-      const double dev = std::fabs(out[s] - q[s]);
-      if (!(dev <= delta)) delta = dev;
+      delta = latching_max(delta, std::fabs(out[s] - q[s]));
     }
     swept += end - begin;
     return delta;
@@ -279,7 +263,7 @@ class DenseRows {
     for (std::size_t r = locked->next_unset(begin); r < end; r = locked->next_unset(r)) {
       const std::size_t run_end = std::min(locked->next_set(r), end);
       const double d = ops_.relax_rows(view_, gval, maximize_, q, out, r, run_end);
-      if (!(d <= delta)) delta = d;  // NaN-capturing max
+      delta = latching_max(delta, d);
       swept += run_end - r;
       for (std::size_t x = r; cand != nullptr && x < run_end; ++x) {
         if (same_bits(out[x], q[x]) && closed(*locked, x)) cand->push_back(x);
@@ -302,11 +286,11 @@ class DenseRows {
       }
       double local = 0.0;
       for (std::size_t r = begin; r < end; ++r) {
-        if (!(u_next[r] <= local)) local = u_next[r];
+        local = latching_max(local, u_next[r]);
       }
       slots[worker].value = local;
     });
-    return reduce_max_latch(slots);
+    return WorkerPool::reduce_max(slots);
   }
 
   /// full[s] = G for goal states, dq[row(s)] for dense states, 0 otherwise.
@@ -554,7 +538,7 @@ unsigned sweep_horizons(const Rows& rows, const std::vector<double>* seed,
               h->locked_count != 0 || h->lock_sweep ? &h->locked : nullptr,
               h->lock_sweep ? &h->cand[worker] : nullptr, h_swept);
           WorkerPool::Slot& slot = h->delta[worker];
-          if (!(d <= slot.value)) slot.value = d;  // NaN-capturing max
+          slot.value = latching_max(slot.value, d);
           h->updates[worker * kSlotStride] += h_swept;
           swept += h_swept;
         }

@@ -1,5 +1,10 @@
 #include "server/model_cache.hpp"
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdio>
+#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -43,31 +48,114 @@ std::size_t dense_kernel_bytes(const DenseKernel& k) {
          vector_bytes(k.col);
 }
 
-}  // namespace
+// The content hash: XXH64's stripe rounds and primes (Y. Collet, xxHash)
+// over four 64-bit lanes, merged twice through murmur3's fmix64 finalizer.
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ull;
+constexpr std::uint64_t kPrime4 = 0x85EBCA77C2B2AE63ull;
+constexpr std::uint64_t kPrime5 = 0x27D4EB2F165667C5ull;
+constexpr std::size_t kStripeBytes = 32;
 
-std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t seed) {
-  std::uint64_t hash = seed;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
+/// The little-endian word at @p p.  Built from its bytes, so a key never
+/// depends on the host's byte order or alignment; compilers fold the shifts
+/// into one load on little-endian targets.
+std::uint64_t load_le64(const unsigned char* p) {
+  return std::uint64_t{p[0]} | std::uint64_t{p[1]} << 8 | std::uint64_t{p[2]} << 16 |
+         std::uint64_t{p[3]} << 24 | std::uint64_t{p[4]} << 32 | std::uint64_t{p[5]} << 40 |
+         std::uint64_t{p[6]} << 48 | std::uint64_t{p[7]} << 56;
 }
+
+std::uint64_t lane_round(std::uint64_t acc, std::uint64_t word) {
+  return std::rotl(acc + word * kPrime2, 31) * kPrime1;
+}
+
+std::uint64_t fmix64(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
+}
+
+/// Folds the four lanes, in the order given, into a seed and finalizes it.
+std::uint64_t merge_lanes(std::uint64_t h, std::uint64_t a, std::uint64_t b, std::uint64_t c,
+                          std::uint64_t d) {
+  for (const std::uint64_t lane : {a, b, c, d}) h = (h ^ lane_round(0, lane)) * kPrime1 + kPrime4;
+  return fmix64(h);
+}
+
+/// Streaming 128-bit hash of a byte sequence fed in any number of parts.
+/// Whole 32-byte stripes are hashed in place; a part's last partial stripe
+/// waits in the carry buffer for the next part, so the digest depends on
+/// the concatenated bytes alone, never on where the parts split.
+class StripeHasher {
+ public:
+  void update(std::string_view part) {
+    const auto* p = reinterpret_cast<const unsigned char*>(part.data());
+    std::size_t n = part.size();
+    total_ += n;
+    if (carry_size_ != 0) {
+      const std::size_t take = std::min(n, kStripeBytes - carry_size_);
+      if (take != 0) std::memcpy(carry_ + carry_size_, p, take);
+      carry_size_ += take;
+      p += take;
+      n -= take;
+      if (carry_size_ < kStripeBytes) return;
+      stripes(carry_, 1);
+      carry_size_ = 0;
+    }
+    stripes(p, n / kStripeBytes);
+    p += n / kStripeBytes * kStripeBytes;
+    carry_size_ = n % kStripeBytes;
+    if (carry_size_ != 0) std::memcpy(carry_, p, carry_size_);
+  }
+
+  /// Ends the stream and returns its 128-bit digest as (high, low) words.
+  /// The last partial stripe is hashed zero-padded and the total length
+  /// folded in after it, so inputs that differ only in trailing zero bytes
+  /// still differ.
+  std::pair<std::uint64_t, std::uint64_t> finish() {
+    if (carry_size_ != 0) {
+      std::memset(carry_ + carry_size_, 0, kStripeBytes - carry_size_);
+      stripes(carry_, 1);
+    }
+    const auto& [a, b, c, d] = lanes_;
+    return {merge_lanes(total_ * kPrime5, a, b, c, d),
+            merge_lanes(total_ * kPrime3 + kPrime5, d, b, a, c)};
+  }
+
+ private:
+  void stripes(const unsigned char* p, std::size_t count) {
+    // Lanes in locals: stores through lanes_ could alias the byte loads.
+    std::uint64_t a = lanes_[0], b = lanes_[1], c = lanes_[2], d = lanes_[3];
+    for (; count != 0; --count, p += kStripeBytes) {
+      a = lane_round(a, load_le64(p));
+      b = lane_round(b, load_le64(p + 8));
+      c = lane_round(c, load_le64(p + 16));
+      d = lane_round(d, load_le64(p + 24));
+    }
+    lanes_ = {a, b, c, d};
+  }
+
+  std::array<std::uint64_t, 4> lanes_ = {kPrime1 + kPrime2, kPrime2, 0, 0 - kPrime1};
+  unsigned char carry_[kStripeBytes] = {};
+  std::size_t carry_size_ = 0;
+  std::uint64_t total_ = 0;
+};
+
+}  // namespace
 
 std::string content_hash(std::string_view bytes) { return content_hash({bytes}); }
 
 std::string content_hash(std::initializer_list<std::string_view> parts) {
-  // Two independently seeded passes give 128 key bits; the second seed is
-  // the first pass's result xor-folded with an arbitrary odd constant so
-  // the passes never coincide.  FNV-1a is a left fold over the bytes, so
-  // chaining it over the parts hashes their concatenation.
-  std::uint64_t a = kFnvOffsetBasis;
-  for (const std::string_view part : parts) a = fnv1a64(part, a);
-  std::uint64_t b = a ^ 0x9e3779b97f4a7c15ull;
-  for (const std::string_view part : parts) b = fnv1a64(part, b);
+  StripeHasher hasher;
+  for (const std::string_view part : parts) hasher.update(part);
+  const auto [hi, lo] = hasher.finish();
   char buffer[33];
-  std::snprintf(buffer, sizeof buffer, "%016llx%016llx", static_cast<unsigned long long>(a),
-                static_cast<unsigned long long>(b));
+  std::snprintf(buffer, sizeof buffer, "%016llx%016llx", static_cast<unsigned long long>(hi),
+                static_cast<unsigned long long>(lo));
   return buffer;
 }
 

@@ -50,17 +50,18 @@ class Telemetry;
 
 namespace unicon::server {
 
-inline constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ull;
-
-/// 64-bit FNV-1a over @p bytes, seedable for independent streams.
-std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t seed = kFnvOffsetBasis);
-
-/// 32-hex-digit content hash (two independently seeded FNV-1a passes).
-/// Not cryptographic — it keys a trusted-process cache, not an integrity
-/// check; 128 bits keep accidental collisions out of reach.
+/// 32-lowercase-hex-digit content hash: 128 bits from one streaming pass
+/// that reads the bytes 32 at a time (XXH64 stripe rounds over four lanes,
+/// two differently ordered lane merges through murmur3's fmix64).  Each
+/// word is assembled little-endian from its bytes, so a key depends on the
+/// bytes alone and is equal on every host and build; keys are saved in
+/// snapshots and sent on the wire.  Not cryptographic — it keys a
+/// trusted-process cache, not an integrity check; 128 bits keep accidental
+/// collisions out of reach.
 std::string content_hash(std::string_view bytes);
 
-/// content_hash of the concatenation of @p parts, without building it.
+/// content_hash of the concatenation of @p parts, without building it: the
+/// key is the same wherever the parts split.
 std::string content_hash(std::initializer_list<std::string_view> parts);
 
 enum class ModelKind : std::uint8_t { Uni, Dft, CtmdpFile, CtmcFile };
@@ -140,6 +141,9 @@ struct SnapshotStats {
   std::size_t aliases_loaded = 0;   ///< load: source-key aliases restored
   std::size_t entries_corrupt = 0;  ///< load: records failing checksum/parse
   bool truncated = false;           ///< load: stream ended before the `end` marker
+  /// load: a `unicon-cache-v1` stream.  Its keys were computed by an older
+  /// hash, so none of its records can match a request; nothing is loaded.
+  bool old_format = false;
 };
 
 class ModelCache {
@@ -156,8 +160,9 @@ class ModelCache {
   };
 
   /// The level-1 key of a request: the content hash of its kind, goal
-  /// name, source and labels.  Snapshots persist it as a source alias, so
-  /// these bytes are part of the `unicon-cache-v1` format.
+  /// name, source and labels, computed once per request at submit.
+  /// Snapshots persist it as a source alias, so these bytes are part of
+  /// the `unicon-cache-v2` format.
   static std::string source_key(ModelKind kind, std::string_view source,
                                 std::string_view labels, std::string_view goal_name);
 
@@ -183,16 +188,17 @@ class ModelCache {
   CacheStats stats() const;
 
   /// Serializes every resident entry (plus its source-key aliases) in the
-  /// checksummed `unicon-cache-v1` format.  Deterministic: entries are
+  /// checksummed `unicon-cache-v2` format.  Deterministic: entries are
   /// emitted in canonical-hash order, so identical cache contents produce
   /// byte-identical snapshots.  Implemented in snapshot.cpp.
   SnapshotStats save_snapshot(std::ostream& out) const;
 
-  /// Restores entries from a `unicon-cache-v1` stream.  Tolerant of
+  /// Restores entries from a `unicon-cache-v2` stream.  Tolerant of
   /// corruption: records with bad checksums or unparseable bodies are
   /// skipped (counted in entries_corrupt), a torn tail sets `truncated`,
-  /// and already-resident entries are never overwritten.  Never throws on
-  /// malformed input.  Implemented in snapshot.cpp.
+  /// and already-resident entries are never overwritten.  A
+  /// `unicon-cache-v1` stream loads nothing and sets `old_format`.  Never
+  /// throws on malformed input.  Implemented in snapshot.cpp.
   SnapshotStats load_snapshot(std::istream& in);
 
  private:

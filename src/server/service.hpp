@@ -182,7 +182,7 @@ class AnalysisService {
   /// begin_drain() — otherwise new work may arrive while waiting.
   void wait_drained();
 
-  /// Persists the model cache to @p path atomically (unicon-cache-v1,
+  /// Persists the model cache to @p path atomically (unicon-cache-v2,
   /// write-temp-then-rename; see snapshot.hpp).  Throws ModelError on I/O
   /// failure.  Safe to call while queries are running.
   SnapshotStats save_cache(const std::string& path) const;

@@ -1,4 +1,4 @@
-// unicon-cache-v1 snapshot serialization for ModelCache (format and
+// unicon-cache-v2 snapshot serialization for ModelCache (format and
 // recovery semantics documented in snapshot.hpp).  Implemented here as
 // out-of-line ModelCache members so model_cache.cpp keeps only the hot
 // resolve path.
@@ -27,19 +27,13 @@ namespace {
 constexpr std::uint64_t kMaxBodyBytes = std::uint64_t{1} << 30;
 constexpr std::size_t kMaxSourceAliases = 100000;
 
-std::string format_hash16(std::uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof buffer, "%016llx", static_cast<unsigned long long>(value));
-  return buffer;
-}
+// The FNV-1a-keyed format v2 replaced; recognized only to report it.
+constexpr const char* kOldSnapshotMagic = "unicon-cache-v1";
 
-std::uint64_t record_checksum(const std::string& hash, const std::string& body) {
-  std::string covered;
-  covered.reserve(hash.size() + 1 + body.size());
-  covered += hash;
-  covered += '\n';
-  covered += body;
-  return fnv1a64(covered);
+/// The record checksum: the first 64 bits (16 hex digits) of the content
+/// hash over `<hash>\n<body>`.
+std::string record_checksum(const std::string& hash, const std::string& body) {
+  return content_hash({hash, "\n", body}).substr(0, 16);
 }
 
 bool is_hex(const std::string& s, std::size_t n) {
@@ -230,7 +224,7 @@ SnapshotStats ModelCache::save_snapshot(std::ostream& out) const {
     body += model_text.str();
     if (body.back() != '\n') body += '\n';  // record headers start on a line boundary
     out << "entry " << item.hash << ' ' << body.size() << ' '
-        << format_hash16(record_checksum(item.hash, body)) << '\n'
+        << record_checksum(item.hash, body) << '\n'
         << body;
     ++stats.entries_written;
   }
@@ -242,7 +236,11 @@ SnapshotStats ModelCache::load_snapshot(std::istream& in) {
   SnapshotStats stats;
   std::string line;
   if (!std::getline(in, line) || line != kCacheSnapshotMagic) {
-    stats.truncated = true;
+    if (line == kOldSnapshotMagic) {
+      stats.old_format = true;
+    } else {
+      stats.truncated = true;
+    }
     return stats;
   }
   std::uint64_t records_seen = 0;
@@ -280,7 +278,7 @@ SnapshotStats ModelCache::load_snapshot(std::istream& in) {
       return stats;
     }
     have_line = static_cast<bool>(std::getline(in, line));
-    if (format_hash16(record_checksum(hash, body)) != checksum) {
+    if (record_checksum(hash, body) != checksum) {
       ++stats.entries_corrupt;
       continue;  // declared length already advanced us past the record
     }

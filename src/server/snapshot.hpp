@@ -1,8 +1,8 @@
 // Crash-safe persistence for the server model cache.
 //
-// Format `unicon-cache-v1` (text, one snapshot per file):
+// Format `unicon-cache-v2` (text, one snapshot per file):
 //
-//   unicon-cache-v1
+//   unicon-cache-v2
 //   entry <canonical_hash:32hex> <body_bytes:dec> <checksum:16hex>
 //   <body_bytes bytes of record body, ending in '\n'>
 //   ... more `entry` records ...
@@ -18,11 +18,18 @@
 //   model
 //   <the lowered model in io::write_ctmdp / io::write_ctmc text form>
 //
-// The checksum is FNV-1a 64 over `<canonical_hash>\n<body>`, so a flipped
-// bit in either the header's hash field or the body is detected.  Because
-// io writes doubles with setprecision(17) they round-trip bitwise, which is
-// what makes a warm-started server answer bit-identically to the process
-// that wrote the snapshot.
+// The checksum is the first 64 bits of content_hash over the parts
+// `<canonical_hash>`, `\n`, `<body>`, so a flipped bit in either the
+// header's hash field or the body is detected.  Because io writes doubles
+// with setprecision(17) they round-trip bitwise, which is what makes a
+// warm-started server answer bit-identically to the process that wrote the
+// snapshot.
+//
+// v2 differs from `unicon-cache-v1` only in its key and checksum bytes,
+// which v1 computed with FNV-1a.  A v1 file cannot be converted: its
+// source aliases and canonical keys are hashes of bytes the snapshot does
+// not hold (a request's source; a DFT entry's Galileo print).  The loader
+// recognizes the v1 magic, loads nothing and reports `old_format`.
 //
 // Recovery semantics (ModelCache::load_snapshot): the declared body length
 // lets the loader skip a checksum-failed record and resync at the next
@@ -39,7 +46,7 @@
 
 namespace unicon::server {
 
-inline constexpr const char* kCacheSnapshotMagic = "unicon-cache-v1";
+inline constexpr const char* kCacheSnapshotMagic = "unicon-cache-v2";
 
 /// Atomically writes @p cache to @p path (write `<path>.tmp`, fsync-free
 /// rename).  Throws ModelError when the temp file cannot be written or the

@@ -11,6 +11,7 @@
 #include <cstdlib>
 
 #include "support/errors.hpp"
+#include "support/numerics.hpp"
 
 namespace unicon {
 

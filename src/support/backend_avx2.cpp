@@ -20,6 +20,8 @@
 
 #include <immintrin.h>
 
+#include "support/numerics.hpp"
+
 namespace unicon {
 namespace avx2 {
 

@@ -21,8 +21,11 @@ std::string short_double(double v) {
 
 double poisson_pmf(std::uint64_t n, double lambda) {
   if (lambda == 0.0) return n == 0 ? 1.0 : 0.0;
-  const double logp =
-      -lambda + static_cast<double>(n) * std::log(lambda) - std::lgamma(static_cast<double>(n) + 1.0);
+  // lgamma_r, not std::lgamma: lgamma also writes the global signgam, a
+  // data race between solver threads computing windows concurrently.
+  int sign = 0;
+  const double logp = -lambda + static_cast<double>(n) * std::log(lambda) -
+                      ::lgamma_r(static_cast<double>(n) + 1.0, &sign);
   return std::exp(logp);
 }
 

@@ -46,6 +46,21 @@ inline std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b) {
   return a * b;
 }
 
+/// Running maximum that keeps a NaN once seen: @p x when it exceeds @p acc
+/// or is NaN, else @p acc, so a NaN @p acc is never replaced by a later
+/// finite value.  Equal to std::max(acc, x) when neither is NaN.  Sweep
+/// deltas and sups fold through it, so a poisoned update reaches the
+/// caller's finiteness check instead of being dropped.  Internal linkage
+/// and no library call: the -mavx2 kernel TU calls it too, and must not
+/// lend the other TUs an AVX2-encoded out-of-line copy.
+static inline double latching_max(double acc, double x) {
+  // NaN test first: a running fold then carries one max instruction from
+  // step to step, and the never-taken branch stays off that chain (one
+  // select on both conditions made the FTWC sweeps 5-8% slower).
+  if (x != x) [[unlikely]] return x;
+  return x > acc ? x : acc;  // a NaN acc compares false and stays
+}
+
 /// Maximum absolute difference between two equally sized vectors.  NaN
 /// once any difference is NaN, so a poisoned entry never reads as agreement.
 double max_abs_diff(std::span<const double> a, std::span<const double> b);

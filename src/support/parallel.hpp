@@ -22,6 +22,8 @@
 #include <thread>
 #include <vector>
 
+#include "support/numerics.hpp"
+
 namespace unicon {
 
 /// Resolves a user-facing thread-count option: 0 picks
@@ -66,10 +68,11 @@ class WorkerPool {
     double value = 0.0;
   };
 
-  /// Max-reduction over the per-worker slots written by one sweep.
+  /// Max-reduction over the per-worker slots written by one sweep; NaN
+  /// once any slot is NaN (latching_max).
   static double reduce_max(const std::vector<Slot>& slots) {
     double value = 0.0;
-    for (const Slot& slot : slots) value = value > slot.value ? value : slot.value;
+    for (const Slot& slot : slots) value = latching_max(value, slot.value);
     return value;
   }
 

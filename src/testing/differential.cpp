@@ -673,9 +673,7 @@ std::uint64_t reference_fold_step(const Ctmc& chain, const BitVector& goal, doub
     }
     u.swap(next);
     double ub = 0.0;
-    for (const double x : u) {
-      if (!(x <= ub)) ub = x;
-    }
+    for (const double x : u) ub = latching_max(ub, x);
     series.record(ub);
     if (series.should_disengage(series.size())) return 0;
     if (plan.window.tail_mass(a) * ub <= epsilon / 2.0) return a;

@@ -18,6 +18,7 @@
 #include "lang/parser.hpp"
 #include "lang/printer.hpp"
 #include "support/errors.hpp"
+#include "support/numerics.hpp"
 #include "support/rng.hpp"
 #include "support/run_guard.hpp"
 #include "testing/generate.hpp"
@@ -61,8 +62,7 @@ bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
 double max_deviation(const std::vector<double>& a, const std::vector<double>& b) {
   double dev = 0.0;
   for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
-    const double d = std::abs(a[i] - b[i]);
-    if (!(d <= dev)) dev = d;
+    dev = latching_max(dev, std::abs(a[i] - b[i]));
   }
   return dev;
 }

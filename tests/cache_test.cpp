@@ -8,9 +8,12 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ctmc/transient.hpp"
@@ -98,6 +101,72 @@ TEST(ContentHashTest, StableAndSensitive) {
   EXPECT_NE(hash, server::content_hash("hello "));
   EXPECT_NE(hash, server::content_hash("hellp"));
   EXPECT_NE(server::content_hash(""), server::content_hash(std::string(1, '\0')));
+}
+
+/// @p n bytes of a fixed pattern that takes every byte value.
+std::string hash_pattern(std::size_t n) {
+  std::string bytes(n, '\0');
+  for (std::size_t i = 0; i < n; ++i) bytes[i] = static_cast<char>(i * 37 + 11);
+  return bytes;
+}
+
+TEST(ContentHashTest, KnownAnswers) {
+  // Keys are saved in snapshots and sent on the wire, so these pins must
+  // hold on every host, compiler, ISA setting and sanitizer build.  The
+  // lengths straddle the 32-byte stripe and the partial-stripe tail.
+  EXPECT_EQ(server::content_hash(""), "bbc36d7b4dd13e5a70a352dbfe797ec5");
+  EXPECT_EQ(server::content_hash("hello"), "d5ed0f6a607dd7d3e55a6fdadda21175");
+  const std::pair<std::size_t, const char*> pinned[] = {
+      {1, "6fc734952ecbbd8ea00acb0b2b3072de"},    {31, "5067fd0f794763715387678961469415"},
+      {32, "29b947fb0e11c51d0905d240627c23ed"},   {33, "014d38fe8b3458b2b3cb149d1a82dc01"},
+      {63, "5478069574aa5289352063dc5da53d2d"},   {64, "7278cf029add5dc0765ace40eb28f2c7"},
+      {65, "1ab44232e350951f65bebd92efe16153"},   {4096, "49a0ec8c7f804901fa93fc8297984fd1"},
+  };
+  for (const auto& [n, key] : pinned) EXPECT_EQ(server::content_hash(hash_pattern(n)), key) << n;
+}
+
+TEST(ContentHashTest, PartsHashAsTheirConcatenation) {
+  const std::string bytes = hash_pattern(300);
+  const std::string_view all(bytes);
+  const std::string whole = server::content_hash(all);
+  for (std::size_t i = 0; i <= all.size(); ++i) {
+    ASSERT_EQ(server::content_hash({all.substr(0, i), all.substr(i)}), whole) << i;
+    for (std::size_t j = i; j <= all.size(); ++j) {
+      ASSERT_EQ(server::content_hash({all.substr(0, i), all.substr(i, j - i), all.substr(j)}),
+                whole)
+          << i << ' ' << j;
+    }
+  }
+}
+
+TEST(ContentHashTest, UnalignedViewsHashAsTheirCopies) {
+  const std::string buffer = hash_pattern(256);
+  for (std::size_t offset = 1; offset <= 7; ++offset) {
+    for (const std::size_t n : {0, 1, 8, 31, 32, 33, 64, 97, 200}) {
+      const std::string_view view(buffer.data() + offset, n);
+      EXPECT_EQ(server::content_hash(view), server::content_hash(std::string(view)))
+          << offset << ' ' << n;
+    }
+  }
+}
+
+TEST(ContentHashTest, EverySingleBitFlipGivesADistinctKey) {
+  std::set<std::string> keys;
+  std::size_t inputs = 0;
+  for (std::size_t n = 0; n <= 129; ++n) {
+    std::string bytes = hash_pattern(n);
+    keys.insert(server::content_hash(bytes));
+    ++inputs;
+    for (std::size_t bit = 0; bit < 8 * n; ++bit) {
+      const char mask = static_cast<char>(1u << (bit % 8));
+      bytes[bit / 8] ^= mask;
+      keys.insert(server::content_hash(bytes));
+      ++inputs;
+      bytes[bit / 8] ^= mask;
+    }
+  }
+  // Every input above is a distinct byte string, so every key must be too.
+  EXPECT_EQ(keys.size(), inputs);
 }
 
 TEST(CacheTest, SourceHitReturnsSameEntry) {

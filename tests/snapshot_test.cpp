@@ -1,6 +1,7 @@
-// Crash-safe cache persistence: unicon-cache-v1 round trips, deterministic
+// Crash-safe cache persistence: unicon-cache-v2 round trips, deterministic
 // bytes, checksum/corruption detection with partial recovery, truncation
-// handling, atomic publication, and bit-identical warm-started answers.
+// and old-format handling, atomic publication, and bit-identical
+// warm-started answers.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -199,13 +200,33 @@ TEST(SnapshotTest, BadMagicOrTrailingGarbageIsFlagged) {
   ModelCache wrong_magic;
   const SnapshotStats rejected = load_from(wrong_magic, "not-a-snapshot\n" + bytes);
   EXPECT_TRUE(rejected.truncated);
+  EXPECT_FALSE(rejected.old_format);
   EXPECT_EQ(rejected.entries_loaded, 0u);
   EXPECT_EQ(wrong_magic.stats().entries, 0u);
 
   ModelCache trailing;
   const SnapshotStats dirty = load_from(trailing, bytes + "leftover bytes\n");
   EXPECT_TRUE(dirty.truncated);
+  EXPECT_FALSE(dirty.old_format);
   EXPECT_EQ(dirty.entries_loaded, 2u);  // the valid prefix still restores
+
+  // A v1 file (FNV-1a keys) is reported as the old format, not as damage,
+  // and loads nothing: none of its keys can match a request.
+  std::string v1 = bytes;
+  v1.replace(0, v1.find('\n'), "unicon-cache-v1");
+  ModelCache old;
+  SnapshotStats old_loaded;
+  EXPECT_NO_THROW(old_loaded = load_from(old, v1));
+  EXPECT_TRUE(old_loaded.old_format);
+  EXPECT_FALSE(old_loaded.truncated);
+  EXPECT_EQ(old_loaded.entries_loaded, 0u);
+  EXPECT_EQ(old_loaded.aliases_loaded, 0u);
+  EXPECT_EQ(old_loaded.entries_corrupt, 0u);
+  EXPECT_EQ(old.stats().entries, 0u);
+  const auto cold = old.resolve(ModelKind::CtmdpFile, seeded.ctmdp_source, seeded.ctmdp_labels,
+                                "goal");
+  EXPECT_FALSE(cold.hit);
+  EXPECT_EQ(old.stats().misses, 1u);
 }
 
 TEST(SnapshotTest, ExistingEntriesWinOverSnapshotRecords) {

@@ -433,6 +433,13 @@ TEST(WorkerPool, ReduceMaxOverSlots) {
   slots[2].value = 1.0;
   EXPECT_DOUBLE_EQ(WorkerPool::reduce_max(slots), 2.0);
   EXPECT_DOUBLE_EQ(WorkerPool::reduce_max({}), 0.0);
+  // A NaN slot is the result, wherever it sits: a finite slot after it must
+  // not overwrite it, or the sweep's finiteness check would never fire.
+  slots[0].value = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(WorkerPool::reduce_max(slots)));
+  slots[0].value = 0.25;
+  slots[2].value = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(WorkerPool::reduce_max(slots)));
 }
 
 TEST(ResolveThreads, ZeroPicksHardwareConcurrency) {
@@ -458,6 +465,20 @@ TEST(Numerics, MaxAbsDiff) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_TRUE(std::isnan(max_abs_diff(std::vector<double>{nan, 2.0, 3.0}, b)));
   EXPECT_TRUE(std::isnan(max_abs_diff(a, std::vector<double>{1.0, 2.5, nan})));
+}
+
+TEST(Numerics, LatchingMaxKeepsNaN) {
+  EXPECT_DOUBLE_EQ(latching_max(1.0, 2.0), 2.0);
+  EXPECT_DOUBLE_EQ(latching_max(2.0, 1.0), 2.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(latching_max(1.0, nan)));
+  // NaN first, finite after: the NaN stays.
+  double acc = 0.0;
+  for (const double x : {nan, 0.5, 3.0, 0.0}) acc = latching_max(acc, x);
+  EXPECT_TRUE(std::isnan(acc));
+  // Finite inputs fold exactly as std::max, signed zeros included.
+  EXPECT_TRUE(std::signbit(latching_max(-0.0, 0.0)) == std::signbit(std::max(-0.0, 0.0)));
+  EXPECT_TRUE(std::signbit(latching_max(0.0, -0.0)) == std::signbit(std::max(0.0, -0.0)));
 }
 
 TEST(Numerics, Clamp01) {

@@ -16,7 +16,6 @@
 #include "ftwc/direct.hpp"
 #include "lang/build.hpp"
 #include "lang/parser.hpp"
-#include "server/model_cache.hpp"
 #include "support/errors.hpp"
 #include "support/rng.hpp"
 #include "support/telemetry.hpp"
@@ -72,7 +71,12 @@ std::uint64_t transform_digest(const TransformResult& r) {
                         st.markov_transitions, st.memory_bytes, st.words_deduplicated}) {
     put(bytes, v);
   }
-  return server::fnv1a64(bytes);
+  std::uint64_t hash = 14695981039346656037ull;  // 64-bit FNV-1a
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ull;
+  }
+  return hash;
 }
 
 /// The transform span's JSON, for its step (1) and (2) counts.

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Kill-and-warm-restart smoke for the analysis server's snapshot path.
 #
-# Four legs over the golden JSONL session (answers are compared on their
+# Five legs over the golden JSONL session (answers are compared on their
 # "results" lines only, with cache_hit normalized — a warm cache answers
 # hit where a cold one answers miss, but the numbers must be bitwise
 # identical):
@@ -18,6 +18,9 @@
 #             published snapshot must be untouched (write-temp-then-rename
 #             never exposes a torn file) and a fresh warm restart must
 #             still answer byte-identically.
+#   E old     rewrite the snapshot's magic to the retired unicon-cache-v1;
+#             the server must name the old format, start cold, answer
+#             byte-identically and save a unicon-cache-v2 snapshot.
 #
 # Usage: tools/server_restart_smoke.sh <build-dir>
 set -u
@@ -51,7 +54,7 @@ status=$?
 [ $status -eq 0 ] || flunk "leg A: cold run exited $status"
 [ -s "$snap" ] || flunk "leg A: no snapshot published at $snap"
 grep -q 'snapshot saved' "$work/cold.err" || flunk "leg A: shutdown did not report the snapshot save"
-head -n 1 "$snap" | grep -q '^unicon-cache-v1$' || flunk "leg A: snapshot missing the format magic"
+head -n 1 "$snap" | grep -q '^unicon-cache-v2$' || flunk "leg A: snapshot missing the format magic"
 answers "$work/cold.out" >"$work/cold.answers"
 [ -s "$work/cold.answers" ] || flunk "leg A: cold run produced no answers"
 
@@ -116,7 +119,18 @@ if ! diff -u "$work/cold.answers" "$work/after.answers" >&2; then
   flunk "leg D: answers after kill + warm restart differ from the cold run"
 fi
 
+# --- leg E: a v1 snapshot is named, ignored and replaced by v2 ----------
+{ echo 'unicon-cache-v1'; tail -n +2 "$work/published.snap"; } >"$snap"
+"$serve" --no-timing --snapshot "$snap" <"$session" >"$work/old.out" 2>"$work/old.err"
+[ $? -eq 0 ] || flunk "leg E: server exited nonzero on a v1 snapshot"
+grep -q 'unicon-cache-v1' "$work/old.err" || flunk "leg E: stderr did not name the old format"
+answers "$work/old.out" >"$work/old.answers"
+if ! diff -u "$work/cold.answers" "$work/old.answers" >&2; then
+  flunk "leg E: answers after a v1 snapshot differ from the cold run"
+fi
+head -n 1 "$snap" | grep -q '^unicon-cache-v2$' || flunk "leg E: shutdown did not save a v2 snapshot"
+
 if [ $fail -eq 0 ]; then
-  note "all legs passed (cold, warm, torn, kill -9 + warm restart)"
+  note "all legs passed (cold, warm, torn, kill -9 + warm restart, old format)"
 fi
 exit $fail

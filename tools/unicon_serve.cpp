@@ -19,8 +19,8 @@
 //
 // Robustness controls:
 //   --snapshot PATH     warm-start the model cache from PATH at boot
-//                       (missing/corrupt files degrade to a cold start)
-//                       and persist it atomically on shutdown.
+//                       (missing/corrupt/old-format files degrade to a
+//                       cold start) and persist it atomically on shutdown.
 //   --max-line BYTES    per-request line cap (default 8M); longer lines
 //                       are answered with a parse error, never buffered.
 //   --io-timeout SECS   socket read/write timeout — connections idle (or
@@ -63,6 +63,7 @@
 
 #include "server/server.hpp"
 #include "server/service.hpp"
+#include "server/snapshot.hpp"
 #include "support/errors.hpp"
 
 using namespace unicon;
@@ -378,7 +379,12 @@ int main(int argc, char** argv) {
 
   if (!config.snapshot_path.empty()) {
     const server::SnapshotStats loaded = service.load_cache(config.snapshot_path);
-    if (loaded.entries_loaded > 0 || loaded.entries_corrupt > 0 || loaded.truncated) {
+    if (loaded.old_format) {
+      std::fprintf(stderr,
+                   "unicon_serve: %s is an old unicon-cache-v1 snapshot (keys of an older "
+                   "hash); starting cold, the shutdown save writes %s\n",
+                   config.snapshot_path.c_str(), server::kCacheSnapshotMagic);
+    } else if (loaded.entries_loaded > 0 || loaded.entries_corrupt > 0 || loaded.truncated) {
       std::fprintf(stderr,
                    "unicon_serve: warm start from %s: %zu entries, %zu aliases, "
                    "%zu corrupt record(s) skipped%s\n",
