@@ -98,7 +98,7 @@ int main() {
   std::printf(
       "job shop: %zu states, uniform rate E = %.3f "
       "(light Erlang(2,8), heavy Erlang(4,2), %u + %u jobs)\n",
-      system.num_states(), *system.uniform_rate(UniformityView::Closed, 1e-6), kLight, kHeavy);
+      system.num_states(), *system.uniform_rate(UniformityView::Closed), kLight, kHeavy);
 
   std::vector<bool> goal(system.num_states());
   for (StateId s = 0; s < system.num_states(); ++s) {

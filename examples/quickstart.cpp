@@ -91,8 +91,8 @@ int main() {
               system.num_states(), system.num_interactive_transitions(),
               system.num_markov_transitions());
   std::printf("uniform by construction (closed view): %s, rate E = %.4f\n",
-              system.is_uniform(UniformityView::Closed, 1e-6) ? "yes" : "no",
-              *system.uniform_rate(UniformityView::Closed, 1e-6));
+              system.is_uniform(UniformityView::Closed) ? "yes" : "no",
+              *system.uniform_rate(UniformityView::Closed));
 
   // 3. The property: both servers down simultaneously.  Component state
   //    names were chosen so the composite names expose the status.

@@ -113,7 +113,7 @@ int main() {
   explore.urgent = true;
   const Imc system = expr.explore(explore);
   std::printf("train-control system: %zu states, uniform rate E = %.4f (by construction)\n",
-              system.num_states(), *system.uniform_rate(UniformityView::Closed, 1e-6));
+              system.num_states(), *system.uniform_rate(UniformityView::Closed));
 
   // Safety-critical: a train on the crossing while the gate is broken or
   // both (redundant) sensors are down.

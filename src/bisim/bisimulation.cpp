@@ -1,7 +1,7 @@
 #include "bisim/bisimulation.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
 #include <cstdint>
 #include <optional>
 
@@ -13,41 +13,24 @@ namespace unicon {
 
 namespace {
 
-/// Rates are quantized before entering signatures so that block rate sums
-/// that differ only by floating-point summation order compare equal.
-std::int64_t quantize(double rate) { return std::llround(rate * 1e9); }
+/// Significant bits a rate keeps in a signature.  The comparison is
+/// relative: two block rate sums compare equal when they round to the same
+/// 40-bit mantissa, so sums that differ only by summation order lump, two
+/// rates 1e-10 and 4e-10 stay apart, and scaling every rate by a power of
+/// two never changes the partition.
+constexpr int kSignatureBits = 40;
+
+/// A positive rate rounded to kSignatureBits significant bits.  Positive
+/// finite doubles order like their IEEE bit patterns, so integer rounding
+/// of the pattern rounds the mantissa to nearest and carries into the
+/// exponent.
+std::uint64_t quantize(double rate) {
+  constexpr int kDropped = 53 - kSignatureBits;
+  return (std::bit_cast<std::uint64_t>(rate) + (1ull << (kDropped - 1))) >> kDropped;
+}
 
 constexpr std::uint64_t kInteractiveTag = 1ull << 62;
 constexpr std::uint64_t kRateTag = 1ull << 63;
-
-/// Lumps Markov rates per target block in a dense per-block scratch array.
-/// Each block's sum accumulates in out_markov order, so a sum (and its
-/// quantized signature item) depends on the transitions alone, not on how
-/// blocks are numbered.  Markov rates are positive, so a zero sum marks an
-/// untouched block.
-class RateLumper {
- public:
-  void reset(std::size_t num_blocks) { sums_.assign(num_blocks, 0.0); }
-
-  /// Calls @p emit(block, rate) once per block that @p s reaches.
-  template <class Emit>
-  void lump(const Imc& m, StateId s, const std::vector<std::uint32_t>& blocks, Emit&& emit) {
-    for (const MarkovTransition& t : m.out_markov(s)) {
-      const std::uint32_t blk = blocks[t.to];
-      if (sums_[blk] == 0.0) touched_.push_back(blk);
-      sums_[blk] += t.rate;
-    }
-    for (const std::uint32_t blk : touched_) {
-      emit(blk, sums_[blk]);
-      sums_[blk] = 0.0;
-    }
-    touched_.clear();
-  }
-
- private:
-  std::vector<double> sums_;
-  std::vector<std::uint32_t> touched_;
-};
 
 /// One signature item: (kInteractiveTag | action, target block) or
 /// (kRateTag | block, quantized rate).
@@ -74,7 +57,7 @@ class SignaturePool {
   void push_rates(RateLumper& lumper, const Imc& m, StateId s,
                   const std::vector<std::uint32_t>& blocks) {
     lumper.lump(m, s, blocks, [&](std::uint32_t blk, double rate) {
-      push(kRateTag | blk, static_cast<std::uint64_t>(quantize(rate)));
+      push(kRateTag | blk, quantize(rate));
     });
   }
   /// Appends a copy of @p t's finished signature.

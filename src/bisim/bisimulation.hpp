@@ -21,6 +21,9 @@
 // is exercised by the test suite on top of these functions.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "bisim/partition.hpp"
 #include "imc/imc.hpp"
 #include "support/run_guard.hpp"
@@ -28,6 +31,38 @@
 namespace unicon {
 
 class Telemetry;
+
+/// Lumps a state's Markov rates per target block in a dense per-block
+/// scratch array.  Each block's sum accumulates in out_markov order, so a
+/// sum (and its signature item) depends on the transitions alone, not on
+/// how blocks are numbered; the refinements, quotient() and the goal
+/// quotient (core/goal_quotient.hpp) all lump through it, so a block's
+/// row equals its members' signature sums bit for bit.  Markov rates are
+/// positive, so a zero sum marks an untouched block.
+class RateLumper {
+ public:
+  void reset(std::size_t num_blocks) { sums_.assign(num_blocks, 0.0); }
+
+  /// Calls @p emit(block, rate) once per block that @p s reaches, in order
+  /// of first reach.
+  template <class Emit>
+  void lump(const Imc& m, StateId s, const std::vector<std::uint32_t>& blocks, Emit&& emit) {
+    for (const MarkovTransition& t : m.out_markov(s)) {
+      const std::uint32_t blk = blocks[t.to];
+      if (sums_[blk] == 0.0) touched_.push_back(blk);
+      sums_[blk] += t.rate;
+    }
+    for (const std::uint32_t blk : touched_) {
+      emit(blk, sums_[blk]);
+      sums_[blk] = 0.0;
+    }
+    touched_.clear();
+  }
+
+ private:
+  std::vector<double> sums_;
+  std::vector<std::uint32_t> touched_;
+};
 
 /// Coarsest strong bisimulation partition of @p m.  When @p labels is
 /// non-null (one label per state) the partition refines the label classes —

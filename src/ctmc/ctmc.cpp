@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "support/errors.hpp"
+#include "support/numerics.hpp"
 
 namespace unicon {
 
@@ -17,7 +18,7 @@ std::optional<double> Ctmc::uniform_rate(double tol) const {
   if (num_states() == 0) return 0.0;
   const double e0 = exit_rate(0);
   for (StateId s = 1; s < num_states(); ++s) {
-    if (std::fabs(exit_rate(s) - e0) > tol) return std::nullopt;
+    if (!rates_agree(exit_rate(s), e0, tol)) return std::nullopt;
   }
   return e0;
 }
@@ -25,7 +26,7 @@ std::optional<double> Ctmc::uniform_rate(double tol) const {
 Ctmc Ctmc::uniformize(double rate) const {
   const double max_rate = max_exit_rate();
   double e = rate == 0.0 ? max_rate : rate;
-  if (e + 1e-12 < max_rate) {
+  if (e < max_rate * (1.0 - kUniformityTolerance)) {
     throw UniformityError("Ctmc::uniformize: rate below maximal exit rate");
   }
   CtmcBuilder b(num_states());
@@ -38,7 +39,7 @@ Ctmc Ctmc::uniformize(double rate) const {
       exit += t.value;
     }
     const double pad = e - exit;
-    if (pad > 1e-12) b.add_transition(s, pad, s);
+    if (pad > kUniformityTolerance * e) b.add_transition(s, pad, s);
   }
   return b.build();
 }

@@ -11,6 +11,7 @@
 #include <optional>
 #include <vector>
 
+#include "support/numerics.hpp"
 #include "support/sparse.hpp"
 #include "support/symbols.hpp"
 
@@ -36,11 +37,14 @@ class Ctmc {
   /// Largest exit rate over all states.
   double max_exit_rate() const;
 
-  /// If all exit rates agree up to @p tol, the common rate; else nullopt.
+  /// If all exit rates agree relatively up to @p tol (rates_agree), the
+  /// common rate; else nullopt.
   /// A CTMC with rate 0 everywhere (no transitions) is uniform with E = 0.
-  std::optional<double> uniform_rate(double tol = 1e-9) const;
+  std::optional<double> uniform_rate(double tol = kUniformityTolerance) const;
 
-  bool is_uniform(double tol = 1e-9) const { return uniform_rate(tol).has_value(); }
+  bool is_uniform(double tol = kUniformityTolerance) const {
+    return uniform_rate(tol).has_value();
+  }
 
   /// Jensen uniformization [19]: pads every state with a self-loop so that
   /// all exit rates equal @p rate.  @p rate must be >= the maximal exit

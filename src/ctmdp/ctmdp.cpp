@@ -5,6 +5,7 @@
 
 #include "ctmc/ctmc.hpp"
 #include "support/errors.hpp"
+#include "support/numerics.hpp"
 
 namespace unicon {
 
@@ -26,7 +27,7 @@ std::optional<double> Ctmdp::uniform_rate(double tol) const {
   if (exit_.empty()) return 0.0;
   const double e0 = exit_[0];
   for (double e : exit_) {
-    if (std::fabs(e - e0) > tol) return std::nullopt;
+    if (!rates_agree(e, e0, tol)) return std::nullopt;
   }
   return e0;
 }
@@ -44,8 +45,10 @@ Ctmdp Ctmdp::uniformize(double rate) const {
     b.begin_transition(s, labels_[t]);
     for (const SparseEntry& e : rates(t)) b.add_rate(e.col, e.value);
     const double pad = target - exit_[t];
-    if (pad < -1e-9) throw UniformityError("Ctmdp::uniformize: rate below a transition exit rate");
-    if (pad > 1e-12) b.add_rate(s, pad);
+    if (pad < -kUniformityTolerance * target) {
+      throw UniformityError("Ctmdp::uniformize: rate below a transition exit rate");
+    }
+    if (pad > kUniformityTolerance * target) b.add_rate(s, pad);
   }
   return b.build();
 }

@@ -17,6 +17,7 @@
 #include <span>
 #include <vector>
 
+#include "support/numerics.hpp"
 #include "support/sparse.hpp"
 #include "support/symbols.hpp"
 
@@ -61,10 +62,13 @@ class Ctmdp {
   /// Source state of transition @p t.
   StateId source(std::uint64_t t) const { return source_[t]; }
 
-  /// If all transition exit rates agree up to @p tol, the common rate.
-  /// States without transitions and rate-0 models yield 0.
-  std::optional<double> uniform_rate(double tol = 1e-9) const;
-  bool is_uniform(double tol = 1e-9) const { return uniform_rate(tol).has_value(); }
+  /// If all transition exit rates agree relatively up to @p tol
+  /// (rates_agree), the common rate.  States without transitions and
+  /// rate-0 models yield 0.
+  std::optional<double> uniform_rate(double tol = kUniformityTolerance) const;
+  bool is_uniform(double tol = kUniformityTolerance) const {
+    return uniform_rate(tol).has_value();
+  }
 
   /// Pads every transition with a self-loop rate so all exit rates equal
   /// @p rate (0 = maximal exit rate).  NOTE: unlike for CTMCs this is *not*

@@ -827,7 +827,7 @@ std::vector<TimedReachabilityResult> solve(const Ctmdp& model, const BitVector& 
 
 /// The uniform rate of a solve; rejects non-uniform models.
 double uniform_rate_of(const Ctmdp& model, const char* who) {
-  const auto uniform = model.uniform_rate(1e-6);
+  const auto uniform = model.uniform_rate();
   if (!uniform) {
     throw UniformityError(std::string(who) +
                           ": model is not uniform; construct it uniformly or uniformize first");

@@ -181,7 +181,7 @@ BitVector almost_sure_states(const Ctmdp& model, const BitVector& goal,
 ExpectedTimeResult expected_reachability_time(const Ctmdp& model, const BitVector& goal,
                                               const UnboundedOptions& options) {
   check_inputs(model, goal);
-  const auto uniform = model.uniform_rate(1e-6);
+  const auto uniform = model.uniform_rate();
   if (!uniform || *uniform <= 0.0) {
     throw UniformityError("expected_reachability_time: requires a uniform CTMDP with E > 0");
   }

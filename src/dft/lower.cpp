@@ -341,7 +341,7 @@ lang::BuiltModel lower_dft(const CheckedDft& dft, const LowerOptions& options) {
   // Backstop: the construction pads every basic-event state to exit rate
   // lambda and keeps gates interactive, so the closed view must be uniform
   // at E = sum of lambdas.
-  const auto uniform = built.system.uniform_rate(UniformityView::Closed, 1e-6);
+  const auto uniform = built.system.uniform_rate(UniformityView::Closed);
   if (!uniform) {
     throw UniformityError("lower_dft: composed system violates closed-view uniformity "
                           "(lowering bug — please report)");

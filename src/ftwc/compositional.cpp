@@ -210,7 +210,7 @@ CompositionalResult build_compositional(const Parameters& params,
   final_stats.markov_transitions = result.uimc.num_markov_transitions();
   result.stages.push_back(final_stats);
 
-  const auto rate = result.uimc.uniform_rate(UniformityView::Closed, 1e-6);
+  const auto rate = result.uimc.uniform_rate(UniformityView::Closed);
   if (!rate) {
     throw UniformityError("ftwc: compositional model is unexpectedly non-uniform");
   }

@@ -173,7 +173,7 @@ DirectResult build_direct(const Parameters& params, bool record_names) {
 
   Imc closed = builder.build();
   const Imc uniform = closed.uniformize(0.0, UniformityView::Closed);
-  const auto rate = uniform.uniform_rate(UniformityView::Closed, 1e-9);
+  const auto rate = uniform.uniform_rate(UniformityView::Closed);
   if (!rate) throw UniformityError("ftwc: uniformization failed unexpectedly");
   result.uniform_rate = *rate;
   result.uimc = uniform;

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "support/errors.hpp"
+#include "support/numerics.hpp"
 
 namespace unicon {
 
@@ -13,7 +14,7 @@ Imc elapse(const PhaseType& ph, Action fire, Action trigger,
 
   const double max_exit = ph.max_exit_rate();
   const double e = options.uniform_rate == 0.0 ? max_exit : options.uniform_rate;
-  if (e + 1e-12 < max_exit) {
+  if (e < max_exit * (1.0 - kUniformityTolerance)) {
     throw UniformityError("elapse: uniformization rate below maximal phase exit rate");
   }
 
@@ -40,7 +41,7 @@ Imc elapse(const PhaseType& ph, Action fire, Action trigger,
       exit += ph.absorption_rate(i);
     }
     const double pad = e - exit;
-    if (pad > 1e-12) b.add_markov(s, pad, s);
+    if (pad > kUniformityTolerance * e) b.add_markov(s, pad, s);
   }
 
   // Done: offer the fire action, then return to idle.

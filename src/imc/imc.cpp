@@ -5,6 +5,7 @@
 
 #include "support/errors.hpp"
 #include "support/bit_vector.hpp"
+#include "support/numerics.hpp"
 
 namespace unicon {
 
@@ -93,7 +94,7 @@ std::optional<double> Imc::uniform_rate(UniformityView view, double tol) const {
     const double e = exit_rate(s);
     if (!rate) {
       rate = e;
-    } else if (std::fabs(*rate - e) > tol) {
+    } else if (!rates_agree(*rate, e, tol)) {
       return std::nullopt;
     }
   }
@@ -115,10 +116,10 @@ Imc Imc::uniformize(double rate, UniformityView view) const {
         view == UniformityView::Open ? stable(s) : !has_interactive(s);
     if (!constrained) continue;
     const double pad = target - exit_rate(s);
-    if (pad < -1e-9) {
+    if (pad < -kUniformityTolerance * target) {
       throw UniformityError("Imc::uniformize: rate below exit rate of a constrained state");
     }
-    if (pad > 1e-12) result.mtrans_.push_back(MarkovTransition{s, pad, s});
+    if (pad > kUniformityTolerance * target) result.mtrans_.push_back(MarkovTransition{s, pad, s});
   }
   result.index();
   return result;

@@ -19,6 +19,7 @@
 
 #include "ctmc/ctmc.hpp"
 #include "lts/lts.hpp"
+#include "support/numerics.hpp"
 #include "support/symbols.hpp"
 
 namespace unicon {
@@ -88,14 +89,19 @@ class Imc {
   /// Checks Def. 4 on the *reachable* states (the paper restricts uniformity
   /// to reachable states, Sec. 3): if every constrained state has the same
   /// exit rate, returns it.  When no state is constrained, returns 0.
+  /// Exit rates e and e0 count as the same while they agree relatively,
+  /// |e - e0| <= tol * max(e, e0) (rates_agree), so the verdict does not
+  /// depend on the time unit.
   std::optional<double> uniform_rate(UniformityView view = UniformityView::Open,
-                                     double tol = 1e-9) const;
-  bool is_uniform(UniformityView view = UniformityView::Open, double tol = 1e-9) const {
+                                     double tol = kUniformityTolerance) const;
+  bool is_uniform(UniformityView view = UniformityView::Open,
+                  double tol = kUniformityTolerance) const {
     return uniform_rate(view, tol).has_value();
   }
 
   /// Pads constrained states (per @p view) with Markov self-loops so all
   /// their exit rates equal @p rate (0 = maximal constrained exit rate).
+  /// Pads at or below kUniformityTolerance * rate are rounding and omitted.
   /// This is Jensen uniformization lifted to IMCs.
   Imc uniformize(double rate = 0.0, UniformityView view = UniformityView::Closed) const;
 

@@ -53,7 +53,7 @@ class Lowering {
     built.actions = actions_;
     built.num_leaves = expr.num_leaves();
 
-    const auto rate = built.system.uniform_rate(UniformityView::Closed, 1e-6);
+    const auto rate = built.system.uniform_rate(UniformityView::Closed);
     if (!rate) {
       throw UniformityError(
           "build_model: explored system is not uniform (closed view); this "
@@ -229,7 +229,7 @@ BuiltModel minimize_model(const BuiltModel& built, RunGuard* guard, Telemetry* t
   out.actions = built.actions;
   out.num_leaves = built.num_leaves;
   out.uniform_rate =
-      out.system.uniform_rate(UniformityView::Closed, 1e-6).value_or(built.uniform_rate);
+      out.system.uniform_rate(UniformityView::Closed).value_or(built.uniform_rate);
   out.prop_names = built.prop_names;
   out.prop_masks.assign(built.prop_masks.size(),
                         std::vector<bool>(partition.num_blocks, false));

@@ -5,12 +5,11 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "support/numerics.hpp"
+
 namespace unicon::lang {
 
 namespace {
-
-/// Relative tolerance for the per-component equal-exit-rate check.
-constexpr double kRateTol = 1e-9;
 
 class Checker {
  public:
@@ -109,8 +108,7 @@ class Checker {
         if (reference == nullptr) {
           reference = &s;
           reference_rate = e;
-        } else if (std::abs(e - reference_rate) >
-                   kRateTol * std::max(1.0, std::max(e, reference_rate))) {
+        } else if (!rates_agree(e, reference_rate)) {
           error(c.name.loc, "component '" + c.name.text +
                                 "' is not uniform: state '" + s.text + "' has exit rate " +
                                 std::to_string(e) + " but state '" + reference->text + "' has " +
@@ -211,7 +209,7 @@ class Checker {
             error(e.timing.loc, "undeclared timing '" + e.timing.text + "'");
           }
         } else if (e.uniform_rate != 0.0 &&
-                   e.uniform_rate + 1e-12 < t->max_exit_rate()) {
+                   e.uniform_rate < t->max_exit_rate() * (1.0 - kUniformityTolerance)) {
           error(e.rate_loc, "elapse uniformization rate " + std::to_string(e.uniform_rate) +
                                 " is below the maximal phase exit rate " +
                                 std::to_string(t->max_exit_rate()) + " of timing '" +

@@ -42,6 +42,11 @@ std::size_t discrete_kernel_bytes(const DiscreteKernel& k) {
          vector_bytes(k.col) + vector_bytes(k.goal_pr);
 }
 
+template <class Model>
+std::size_t quotient_bytes(const GoalQuotient<Model>& q) {
+  return q.model.memory_bytes() + mask_bytes(q.goal) + vector_bytes(q.state_of);
+}
+
 std::size_t dense_kernel_bytes(const DenseKernel& k) {
   return vector_bytes(k.dense_index) + vector_bytes(k.dense_state) + vector_bytes(k.row_first) +
          vector_bytes(k.entry_first) + vector_bytes(k.goal_pr) + vector_bytes(k.prob) +
@@ -203,6 +208,58 @@ const DenseKernel& CachedModel::dense_kernel(Objective objective) const {
   return *dense_[slot];
 }
 
+CachedModel::QuotientMemo& CachedModel::quotient_locked(Objective objective,
+                                                        Telemetry* telemetry) const {
+  const bool own_mask = objective == Objective::Minimize && !(goal_universal_ == goal_);
+  QuotientMemo& memo = quotients_[own_mask ? 1 : 0];
+  if (memo.ctmdp.has_value() || memo.chain.has_value()) return memo;
+  const BitVector& goal = goal_for(objective);
+  if (ctmdp_.has_value()) {
+    memo.ctmdp.emplace(goal_quotient(*ctmdp_, goal, telemetry));
+    kernel_bytes_.fetch_add(quotient_bytes(*memo.ctmdp), std::memory_order_relaxed);
+  } else {
+    memo.chain.emplace(goal_quotient(*chain_, goal, telemetry));
+    kernel_bytes_.fetch_add(quotient_bytes(*memo.chain), std::memory_order_relaxed);
+  }
+  return memo;
+}
+
+const CtmdpGoalQuotient& CachedModel::ctmdp_quotient(Objective objective,
+                                                     Telemetry* telemetry) const {
+  ctmdp();  // throws for CTMC entries
+  std::lock_guard<std::mutex> lock(kernel_mutex_);
+  return *quotient_locked(objective, telemetry).ctmdp;
+}
+
+const CtmcGoalQuotient& CachedModel::chain_quotient(Objective objective,
+                                                    Telemetry* telemetry) const {
+  chain();  // throws for CTMDP entries
+  std::lock_guard<std::mutex> lock(kernel_mutex_);
+  return *quotient_locked(objective, telemetry).chain;
+}
+
+const DiscreteKernel& CachedModel::quotient_discrete_kernel(Objective objective) const {
+  ctmdp();
+  std::lock_guard<std::mutex> lock(kernel_mutex_);
+  QuotientMemo& memo = quotient_locked(objective, nullptr);
+  if (memo.discrete == nullptr) {
+    memo.discrete = std::make_unique<DiscreteKernel>(memo.ctmdp->model, memo.ctmdp->goal);
+    kernel_bytes_.fetch_add(discrete_kernel_bytes(*memo.discrete), std::memory_order_relaxed);
+  }
+  return *memo.discrete;
+}
+
+const DenseKernel& CachedModel::quotient_dense_kernel(Objective objective) const {
+  ctmdp();
+  std::lock_guard<std::mutex> lock(kernel_mutex_);
+  QuotientMemo& memo = quotient_locked(objective, nullptr);
+  if (memo.dense == nullptr) {
+    memo.dense = std::make_unique<DenseKernel>(memo.ctmdp->model, memo.ctmdp->goal, BitVector{});
+    kernel_bytes_.fetch_add(dense_kernel_bytes(*memo.dense), std::memory_order_relaxed);
+  }
+  return *memo.dense;
+}
+
 std::string ModelCache::source_key(ModelKind kind, std::string_view source,
                                    std::string_view labels, std::string_view goal_name) {
   return content_hash({model_kind_name(kind), "\n", goal_name, "\n", source,
@@ -247,7 +304,7 @@ ModelCache::Resolved ModelCache::resolve(const std::string& source_key, ModelKin
       if (!model.has_prop(goal_name)) {
         throw ModelError("model has no proposition '" + goal_name + "'");
       }
-      if (!model.system.is_uniform(UniformityView::Closed, 1e-6)) {
+      if (!model.system.is_uniform(UniformityView::Closed)) {
         throw UniformityError("model cache: built system is not uniform (closed view)");
       }
       const BitVector imc_goal = model.mask(goal_name);
@@ -270,7 +327,7 @@ ModelCache::Resolved ModelCache::resolve(const std::string& source_key, ModelKin
       lower_options.telemetry = telemetry;
       lang::BuiltModel model = dft::lower_dft(checked, lower_options);
       model = lang::minimize_model(model, guard, telemetry);
-      if (!model.system.is_uniform(UniformityView::Closed, 1e-6)) {
+      if (!model.system.is_uniform(UniformityView::Closed)) {
         throw UniformityError("model cache: built system is not uniform (closed view)");
       }
       const BitVector imc_goal = model.mask("failed");

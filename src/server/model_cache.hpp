@@ -20,10 +20,16 @@
 // Entries are handed out as shared_ptr<const CachedModel>: eviction (LRU
 // under a byte budget) only drops the cache's reference, so an in-flight
 // query keeps its model and kernels alive — eviction can never corrupt a
-// running solve.  Per-objective discrete/dense kernels are memoized lazily
-// inside the entry (under its own mutex) and fed into the solvers through
+// running solve.  The service solves every query on the entry's goal
+// quotient (core/goal_quotient.hpp): the goal region cut into one sink and
+// the live part lumped for the goal.  The quotient and the kernels built
+// on it are memoized lazily inside the entry (under its own mutex), once
+// per goal mask, and fed into the solvers through
 // TimedReachabilityOptions::discrete_kernel/dense_kernel, which is what
-// amortizes kernel construction across queries of the same model.
+// amortizes the lumping and kernel construction across queries of the
+// same model.  The memo is derived data and never enters a snapshot: a
+// warm-started entry rebuilds it from the restored model on first use, so
+// a snapshot only ever holds the lowered model the canonical hash names.
 #pragma once
 
 #include <atomic>
@@ -37,6 +43,7 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "core/goal_quotient.hpp"
 #include "ctmc/ctmc.hpp"
 #include "ctmdp/backend.hpp"
 #include "ctmdp/ctmdp.hpp"
@@ -69,8 +76,8 @@ enum class ModelKind : std::uint8_t { Uni, Dft, CtmdpFile, CtmcFile };
 const char* model_kind_name(ModelKind kind);
 
 /// One lowered model: solver-ready representation, transferred goal masks,
-/// and lazily memoized per-objective kernels.  Immutable after
-/// construction except for the kernel memo (guarded by kernel_mutex_), so
+/// and lazily memoized goal quotients and kernels.  Immutable after
+/// construction except for the memos (guarded by kernel_mutex_), so
 /// concurrent queries may share an entry freely.
 class CachedModel {
  public:
@@ -98,7 +105,22 @@ class CachedModel {
   const DiscreteKernel& discrete_kernel(Objective objective) const;
   const DenseKernel& dense_kernel(Objective objective) const;
 
-  /// Resident estimate: the lowered model plus any memoized kernels.
+  /// The goal quotient of ctmdp() (CTMDP entries) or chain() (CtmcFile
+  /// entries) for goal_for(@p objective), built on first use under the
+  /// entry's mutex and shared by both objectives when their masks agree.
+  /// The build records a "reduce" span on @p telemetry (may be null); a
+  /// memo hit records nothing.
+  const CtmdpGoalQuotient& ctmdp_quotient(Objective objective,
+                                          Telemetry* telemetry = nullptr) const;
+  const CtmcGoalQuotient& chain_quotient(Objective objective,
+                                         Telemetry* telemetry = nullptr) const;
+  /// Memoized kernels matching (ctmdp_quotient(objective).model, its goal);
+  /// CTMDP entries only.
+  const DiscreteKernel& quotient_discrete_kernel(Objective objective) const;
+  const DenseKernel& quotient_dense_kernel(Objective objective) const;
+
+  /// Resident estimate: the lowered model plus any memoized quotients and
+  /// kernels.
   std::size_t bytes() const {
     return base_bytes_ + kernel_bytes_.load(std::memory_order_relaxed);
   }
@@ -115,9 +137,22 @@ class CachedModel {
   BitVector goal_universal_;
   std::size_t base_bytes_ = 0;
 
+  /// One goal mask's quotient and the kernels built on it.
+  struct QuotientMemo {
+    std::optional<CtmdpGoalQuotient> ctmdp;
+    std::optional<CtmcGoalQuotient> chain;
+    std::unique_ptr<DiscreteKernel> discrete;
+    std::unique_ptr<DenseKernel> dense;
+  };
+  /// The memo of goal_for(@p objective): slot 0, or slot 1 for a Minimize
+  /// mask that differs from the Maximize one.  Builds the quotient on first
+  /// use; requires kernel_mutex_.
+  QuotientMemo& quotient_locked(Objective objective, Telemetry* telemetry) const;
+
   mutable std::mutex kernel_mutex_;
   mutable std::unique_ptr<DiscreteKernel> discrete_[2];  // [objective]
   mutable std::unique_ptr<DenseKernel> dense_[2];
+  mutable QuotientMemo quotients_[2];
   mutable std::atomic<std::size_t> kernel_bytes_{0};
 };
 

@@ -305,6 +305,25 @@ void AnalysisService::execute_group(Group& group) {
       throw std::runtime_error("fault plan: injected worker fault (fault_throw)");
     }
 
+    // Every query is solved on the entry's goal quotient, memoized with the
+    // kernel of the backend that will run.  Fetched before any fault plan
+    // is armed: the quotient is shared cache state, and an injected fault
+    // may only damage this request's solve.
+    const CtmcGoalQuotient* chain_q = nullptr;
+    const CtmdpGoalQuotient* ctmdp_q = nullptr;
+    const DiscreteKernel* discrete_kernel = nullptr;
+    const DenseKernel* dense_kernel = nullptr;
+    if (model.is_ctmc()) {
+      chain_q = &model.chain_quotient(lead.objective, solo_telemetry);
+    } else {
+      ctmdp_q = &model.ctmdp_quotient(lead.objective, solo_telemetry);
+      if (resolve_backend(lead.backend) == Backend::Serial) {
+        discrete_kernel = &model.quotient_discrete_kernel(lead.objective);
+      } else {
+        dense_kernel = &model.quotient_dense_kernel(lead.objective);
+      }
+    }
+
     if (lead.deadline > 0.0) {
       group.guard.set_deadline(lead.deadline);
     } else if (options_.default_deadline > 0.0) {
@@ -334,8 +353,11 @@ void AnalysisService::execute_group(Group& group) {
                           job->request.times.end());
     }
 
+    // The answer is read at the quotient's initial state, and each horizon's
+    // residual bound grows by k * d: k planned steps, each moving a value by
+    // at most the lumping defect d (core/goal_quotient.hpp).
     std::vector<HorizonAnswer> answers(merged_times.size());
-    if (model.is_ctmc()) {
+    if (chain_q != nullptr) {
       TransientOptions options;
       options.epsilon = lead.epsilon;
       options.backend = lead.backend;
@@ -345,13 +367,13 @@ void AnalysisService::execute_group(Group& group) {
       options.guard = &group.guard;
       options.telemetry = solo_telemetry;
       const auto results =
-          timed_reachability_batch(model.chain(), model.goal_for(lead.objective), merged_times,
-                                   options);
+          timed_reachability_batch(chain_q->model, chain_q->goal, merged_times, options);
       for (std::size_t j = 0; j < results.size(); ++j) {
-        answers[j] = HorizonAnswer{merged_times[j],
-                                   results[j].probabilities[model.chain().initial()],
-                                   results[j].residual_bound, results[j].iterations,
-                                   results[j].iterations_executed, results[j].status};
+        const TransientResult& r = results[j];
+        answers[j] = HorizonAnswer{
+            merged_times[j], r.probabilities[chain_q->model.initial()],
+            r.residual_bound + static_cast<double>(r.iterations) * chain_q->defect, r.iterations,
+            r.iterations_executed, r.status};
       }
     } else {
       TimedReachabilityOptions options;
@@ -363,20 +385,16 @@ void AnalysisService::execute_group(Group& group) {
       options.threads = lead.threads;
       options.guard = &group.guard;
       options.telemetry = solo_telemetry;
-      // Feed the memoized kernel of the backend that will actually run —
-      // this is the cache's second dividend beyond skipping the lowering.
-      if (resolve_backend(lead.backend) == Backend::Serial) {
-        options.discrete_kernel = &model.discrete_kernel(lead.objective);
-      } else {
-        options.dense_kernel = &model.dense_kernel(lead.objective);
-      }
-      const auto results = timed_reachability_batch(
-          model.ctmdp(), model.goal_for(lead.objective), merged_times, options);
+      options.discrete_kernel = discrete_kernel;
+      options.dense_kernel = dense_kernel;
+      const auto results =
+          timed_reachability_batch(ctmdp_q->model, ctmdp_q->goal, merged_times, options);
       for (std::size_t j = 0; j < results.size(); ++j) {
-        answers[j] = HorizonAnswer{merged_times[j],
-                                   results[j].values[model.ctmdp().initial()],
-                                   results[j].residual_bound, results[j].iterations_planned,
-                                   results[j].iterations_executed, results[j].status};
+        const TimedReachabilityResult& r = results[j];
+        answers[j] = HorizonAnswer{
+            merged_times[j], r.values[ctmdp_q->model.initial()],
+            r.residual_bound + static_cast<double>(r.iterations_planned) * ctmdp_q->defect,
+            r.iterations_planned, r.iterations_executed, r.status};
       }
     }
 

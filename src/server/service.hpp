@@ -1,6 +1,14 @@
 // The analysis service: a fair-share job queue over the model cache and
 // the multi-horizon batch solvers.
 //
+// Every query is solved on the cached entry's goal quotient for the
+// query's goal mask (CachedModel::ctmdp_quotient / chain_quotient): the
+// goal region cut into one sink, the live part lumped for the goal.  The
+// answer is the quotient's value at its initial state, and each horizon's
+// residual bound carries the quotient's lumping term k * d (k planned
+// steps, d the lumping defect).  There is one solve path; the uniformity
+// check and every error code belong to the lowering, before the cut.
+//
 // Queries arrive asynchronously (submit + completion callback).  A worker
 // pool drains one *batch group* at a time:
 //
@@ -106,6 +114,8 @@ struct QueryRequest {
 struct HorizonAnswer {
   double time = 0.0;
   double value = 0.0;  ///< probability at the model's initial state
+  /// Sound bound on |value - true value|: the solve's own bound plus k * d
+  /// for the goal quotient it ran on.
   double residual_bound = 0.0;
   std::uint64_t iterations_planned = 0;
   std::uint64_t iterations_executed = 0;

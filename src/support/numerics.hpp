@@ -1,6 +1,7 @@
 // Small numeric helpers used throughout the library.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -27,6 +28,17 @@ class KahanSum {
 /// True iff |a - b| <= tol (absolute tolerance).
 inline bool approx_equal(double a, double b, double tol = 1e-9) {
   return std::fabs(a - b) <= tol;
+}
+
+/// Relative tolerance of every uniformity check and uniformization pad:
+/// rounding level, so exit rates summed in different orders agree, while a
+/// real difference (1.0 against 1.0000009) does not, at any time unit.
+inline constexpr double kUniformityTolerance = 1e-12;
+
+/// True iff |a - b| <= tol * max(|a|, |b|): a comparison that does not
+/// depend on the time unit the rates are written in.
+inline bool rates_agree(double a, double b, double tol = kUniformityTolerance) {
+  return std::fabs(a - b) <= tol * std::max(std::fabs(a), std::fabs(b));
 }
 
 /// Clamps a probability-like value into [0, 1]; values outside by more than

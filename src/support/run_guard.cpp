@@ -74,9 +74,7 @@ bool RunGuard::violated_now() {
     trip(RunStatus::DeadlineExceeded);
     return true;
   }
-  if (memory_budget_ != 0 &&
-      live_bytes_.load(std::memory_order_relaxed) >
-          static_cast<std::int64_t>(memory_budget_)) {
+  if (memory_budget_ != 0 && memory_in_use() > static_cast<std::int64_t>(memory_budget_)) {
     trip(RunStatus::MemoryBudgetExceeded);
     return true;
   }
@@ -125,18 +123,25 @@ void RunGuard::checkpoint(const char* stage, std::uint64_t step, std::uint64_t p
 // ---------------------------------------------------------------------------
 // Global allocation accounting.
 //
-// The replaced operator new/delete below consult one process-global guard
-// pointer.  When no MemoryAccountingScope is alive the hook is a single
-// relaxed load and branch; otherwise net live bytes (glibc: the true usable
-// size of each block, elsewhere: the requested size, with frees of
-// unknown-size blocks uncounted) are charged to the guard, and the armed
-// Nth-allocation fault (if any) is evaluated *before* the underlying
-// malloc, so the failing call never allocates.
+// The replaced operator new/delete below touch static atomics only.  When
+// no MemoryAccountingScope is alive the hook is a single relaxed load and
+// branch; otherwise net live bytes (glibc: the true usable size of each
+// block, elsewhere: the requested size, with frees of unknown-size blocks
+// uncounted) go to the process-wide counter the active scope owns, and the
+// armed Nth-allocation fault (if any) is evaluated *before* the underlying
+// malloc, so the failing call never allocates.  The hook never dereferences
+// a guard: a thread that saw the scope active may still count after the
+// scope ended, and its bytes then land in a static counter (at worst in
+// the next scope's count), never in a guard another thread destroyed.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-std::atomic<RunGuard*> g_mem_guard{nullptr};
+/// The guard of the active scope: its identity only, compared and never
+/// dereferenced.  Null while no scope is alive.
+std::atomic<const RunGuard*> g_mem_guard{nullptr};
+/// Net live bytes counted since the active scope opened.
+std::atomic<std::int64_t> g_live_bytes{0};
 std::atomic<std::uint64_t> g_alloc_count{0};
 std::atomic<std::uint64_t> g_fail_at{0};
 
@@ -162,21 +167,24 @@ inline std::size_t block_size(void* p, std::size_t requested) {
 /// scope-owning thread counts toward (and can trip) the armed fault, so
 /// the Nth allocation is deterministic for that thread regardless of what
 /// other threads allocate concurrently.
-inline bool account_before(RunGuard*& guard) {
-  guard = g_mem_guard.load(std::memory_order_relaxed);
-  if (guard == nullptr || !t_scope_owner) return true;
+inline bool account_before(bool& counting) {
+  counting = g_mem_guard.load(std::memory_order_relaxed) != nullptr;
+  if (!counting || !t_scope_owner) return true;
   const std::uint64_t n = g_alloc_count.fetch_add(1, std::memory_order_relaxed) + 1;
   const std::uint64_t fail_at = g_fail_at.load(std::memory_order_relaxed);
   return fail_at == 0 || n != fail_at;
 }
 
-inline void account_after(RunGuard* guard, void* p, std::size_t requested) {
-  if (guard != nullptr && p != nullptr) guard->note_alloc(block_size(p, requested));
+inline void account_after(bool counting, void* p, std::size_t requested) {
+  if (counting && p != nullptr) {
+    g_live_bytes.fetch_add(static_cast<std::int64_t>(block_size(p, requested)),
+                           std::memory_order_relaxed);
+  }
 }
 
 inline void* guarded_alloc(std::size_t size, std::size_t align, bool nothrow) {
-  RunGuard* guard = nullptr;
-  if (!account_before(guard)) {
+  bool counting = false;
+  if (!account_before(counting)) {
     if (nothrow) return nullptr;
     throw std::bad_alloc();
   }
@@ -191,18 +199,20 @@ inline void* guarded_alloc(std::size_t size, std::size_t align, bool nothrow) {
     if (nothrow) return nullptr;
     throw std::bad_alloc();
   }
-  account_after(guard, p, request);
+  account_after(counting, p, request);
   return p;
 }
 
 inline void guarded_free(void* p, std::size_t requested) {
   if (p == nullptr) return;
-  RunGuard* guard = g_mem_guard.load(std::memory_order_relaxed);
-  if (guard != nullptr) {
+  if (g_mem_guard.load(std::memory_order_relaxed) != nullptr) {
 #if defined(__GLIBC__)
-    guard->note_free(block_size(p, requested));
+    g_live_bytes.fetch_sub(static_cast<std::int64_t>(block_size(p, requested)),
+                           std::memory_order_relaxed);
 #else
-    if (requested > 0) guard->note_free(requested);
+    if (requested > 0) {
+      g_live_bytes.fetch_sub(static_cast<std::int64_t>(requested), std::memory_order_relaxed);
+    }
 #endif
   }
   std::free(p);
@@ -210,13 +220,20 @@ inline void guarded_free(void* p, std::size_t requested) {
 
 }  // namespace
 
+std::int64_t RunGuard::memory_in_use() const {
+  return g_mem_guard.load(std::memory_order_acquire) == this
+             ? g_live_bytes.load(std::memory_order_relaxed)
+             : 0;
+}
+
 MemoryAccountingScope::MemoryAccountingScope(RunGuard& guard) {
-  RunGuard* expected = nullptr;
+  const RunGuard* expected = nullptr;
   if (!g_mem_guard.compare_exchange_strong(expected, &guard, std::memory_order_acq_rel)) {
     // The CAS comes first so a rejected nested scope leaves the active
-    // scope's allocation counter untouched.
+    // scope's counters untouched.
     throw ModelError("MemoryAccountingScope: another scope is already active");
   }
+  g_live_bytes.store(0, std::memory_order_relaxed);
   g_alloc_count.store(0, std::memory_order_relaxed);
   t_scope_owner = true;
 }

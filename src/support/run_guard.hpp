@@ -22,8 +22,12 @@
 // Memory accounting hooks the global allocator (operator new/delete are
 // replaced in run_guard.cpp).  Accounting is off unless a
 // MemoryAccountingScope is alive, in which case net live bytes allocated
-// inside the scope are charged against the guard's budget.  The same hook
-// powers the fault-injection harness's Nth-allocation failure.
+// inside the scope are charged against the guard's budget.  The hook
+// touches only static atomics, never a guard: the active scope owns one
+// process-wide live-byte counter, and a guard reads it only while its own
+// scope is the active one, so an allocation racing a scope's end cannot
+// write into a guard that is already gone.  The same hook powers the
+// fault-injection harness's Nth-allocation failure.
 #pragma once
 
 #include <atomic>
@@ -128,21 +132,13 @@ class RunGuard {
   void checkpoint(const char* stage, std::uint64_t step, std::uint64_t planned,
                   double residual_bound, std::span<double> values);
 
-  /// Net live bytes charged to this guard by the accounting scope.
-  /// May be transiently negative when memory allocated before the scope is
-  /// freed inside it.
-  std::int64_t memory_in_use() const { return live_bytes_.load(std::memory_order_relaxed); }
+  /// Net live bytes counted by the active accounting scope when that scope
+  /// belongs to this guard; 0 otherwise.  May be transiently negative when
+  /// memory allocated before the scope is freed inside it.
+  std::int64_t memory_in_use() const;
 
   /// Number of coordinating-thread polls so far (deterministic).
   std::uint64_t polls() const { return poll_count_.load(std::memory_order_relaxed); }
-
-  /// For accounting-hook use.
-  void note_alloc(std::size_t bytes) {
-    live_bytes_.fetch_add(static_cast<std::int64_t>(bytes), std::memory_order_relaxed);
-  }
-  void note_free(std::size_t bytes) {
-    live_bytes_.fetch_sub(static_cast<std::int64_t>(bytes), std::memory_order_relaxed);
-  }
 
  private:
   /// Evaluates deadline/memory/cancel now; latches the first violation.
@@ -153,7 +149,6 @@ class RunGuard {
   std::atomic<bool> stop_{false};
   std::atomic<int> status_{static_cast<int>(RunStatus::Converged)};
   std::atomic<bool> cancel_requested_{false};
-  std::atomic<std::int64_t> live_bytes_{0};
   std::atomic<std::uint64_t> poll_count_{0};
   std::uint64_t cancel_at_poll_ = 0;  // 0 = disarmed
   std::uint64_t memory_budget_ = 0;   // bytes; 0 = disarmed
@@ -163,9 +158,10 @@ class RunGuard {
   std::uint64_t checkpoint_stride_ = 1;
 };
 
-/// RAII: while alive, global operator new/delete charge net live bytes to
-/// @p guard (process-wide; at most one scope may be active at a time —
-/// nesting throws ModelError).  Destruction detaches the hook.
+/// RAII: while alive, global operator new/delete count net live bytes
+/// (process-wide) in a counter that @p guard reads as memory_in_use().  At
+/// most one scope may be active at a time — nesting throws ModelError.
+/// Destruction detaches the hook; @p guard then reads 0.
 class MemoryAccountingScope {
  public:
   explicit MemoryAccountingScope(RunGuard& guard);

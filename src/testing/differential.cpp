@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "bisim/bisimulation.hpp"
+#include "core/goal_quotient.hpp"
 #include "core/transform.hpp"
 #include "ctmc/transient.hpp"
 #include "ctmdp/reachability.hpp"
@@ -53,6 +54,7 @@ constexpr std::uint64_t kStreamMc = 6;
 constexpr std::uint64_t kStreamMcRetry = 7;
 constexpr std::uint64_t kStreamBatch = 8;
 constexpr std::uint64_t kStreamTruncation = 9;
+constexpr std::uint64_t kStreamTwin = 10;
 
 /// Dense oracles are O(states^2); above this size only the structural and
 /// variant checks run (documented in DESIGN.md — not a silent cap).
@@ -321,7 +323,7 @@ void scenario_imc(const Ctx& ctx, const Scaled& cfg) {
   ctx.require(audit.uniform, "uniformity-audit",
               "state " + std::to_string(audit.worst_state) + " deviates by " +
                   num(audit.max_deviation));
-  const auto lib_rate = m.uniform_rate(UniformityView::Closed, 1e-6);
+  const auto lib_rate = m.uniform_rate(UniformityView::Closed);
   ctx.require(lib_rate.has_value(), "uniform-rate", "library rejects an audited-uniform model");
   ctx.require(std::fabs(*lib_rate - audit.rate) <= 1e-6, "uniform-rate",
               "library " + num(*lib_rate) + " vs audit " + num(audit.rate));
@@ -806,14 +808,218 @@ void scenario_truncation(const Ctx& ctx, const Scaled& cfg) {
   }
 }
 
+// --- Goal quotients and time units --------------------------------------
+
+/// A random model interleaved with a copy of itself under the symmetric
+/// goal "either copy is in a goal state".  Swapping the copies is a
+/// bisimulation, so the goal quotient actually lumps.  Product state
+/// (a, c) is a * n + c.
+struct TwinModels {
+  Imc system;
+  BitVector system_goal;
+  Ctmc chain;
+  BitVector chain_goal;
+};
+
+TwinModels make_twins(std::uint64_t seed, const Scaled& cfg) {
+  Rng rng(derive_seed(seed, kStreamTwin));
+  TwinModels twins;
+  {
+    RandomImcConfig config = cfg.imc;
+    config.num_states = std::max<std::size_t>(3, config.num_states / 2);
+    const Imc m = random_uniform_imc(rng, config);
+    const BitVector goal = random_goal(rng, m.num_states());
+    const auto n = static_cast<StateId>(m.num_states());
+    ImcBuilder b(m.action_table());
+    b.ensure_states(std::size_t{n} * n);
+    b.set_initial(m.initial() * n + m.initial());
+    twins.system_goal = BitVector(std::size_t{n} * n, false);
+    for (StateId a = 0; a < n; ++a) {
+      for (StateId c = 0; c < n; ++c) {
+        const StateId s = a * n + c;
+        twins.system_goal[s] = goal[a] || goal[c];
+        for (const LtsTransition& t : m.out_interactive(a)) {
+          b.add_interactive(s, t.action, t.to * n + c);
+        }
+        for (const LtsTransition& t : m.out_interactive(c)) {
+          b.add_interactive(s, t.action, a * n + t.to);
+        }
+        for (const MarkovTransition& t : m.out_markov(a)) b.add_markov(s, t.rate, t.to * n + c);
+        for (const MarkovTransition& t : m.out_markov(c)) b.add_markov(s, t.rate, a * n + t.to);
+      }
+    }
+    twins.system = b.build();
+  }
+  {
+    const Ctmc chain = random_ctmc(rng, cfg.ctmc);
+    const BitVector goal = random_goal(rng, chain.num_states());
+    const auto n = static_cast<StateId>(chain.num_states());
+    CtmcBuilder b(std::size_t{n} * n);
+    b.ensure_states(std::size_t{n} * n);
+    b.set_initial(chain.initial() * n + chain.initial());
+    twins.chain_goal = BitVector(std::size_t{n} * n, false);
+    for (StateId a = 0; a < n; ++a) {
+      for (StateId c = 0; c < n; ++c) {
+        const StateId s = a * n + c;
+        twins.chain_goal[s] = goal[a] || goal[c];
+        for (const SparseEntry& e : chain.out(a)) b.add_transition(s, e.value, e.col * n + c);
+        for (const SparseEntry& e : chain.out(c)) b.add_transition(s, e.value, a * n + e.col);
+      }
+    }
+    twins.chain = b.build();
+  }
+  return twins;
+}
+
+/// @p m with every Markov rate multiplied by @p c.
+Imc scale_rates(const Imc& m, double c) {
+  ImcBuilder b(m.action_table());
+  b.ensure_states(m.num_states());
+  b.set_initial(m.initial());
+  for (const LtsTransition& t : m.interactive_transitions()) {
+    b.add_interactive(t.from, t.action, t.to);
+  }
+  for (const MarkovTransition& t : m.markov_transitions()) {
+    b.add_markov(t.from, t.rate * c, t.to);
+  }
+  return b.build();
+}
+
+Ctmc scale_rates(const Ctmc& chain, double c) {
+  CtmcBuilder b(chain.num_states());
+  b.ensure_states(chain.num_states());
+  b.set_initial(chain.initial());
+  for (StateId s = 0; s < chain.num_states(); ++s) {
+    for (const SparseEntry& e : chain.out(s)) b.add_transition(s, e.value * c, e.col);
+  }
+  return b.build();
+}
+
+/// One horizon solved on a goal quotient: the value at its initial state
+/// and the residual bound with the quotient's k * d term, as the analysis
+/// server reports them.
+struct QuotientAnswer {
+  double value = 0.0;
+  double bound = 0.0;
+  std::size_t states = 0;
+};
+
+QuotientAnswer solve_quotient(const Ctx& ctx, const Ctmdp& model, const BitVector& goal,
+                              double t, Objective objective) {
+  const CtmdpGoalQuotient q = goal_quotient(model, goal);
+  TimedReachabilityOptions options;
+  options.epsilon = ctx.config.epsilon;
+  options.objective = objective;
+  options.threads = 1;
+  options.backend = ctx.config.backend;
+  const TimedReachabilityResult r = timed_reachability(q.model, q.goal, t, options);
+  return {r.values[q.model.initial()],
+          r.residual_bound + static_cast<double>(r.iterations_planned) * q.defect,
+          q.model.num_states()};
+}
+
+QuotientAnswer solve_quotient(const Ctx& ctx, const Ctmc& chain, const BitVector& goal, double t) {
+  const CtmcGoalQuotient q = goal_quotient(chain, goal);
+  TransientOptions options;
+  options.epsilon = ctx.config.epsilon;
+  options.threads = 1;
+  options.backend = ctx.config.backend;
+  const TransientResult r = timed_reachability(q.model, q.goal, t, options);
+  return {r.probabilities[q.model.initial()],
+          r.residual_bound + static_cast<double>(r.iterations) * q.defect, q.model.num_states()};
+}
+
+/// goal-quotient-vs-oracle: the quotient's answer, with its k * d term,
+/// lies within its residual bound of the dense oracle on the unreduced
+/// model (sup and inf for the CTMDP, the CTMC's single value).
+void scenario_goal_quotient(const Ctx& ctx, const Scaled& cfg) {
+  const TwinModels twins = make_twins(ctx.seed, cfg);
+  const double t = ctx.config.time;
+  const TransformResult tr = transform_to_ctmdp(twins.system, &twins.system_goal);
+  if (tr.ctmdp.num_states() <= kDenseOracleLimit) {
+    const DenseModel dense = dense_from_ctmdp(tr.ctmdp);
+    for (const Objective objective : {Objective::Maximize, Objective::Minimize}) {
+      const BitVector& goal = objective == Objective::Maximize ? tr.goal : tr.goal_universal;
+      const QuotientAnswer q = solve_quotient(ctx, tr.ctmdp, goal, t, objective);
+      const double oracle = naive_timed_reachability(dense, goal, t, ctx.config.epsilon,
+                                                     objective)[tr.ctmdp.initial()];
+      ctx.require(std::fabs(q.value - oracle) <= q.bound, "goal-quotient-vs-oracle",
+                  num(q.value) + " vs oracle " + num(oracle) + " (bound " + num(q.bound) +
+                      ", " + std::to_string(q.states) + " of " +
+                      std::to_string(tr.ctmdp.num_states()) + " states)");
+    }
+  }
+  const Ctmdp embedded = ctmdp_from_ctmc(twins.chain.uniformize());
+  if (embedded.num_states() <= kDenseOracleLimit) {
+    const QuotientAnswer q = solve_quotient(ctx, twins.chain, twins.chain_goal, t);
+    const double oracle =
+        naive_timed_reachability(dense_from_ctmdp(embedded), twins.chain_goal, t,
+                                 ctx.config.epsilon, Objective::Maximize)[embedded.initial()];
+    ctx.require(std::fabs(q.value - oracle) <= q.bound, "goal-quotient-ctmc-vs-oracle",
+                num(q.value) + " vs oracle " + num(oracle) + " (bound " + num(q.bound) + ")");
+  }
+}
+
+/// time-unit-invariance: every rate times c and every horizon over c, for c
+/// from 1e-12 to 1e12, keeps the minimized sizes and the goal-quotient
+/// sizes of c = 1, and answers agree within both residual bounds.
+void scenario_time_unit(const Ctx& ctx, const Scaled& cfg) {
+  const TwinModels twins = make_twins(ctx.seed, cfg);
+  const double t = ctx.config.time;
+  std::vector<std::uint32_t> labels(twins.system.num_states());
+  for (StateId s = 0; s < labels.size(); ++s) labels[s] = twins.system_goal[s] ? 1u : 0u;
+
+  struct Measured {
+    std::uint32_t strong = 0, branching = 0;
+    QuotientAnswer sup, chain;
+  };
+  const auto measure = [&](double c) {
+    const Imc system = scale_rates(twins.system, c);
+    ctx.require(system.is_uniform(UniformityView::Closed), "time-unit-uniform",
+                "scaled model rejected at c = " + num(c));
+    Measured out;
+    out.strong = strong_bisimulation(system, &labels).num_blocks;
+    out.branching = branching_bisimulation(system, &labels).num_blocks;
+    const TransformResult tr = transform_to_ctmdp(system, &twins.system_goal);
+    out.sup = solve_quotient(ctx, tr.ctmdp, tr.goal, t / c, Objective::Maximize);
+    out.chain = solve_quotient(ctx, scale_rates(twins.chain, c), twins.chain_goal, t / c);
+    return out;
+  };
+  const Measured base = measure(1.0);
+  for (const double c : {1e-12, 1e-6, 1e6, 1e12}) {
+    const Measured scaled = measure(c);
+    const std::string at = " at c = " + num(c);
+    ctx.require(scaled.strong == base.strong && scaled.branching == base.branching,
+                "time-unit-minimized-size",
+                std::to_string(scaled.strong) + "/" + std::to_string(scaled.branching) +
+                    " blocks vs " + std::to_string(base.strong) + "/" +
+                    std::to_string(base.branching) + at);
+    ctx.require(scaled.sup.states == base.sup.states && scaled.chain.states == base.chain.states,
+                "time-unit-quotient-size",
+                std::to_string(scaled.sup.states) + "/" + std::to_string(scaled.chain.states) +
+                    " states vs " + std::to_string(base.sup.states) + "/" +
+                    std::to_string(base.chain.states) + at);
+    for (const auto& [x, y] :
+         {std::pair{scaled.sup, base.sup}, std::pair{scaled.chain, base.chain}}) {
+      ctx.require(std::fabs(x.value - y.value) <= x.bound + y.bound, "time-unit-answer",
+                  num(x.value) + " vs " + num(y.value) + at);
+    }
+  }
+}
+
 struct Scenario {
   const char* name;
   void (*run)(const Ctx&, const Scaled&);
 };
 
 constexpr Scenario kScenarios[] = {
-    {"imc", scenario_imc},       {"composed", scenario_composed}, {"ctmdp", scenario_ctmdp},
-    {"ctmc", scenario_ctmc},     {"zeno", scenario_zeno},
+    {"imc", scenario_imc},
+    {"composed", scenario_composed},
+    {"ctmdp", scenario_ctmdp},
+    {"ctmc", scenario_ctmc},
+    {"zeno", scenario_zeno},
+    {"goal-quotient-vs-oracle", scenario_goal_quotient},
+    {"time-unit-invariance", scenario_time_unit},
 };
 
 std::vector<std::string> write_artifacts(const Failure& failure,
@@ -868,6 +1074,13 @@ std::vector<std::string> write_artifacts(const Failure& failure,
     emit(stem + ".tra", [&](std::ostream& out) { io::write_ctmc(out, instance.chain); });
     emit(stem + ".tra.lab",
          [&](std::ostream& out) { io::write_goal(out, instance.chain_goal); });
+  } else if (failure.scenario == "goal-quotient-vs-oracle" ||
+             failure.scenario == "time-unit-invariance") {
+    const TwinModels twins = make_twins(failure.seed, cfg);
+    emit(stem + ".imc", [&](std::ostream& out) { io::write_imc(out, twins.system); });
+    emit(stem + ".lab", [&](std::ostream& out) { io::write_goal(out, twins.system_goal); });
+    emit(stem + ".tra", [&](std::ostream& out) { io::write_ctmc(out, twins.chain); });
+    emit(stem + ".tra.lab", [&](std::ostream& out) { io::write_goal(out, twins.chain_goal); });
   } else if (failure.scenario == "truncation") {
     const TruncationInstance instance = make_truncation_instance(failure.seed, cfg);
     emit(stem + ".ctmdp", [&](std::ostream& out) { io::write_ctmdp(out, instance.model); });

@@ -15,7 +15,16 @@
 //  * CTMC             — transient uniformization vs. Algorithm 1 on the
 //    embedded chain vs. the dense oracle;
 // plus a Zeno family (tau-cycle injection) where the optimized transform
-// and the brute-force oracle must agree on acceptance/rejection.
+// and the brute-force oracle must agree on acceptance/rejection, and two
+// families on a random model interleaved with a copy of itself (so that
+// lumping happens):
+//  * goal-quotient-vs-oracle — the goal quotient's answer
+//    (core/goal_quotient.hpp), with its k * d lumping term, within its
+//    residual bound of the dense oracle on the unreduced model (uIMC sup
+//    and inf, CTMC);
+//  * time-unit-invariance — every rate times c and every horizon over c,
+//    for c in {1e-12, 1e-6, 1e6, 1e12}: minimized and goal-quotient sizes
+//    equal to those at c = 1, answers within both residual bounds.
 //
 // Failing seeds are shrunk by re-running the same seed on a ladder of
 // smaller generator configurations; the smallest failing instance can be
@@ -92,7 +101,9 @@ struct DifferentialConfig {
 
 struct Failure {
   std::uint64_t seed = 0;
-  std::string scenario;  // "imc" | "composed" | "ctmdp" | "ctmc" | "zeno" | "batch" | "truncation"
+  /// "imc" | "composed" | "ctmdp" | "ctmc" | "zeno" |
+  /// "goal-quotient-vs-oracle" | "time-unit-invariance" | "batch" | "truncation"
+  std::string scenario;
   /// Which check tripped, with the observed discrepancy.
   std::string message;
   /// Shrink level the failure was reduced to (0 = full-size config).

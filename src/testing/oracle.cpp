@@ -24,7 +24,7 @@ DenseModel dense_from_ctmdp(const Ctmdp& model) {
       if (!have_rate) {
         d.uniform_rate = exit;
         have_rate = true;
-      } else if (std::fabs(exit - d.uniform_rate) > 1e-6) {
+      } else if (!rates_agree(exit, d.uniform_rate, 1e-6)) {
         throw UniformityError("dense_from_ctmdp: exit rates disagree");
       }
       std::vector<double> row(d.num_states, 0.0);
@@ -356,7 +356,7 @@ std::optional<std::string> check_transform(const Imc& closed, const BitVector& g
     return std::optional<std::string>("per-transition entry count multiset differs");
   }
 
-  const auto optimized_rate = c.uniform_rate(1e-6);
+  const auto optimized_rate = c.uniform_rate();
   if (!optimized_rate) return std::optional<std::string>("optimized CTMDP is not uniform");
   if (c.num_transitions() > 0 &&
       std::fabs(*optimized_rate - brute.model.uniform_rate) > 1e-9) {

@@ -38,7 +38,7 @@ struct DenseModel {
 };
 
 /// Dense copy of a uniform CTMDP (identity state mapping).  Throws
-/// UniformityError when exit rates disagree beyond 1e-6.
+/// UniformityError when exit rates disagree by more than 1e-6 relative.
 DenseModel dense_from_ctmdp(const Ctmdp& model);
 
 /// Naive dense Algorithm 1: backward value iteration with reference

@@ -71,6 +71,35 @@ TEST(StrongBisim, DifferentRatesSeparate) {
   EXPECT_FALSE(strong_bisimulation(m).same(0, 1));
 }
 
+TEST(StrongBisim, SmallRatesCompareRelatively) {
+  // Two Markov states whose only rates into the labelled state 2 differ by
+  // a factor 4, below 1e-9 per time unit: not bisimilar, whatever the time
+  // unit.
+  const std::vector<std::uint32_t> labels = {0, 0, 1};
+  for (const double scale : {1.0, 1e-12, 1e12}) {
+    ImcBuilder b;
+    for (int i = 0; i < 3; ++i) b.add_state();
+    b.set_initial(0);
+    b.add_markov(0, 1e-10 * scale, 2);
+    b.add_markov(1, 4e-10 * scale, 2);
+    const Imc m = b.build();
+    EXPECT_FALSE(strong_bisimulation(m, &labels).same(0, 1)) << "scale " << scale;
+  }
+}
+
+TEST(StrongBisim, RatesEqualUpToSummationOrderLump) {
+  // 0.1 + 0.2 != 0.3 in binary; the signature's 40-bit rounding lumps them.
+  ImcBuilder b;
+  for (int i = 0; i < 3; ++i) b.add_state();
+  b.set_initial(0);
+  b.add_markov(0, 0.1, 2);
+  b.add_markov(0, 0.2, 2);
+  b.add_markov(1, 0.3, 2);
+  const Imc m = b.build();
+  ASSERT_NE(0.1 + 0.2, 0.3);
+  EXPECT_TRUE(strong_bisimulation(m).same(0, 1));
+}
+
 TEST(StrongBisim, RatesOfUnstableStatesIgnored) {
   // Maximal progress: both states do tau to 2; their (different) rates are
   // preempted and must not split them.

@@ -1,12 +1,13 @@
 // Content-addressed model cache: canonical deduplication of textually
 // different sources, miss on semantic edits, alias maps, LRU eviction under
 // a byte budget that can never invalidate an in-flight query, and lazy
-// kernel memoization.
+// kernel and goal-quotient memoization.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -16,11 +17,15 @@
 #include <utility>
 #include <vector>
 
+#include "core/transform.hpp"
 #include "ctmc/transient.hpp"
 #include "ctmdp/reachability.hpp"
+#include "ftwc/ctmc_variant.hpp"
+#include "ftwc/direct.hpp"
 #include "io/tra.hpp"
 #include "server/model_cache.hpp"
 #include "support/rng.hpp"
+#include "support/telemetry.hpp"
 #include "testing/generate.hpp"
 
 namespace unicon {
@@ -320,6 +325,107 @@ TEST(CacheTest, KernelMemoizationAccountsBytes) {
   // The universal-transfer mask backs the Minimize kernel — distinct memo slot.
   const DiscreteKernel& k3 = resolved.model->discrete_kernel(Objective::Minimize);
   EXPECT_NE(&k1, &k3);
+}
+
+std::string read_model(const std::string& name) {
+  std::ifstream in(std::string(UNICON_MODELS_DIR) + "/" + name);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// The goal quotients the analysis server solves, at the sizes of the
+// server_mix hot set: goal region cut into one sink, the live part lumped
+// for the goal.
+TEST(CacheTest, GoalQuotientSizesOfTheServedFtwcModels) {
+  ModelCache cache;
+  {
+    ftwc::Parameters params;
+    params.n = 8;
+    const ftwc::DirectResult direct = ftwc::build_direct(params);
+    const TransformResult transformed = transform_to_ctmdp(direct.uimc, &direct.goal);
+    const auto r = cache.resolve(ModelKind::CtmdpFile, serialize_ctmdp(transformed.ctmdp),
+                                 serialize_goal(transformed.goal), "goal");
+    const CtmdpGoalQuotient& q = r.model->ctmdp_quotient(Objective::Maximize);
+    EXPECT_EQ(q.stats.states_in, 10713u);
+    EXPECT_EQ(q.stats.live_states, 925u);
+    EXPECT_EQ(q.stats.blocks_out, 132u);
+    EXPECT_EQ(q.model.num_states(), 132u);
+    EXPECT_TRUE(q.model.is_uniform());
+  }
+  {
+    ftwc::Parameters params;
+    params.n = 4;
+    const ftwc::CtmcResult chain = ftwc::build_ctmc_variant(params);
+    const auto r = cache.resolve(ModelKind::CtmcFile, serialize_ctmc(chain.ctmc),
+                                 serialize_goal(chain.goal), "goal");
+    const CtmcGoalQuotient& q = r.model->chain_quotient(Objective::Maximize);
+    EXPECT_EQ(q.stats.states_in, 1620u);
+    EXPECT_EQ(q.stats.live_states, 303u);
+    EXPECT_EQ(q.model.num_states(), 66u);
+  }
+  {
+    const auto r = cache.resolve(ModelKind::Uni, read_model("ftwc.uni"), "", "goal");
+    const CtmdpGoalQuotient& q = r.model->ctmdp_quotient(Objective::Maximize);
+    EXPECT_EQ(q.stats.states_in, 2249u);
+    EXPECT_EQ(q.model.num_states(), 29u);
+  }
+}
+
+TEST(CacheTest, GoalQuotientMemoIsSharedPerGoalMaskAndReportsReduce) {
+  Rng rng(41);
+  gen::RandomCtmdpConfig config;
+  config.num_states = 30;
+  const Ctmdp model = gen::random_uniform_ctmdp(rng, config);
+  const BitVector goal = gen::random_goal(rng, model.num_states(), 0.3);
+  ModelCache cache;
+  const auto r =
+      cache.resolve(ModelKind::CtmdpFile, serialize_ctmdp(model), serialize_goal(goal), "goal");
+  const std::size_t before = r.model->bytes();
+
+  Telemetry telemetry;
+  const CtmdpGoalQuotient& sup = r.model->ctmdp_quotient(Objective::Maximize, &telemetry);
+  EXPECT_GT(r.model->bytes(), before);
+  // A file model's .lab mask serves both objectives: one quotient.
+  EXPECT_EQ(&r.model->ctmdp_quotient(Objective::Minimize, &telemetry), &sup);
+  EXPECT_EQ(&r.model->quotient_dense_kernel(Objective::Maximize),
+            &r.model->quotient_dense_kernel(Objective::Minimize));
+  // Only the build records a span; memo hits record nothing.
+  const std::string json = telemetry.to_json();
+  std::size_t spans = 0;
+  for (std::size_t at = json.find("\"reduce\""); at != std::string::npos;
+       at = json.find("\"reduce\"", at + 1)) {
+    ++spans;
+  }
+  EXPECT_EQ(spans, 1u);
+  for (const char* key : {"states_in", "live_states", "blocks_out", "goal_states_cut", "defect",
+                          "seconds"}) {
+    EXPECT_NE(json.find(std::string("\"") + key + "\""), std::string::npos) << key;
+  }
+  EXPECT_EQ(sup.stats.goal_states_cut, goal.count());
+
+  // A uIMC route keeps two transferred masks: the initial zero-time
+  // choice reaches the goal for sup but not for inf, so Minimize gets its
+  // own quotient.
+  const char* choice =
+      "component C {\n"
+      "  states s0, s1, s2;\n"
+      "  initial s0;\n"
+      "  label done: s1;\n"
+      "  a: s0 -> s1;\n"
+      "  b: s0 -> s2;\n"
+      "  rate 1: s0 -> s0;\n"
+      "  rate 1: s1 -> s1;\n"
+      "  rate 1: s2 -> s2;\n"
+      "}\n"
+      "system = C;\n"
+      "prop goal = done;\n";
+  const auto uni = cache.resolve(ModelKind::Uni, choice, "", "goal");
+  ASSERT_NE(uni.model->goal_for(Objective::Maximize), uni.model->goal_for(Objective::Minimize));
+  const CtmdpGoalQuotient& max_q = uni.model->ctmdp_quotient(Objective::Maximize);
+  const CtmdpGoalQuotient& min_q = uni.model->ctmdp_quotient(Objective::Minimize);
+  EXPECT_NE(&max_q, &min_q);
+  EXPECT_GT(max_q.stats.goal_states_cut, min_q.stats.goal_states_cut);
 }
 
 TEST(CacheTest, GoalNameIsPartOfTheKey) {

@@ -58,6 +58,13 @@ TEST(Ctmc, UniformRateDetection) {
   EXPECT_DOUBLE_EQ(*two_state_chain(2.0, 2.0).uniform_rate(), 2.0);
 }
 
+TEST(Ctmc, UniformityIsRelativeToTheRate) {
+  for (const double scale : {1.0, 1e-12, 1e12}) {
+    EXPECT_FALSE(two_state_chain(1.0 * scale, 1.0000009 * scale).is_uniform()) << scale;
+    EXPECT_TRUE(two_state_chain(0.3 * scale, (0.1 + 0.2) * scale).is_uniform()) << scale;
+  }
+}
+
 TEST(Ctmc, NoTransitionsIsUniformAtZero) {
   CtmcBuilder b(1);
   b.ensure_states(1);

@@ -92,6 +92,29 @@ TEST(Ctmdp, UniformRateDetection) {
   EXPECT_FALSE(b.build().is_uniform());
 }
 
+TEST(Ctmdp, UniformityIsRelativeToTheRate) {
+  // Exit rates 1.0 and 1.0000009 are not uniform, at any time unit; rates
+  // equal up to summation order are.
+  for (const double scale : {1.0, 1e-9, 1e9}) {
+    CtmdpBuilder b;
+    b.ensure_states(2);
+    b.begin_transition(0, "a");
+    b.add_rate(1, 1.0 * scale);
+    b.begin_transition(1, "a");
+    b.add_rate(1, 1.0000009 * scale);
+    EXPECT_FALSE(b.build().is_uniform()) << "scale " << scale;
+
+    CtmdpBuilder c;
+    c.ensure_states(2);
+    c.begin_transition(0, "a");
+    c.add_rate(0, 0.1 * scale);
+    c.add_rate(1, 0.2 * scale);
+    c.begin_transition(1, "a");
+    c.add_rate(1, 0.3 * scale);
+    EXPECT_TRUE(c.build().is_uniform()) << "scale " << scale;
+  }
+}
+
 TEST(Ctmdp, EmptyModelUniformAtZero) {
   CtmdpBuilder b;
   b.ensure_states(1);

@@ -77,6 +77,22 @@ TEST(Imc, UniformityOpenView) {
   EXPECT_DOUBLE_EQ(*m.uniform_rate(UniformityView::Open), 2.0);
 }
 
+TEST(Imc, UniformityIsRelativeToTheRate) {
+  // Exit rates 1.0 and 1.0000009 differ, at any time unit.
+  for (const double scale : {1.0, 1e-9, 1e9}) {
+    ImcBuilder b;
+    b.add_state();
+    b.add_state();
+    b.set_initial(0);
+    b.add_markov(0, 1.0 * scale, 1);
+    b.add_markov(1, 1.0000009 * scale, 0);
+    const Imc m = b.build();
+    EXPECT_FALSE(m.is_uniform(UniformityView::Open)) << scale;
+    EXPECT_FALSE(m.is_uniform(UniformityView::Closed)) << scale;
+    EXPECT_TRUE(m.uniformize().is_uniform(UniformityView::Closed)) << scale;
+  }
+}
+
 TEST(Imc, UniformityClosedViewIgnoresVisibleActionStates) {
   // State 1 has a visible action -> closed view exempts it, open view
   // does not.

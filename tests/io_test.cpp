@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 
 #include "core/transform.hpp"
@@ -35,6 +36,24 @@ Ctmdp sample_ctmdp() {
   b.begin_transition(1, "stay");
   b.add_rate(1, 2.0);
   return b.build();
+}
+
+// The same three-state .ctmdp written at two time units: state 0 chooses a
+// transition at rate 1e-9 or at 5e-7 (x1e9: 1 or 500).  Both files get the
+// same verdict — not uniform — and the solver refuses both.
+TEST(TraIo, SmallRateModelIsNotUniformAtEveryScale) {
+  std::ifstream labels_in(std::string(UNICON_TEST_MODELS_DIR) + "/small_rates.lab");
+  std::ostringstream labels;
+  labels << labels_in.rdbuf();
+  for (const char* name : {"small_rates.ctmdp", "small_rates_x1e9.ctmdp"}) {
+    std::ifstream in(std::string(UNICON_TEST_MODELS_DIR) + "/" + name);
+    ASSERT_TRUE(in.good()) << name;
+    const Ctmdp model = io::read_ctmdp(in);
+    std::istringstream lab(labels.str());
+    const BitVector goal = io::read_goal(lab, model.num_states());
+    EXPECT_FALSE(model.is_uniform()) << name;
+    EXPECT_THROW((void)timed_reachability(model, goal, 1.0), UniformityError) << name;
+  }
 }
 
 TEST(TraIo, CtmcRoundTrip) {

@@ -576,6 +576,24 @@ TEST(PipelineTelemetry, QuickstartGoldenSpanTree) {
 // ZenoError (stable code 11) from the analysis, not as a hang or a wrong
 // number.
 
+// ---------------------------------------------------------------------------
+// Small rates: two failure clocks at 1e-10 and 4e-10 per time unit must not
+// lump under minimization.  sup P(broken within 1e9) = 1 - exp(-0.4).
+
+TEST(LangSmallRates, MinimizationKeepsRatesFourTimesApart) {
+  std::ifstream in(std::string(UNICON_TEST_MODELS_DIR) + "/small_rates.uni");
+  ASSERT_TRUE(in.good());
+  std::ostringstream source;
+  source << in.rdbuf();
+  const BuiltModel built = build_model(parse_and_check(source.str(), "small_rates.uni"));
+  const BuiltModel minimized = minimize_model(built);
+  EXPECT_EQ(built.system.num_states(), 7u);
+  EXPECT_EQ(minimized.system.num_states(), 5u);
+  const double exact = 1.0 - std::exp(-0.4);
+  EXPECT_NEAR(analyze(minimized.system, minimized.mask("goal"), 1e9), exact, 1e-9);
+  EXPECT_NEAR(analyze(built.system, built.mask("goal"), 1e9), exact, 1e-9);
+}
+
 TEST(LangZeno, UntimedInteractiveCycleIsRejectedWithZenoError) {
   const std::string source = [] {
     const std::string path = std::string(UNICON_TEST_MODELS_DIR) + "/zeno_cycle.uni";

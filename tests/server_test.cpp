@@ -12,6 +12,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -21,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/goal_quotient.hpp"
 #include "ctmc/transient.hpp"
 #include "ctmdp/reachability.hpp"
 #include "io/tra.hpp"
@@ -66,14 +68,16 @@ std::string serialize_goal(const BitVector& goal) {
 }
 
 /// One test model with its expected per-horizon answers precomputed by a
-/// direct (cache-free, service-free) solve.
+/// direct (cache-free, service-free) library solve of its goal quotient —
+/// the model the service solves — and by a solve of the unreduced model.
 struct Fixture {
   ModelKind kind = ModelKind::CtmdpFile;
   std::string source;
   std::string labels;
   std::vector<double> times;
   Objective objective = Objective::Maximize;
-  std::vector<double> expected;  ///< value at the initial state per time
+  std::vector<double> expected;   ///< quotient value at the initial state per time
+  std::vector<double> unreduced;  ///< unreduced model's value at the initial state
 };
 
 Fixture make_ctmdp_fixture(std::uint64_t seed, std::size_t num_states,
@@ -93,8 +97,11 @@ Fixture make_ctmdp_fixture(std::uint64_t seed, std::size_t num_states,
   TimedReachabilityOptions options;
   options.objective = objective;
   options.backend = Backend::Serial;
+  const CtmdpGoalQuotient q = goal_quotient(model, goal);
   for (const double t : fixture.times) {
     fixture.expected.push_back(
+        timed_reachability(q.model, q.goal, t, options).values[q.model.initial()]);
+    fixture.unreduced.push_back(
         timed_reachability(model, goal, t, options).values[model.initial()]);
   }
   return fixture;
@@ -115,8 +122,11 @@ Fixture make_ctmc_fixture(std::uint64_t seed, std::size_t num_states,
   fixture.times = std::move(times);
   TransientOptions options;
   options.backend = Backend::Serial;
+  const CtmcGoalQuotient q = goal_quotient(chain, goal);
   for (const double t : fixture.times) {
     fixture.expected.push_back(
+        timed_reachability(q.model, q.goal, t, options).probabilities[q.model.initial()]);
+    fixture.unreduced.push_back(
         timed_reachability(chain, goal, t, options).probabilities[chain.initial()]);
   }
   return fixture;
@@ -187,11 +197,22 @@ TEST(ServerTest, QueryMatchesDirectSolveBitwise) {
   const Fixture ctmc = make_ctmc_fixture(12, 18, {0.25, 2.0});
 
   AnalysisService service(ServiceOptions{.workers = 2});
-  expect_matches_fixture(service.query(request_for(sup, "a", "1")), sup);
-  expect_matches_fixture(service.query(request_for(inf, "a", "2")), inf);
-  expect_matches_fixture(service.query(request_for(ctmc, "a", "3")), ctmc);
+  int id = 0;
+  for (const Fixture* fixture : {&sup, &inf, &ctmc}) {
+    const QueryResponse response =
+        service.query(request_for(*fixture, "a", std::to_string(++id)));
+    expect_matches_fixture(response, *fixture);
+    // The quotient's answer stays within its residual bound (which carries
+    // the k * d lumping term) of the unreduced model's.
+    ASSERT_EQ(response.results.size(), fixture->unreduced.size());
+    for (std::size_t j = 0; j < fixture->unreduced.size(); ++j) {
+      EXPECT_LE(std::fabs(response.results[j].value - fixture->unreduced[j]),
+                response.results[j].residual_bound)
+          << "horizon " << j;
+    }
+  }
 
-  // sup and inf share the lowered model (one entry, two kernel memos).
+  // sup and inf share the lowered model (one entry, one quotient memo).
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.completed, 3u);
   EXPECT_EQ(stats.cache.entries, 2u);
@@ -477,6 +498,45 @@ TEST(ServerTest, ErrorsComeBackTyped) {
   const QueryResponse response = service.query(std::move(bad));
   EXPECT_EQ(response.error, ErrorCode::Parse);
   EXPECT_FALSE(response.message.empty());
+  EXPECT_TRUE(response.results.empty());
+}
+
+TEST(ServerTest, ReduceSpanRecordsTheQuotientBuildOnce) {
+  // The first solo query of a model builds its goal quotient and records a
+  // "reduce" span on its own registry; a later query hits the memo.
+  const Fixture fixture = make_ctmdp_fixture(17, 24, {1.0}, Objective::Maximize);
+  AnalysisService service(ServiceOptions{.workers = 1});
+  std::vector<std::string> json;
+  for (const char* id : {"first", "second"}) {
+    Telemetry telemetry;
+    QueryRequest request = request_for(fixture, "a", id);
+    request.telemetry = &telemetry;
+    expect_matches_fixture(service.query(std::move(request)), fixture);
+    json.push_back(telemetry.to_json());
+  }
+  EXPECT_NE(json[0].find("\"reduce\""), std::string::npos);
+  for (const char* key : {"\"states_in\"", "\"live_states\"", "\"blocks_out\"",
+                          "\"goal_states_cut\"", "\"defect\"", "\"seconds\""}) {
+    EXPECT_NE(json[0].find(key), std::string::npos) << key;
+  }
+  EXPECT_EQ(json[1].find("\"reduce\""), std::string::npos);
+}
+
+TEST(ServerTest, NonUniformGoalRegionIsStillRejected) {
+  // Only the goal state's loop breaks uniformity.  The goal quotient cuts
+  // that state away, but the model is checked before the cut, so the
+  // answer is the typed Uniformity error a direct solve gives.
+  AnalysisService service(ServiceOptions{.workers = 1});
+  QueryRequest request;
+  request.client = "a";
+  request.id = "nonuniform";
+  request.kind = ModelKind::CtmdpFile;
+  request.source =
+      "STATES 2\nTRANSITIONS 2\nINITIAL 0\n0 a 1 1 1.0\n1 loop 1 1 2.0\n";
+  request.labels = "1 goal\n";
+  request.times = {1.0};
+  const QueryResponse response = service.query(std::move(request));
+  EXPECT_EQ(response.error, ErrorCode::Uniformity) << response.message;
   EXPECT_TRUE(response.results.empty());
 }
 
