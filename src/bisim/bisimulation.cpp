@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <numeric>
 #include <optional>
 
 #include "support/errors.hpp"
@@ -72,7 +73,17 @@ class SignaturePool {
   /// the signature of @p s.
   void close(StateId s, std::size_t from) {
     const auto begin = items_.begin() + static_cast<std::ptrdiff_t>(from);
-    std::sort(begin, items_.end());
+    if (items_.end() - begin <= 16) {
+      // Most signatures are a handful of items: insertion sort them.
+      for (auto i = begin + 1; i < items_.end(); ++i) {
+        const SigItem item = *i;
+        auto j = i;
+        for (; j > begin && item < *(j - 1); --j) *j = *(j - 1);
+        *j = item;
+      }
+    } else {
+      std::sort(begin, items_.end());
+    }
     items_.erase(std::unique(begin, items_.end()), items_.end());
     first_[s] = from;
     last_[s] = items_.size();
@@ -123,28 +134,130 @@ class BlockSplitter {
     const std::size_t mask = slots_.size() - 1;
     std::uint32_t count = 0;
     for (StateId s = 0; s < blocks.size(); ++s) {
-      const std::uint64_t h = sigs.hash(s, blocks[s] * 0xff51afd7ed558ccdull);
-      const auto tag = static_cast<std::uint32_t>(h >> 32);
-      for (std::size_t i = h & mask;; i = (i + 1) & mask) {
-        const std::uint64_t slot = slots_[i];
-        if (slot == kEmpty) {
-          slots_[i] = static_cast<std::uint64_t>(tag) << 32 | s;
-          next[s] = count++;
-          break;
-        }
-        const auto rep = static_cast<StateId>(slot);
-        if (slot >> 32 == tag && blocks[rep] == blocks[s] && sigs.equal(rep, s)) {
-          next[s] = next[rep];
-          break;
-        }
-      }
+      const StateId rep = find_or_insert(s, s, blocks, sigs, mask);
+      next[s] = rep == s ? count++ : next[rep];
     }
     return count;
   }
 
+  /// Splits by signature only the states in @p touched (each listed once,
+  /// each signature differing from that of every untouched member of its
+  /// block).  The touched members of a block that share a signature form a
+  /// group; its untouched members are its rest.  The largest part of a
+  /// block (the rest on ties, else the first group) keeps the block's id
+  /// and every other part gets a new one, so that only the smaller parts
+  /// move.  Updates @p blocks and the per-block @p sizes (one entry per
+  /// block) and appends every state given a new id to @p moved.
+  void split_touched(const std::vector<StateId>& touched, std::vector<std::uint32_t>& blocks,
+                     std::vector<std::uint32_t>& sizes, const SignaturePool& sigs,
+                     std::vector<StateId>& moved) {
+    std::size_t capacity = 16;
+    while (capacity < 2 * touched.size()) capacity *= 2;
+    slots_.assign(capacity, kEmpty);
+    group_of_.resize(touched.size());
+    groups_.clear();
+    for (std::size_t i = 0; i < touched.size(); ++i) {
+      const auto at = static_cast<StateId>(i);
+      const StateId rep = find_or_insert(touched[i], at, blocks, sigs, capacity - 1, &touched);
+      if (rep == at) {
+        group_of_[i] = static_cast<std::uint32_t>(groups_.size());
+        groups_.push_back(Group{blocks[touched[i]], 0, 0});
+      } else {
+        group_of_[i] = group_of_[rep];
+      }
+      ++groups_[group_of_[i]].size;
+    }
+
+    // Per split block: the part that keeps its id, and the id its rest
+    // moves to when a group keeps it.
+    const auto old_blocks = static_cast<std::uint32_t>(sizes.size());
+    parts_.resize(old_blocks);
+    for (const StateId s : touched) ++parts_[blocks[s]].touched;
+    for (const Group& g : groups_) {
+      parts_[g.block].largest = sizes[g.block] - parts_[g.block].touched;  // the rest
+    }
+    for (std::uint32_t g = 0; g < groups_.size(); ++g) {
+      Part& part = parts_[groups_[g].block];
+      if (groups_[g].size > part.largest) {
+        part.keeper = g;
+        part.largest = groups_[g].size;
+      }
+    }
+    std::uint32_t num_blocks = old_blocks;
+    bool evicting = false;
+    for (std::uint32_t g = 0; g < groups_.size(); ++g) {
+      const std::uint32_t old = groups_[g].block;
+      Part& part = parts_[old];
+      groups_[g].id = part.keeper == g ? old : num_blocks++;
+      if (part.keeper == g && part.touched < sizes[old]) {
+        part.rest_id = num_blocks++;
+        evicting = true;
+      }
+    }
+    sizes.resize(num_blocks, 0);
+    const auto move = [&](StateId s, std::uint32_t id) {
+      --sizes[blocks[s]];
+      ++sizes[id];
+      blocks[s] = id;
+      moved.push_back(s);
+    };
+    if (evicting) {
+      // The rests of blocks a group kept: every untouched member moves.
+      marked_.resize(blocks.size(), 0);
+      for (const StateId s : touched) marked_[s] = 1;
+      for (StateId s = 0; s < blocks.size(); ++s) {
+        if (!marked_[s] && parts_[blocks[s]].rest_id != kNoGroup) {
+          move(s, parts_[blocks[s]].rest_id);
+        }
+      }
+      for (const StateId s : touched) marked_[s] = 0;
+    }
+    for (std::size_t i = 0; i < touched.size(); ++i) {
+      const std::uint32_t id = groups_[group_of_[i]].id;
+      if (id != blocks[touched[i]]) move(touched[i], id);
+    }
+    for (const Group& g : groups_) parts_[g.block] = Part{};
+  }
+
  private:
+  /// The representative key of @p s's (block, signature) class, inserting
+  /// @p key when the class is new.  Keys are states, or positions in
+  /// @p keys when given.
+  StateId find_or_insert(StateId s, StateId key, const std::vector<std::uint32_t>& blocks,
+                         const SignaturePool& sigs, std::size_t mask,
+                         const std::vector<StateId>* keys = nullptr) {
+    const std::uint64_t h = sigs.hash(s, blocks[s] * 0xff51afd7ed558ccdull);
+    const auto tag = static_cast<std::uint32_t>(h >> 32);
+    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+      const std::uint64_t slot = slots_[i];
+      if (slot == kEmpty) {
+        slots_[i] = static_cast<std::uint64_t>(tag) << 32 | key;
+        return key;
+      }
+      const auto rep_key = static_cast<StateId>(slot);
+      const StateId rep = keys == nullptr ? rep_key : (*keys)[rep_key];
+      if (slot >> 32 == tag && blocks[rep] == blocks[s] && sigs.equal(rep, s)) return rep_key;
+    }
+  }
+
   static constexpr std::uint64_t kEmpty = ~0ull;
-  std::vector<std::uint64_t> slots_;  // tag << 32 | representative state
+  static constexpr std::uint32_t kNoGroup = static_cast<std::uint32_t>(-1);
+  /// A set of touched states that share a block and a signature.
+  struct Group {
+    std::uint32_t block, size, id;
+  };
+  /// Per block being split: its touched members, and its largest part.
+  struct Part {
+    std::uint32_t touched = 0;
+    std::uint32_t largest = 0;         ///< size of the keeper (the rest while kNoGroup)
+    std::uint32_t keeper = kNoGroup;   ///< group that keeps the id; kNoGroup = the rest
+    std::uint32_t rest_id = kNoGroup;  ///< new id of the rest when a group keeps the id
+  };
+  std::vector<std::uint64_t> slots_;  // tag << 32 | representative key
+  std::vector<std::uint32_t> group_of_;
+  std::vector<Group> groups_;
+  std::vector<Part> parts_;
+  std::vector<std::uint8_t> marked_;
 };
 
 /// Tau-SCCs of the inert subgraph: tau edges whose ends share a block,
@@ -297,6 +410,129 @@ Partition strong_bisimulation(const Imc& m, const std::vector<std::uint32_t>* la
                     sigs.close(s, from);
                   }
                 });
+}
+
+TransitionBisimulation strong_bisimulation(const TransitionRows& rows,
+                                           const std::vector<std::uint32_t>* labels,
+                                           RunGuard* guard) {
+  const std::size_t n = rows.num_states();
+  const std::size_t m = rows.num_transitions();
+  if (std::max(n, m) >= kNoState) {
+    throw ModelError("strong_bisimulation: more than 2^32 - 1 states or transitions");
+  }
+  TransitionBisimulation out;
+  out.states = seed_partition(n, labels);
+  std::vector<std::uint32_t>& block_of = out.states.block_of;
+  std::vector<std::uint32_t> block_sizes(out.states.num_blocks, 0);
+  for (const std::uint32_t b : block_of) ++block_sizes[b];
+  std::vector<std::uint32_t> class_of(m, 0);
+  std::vector<std::uint32_t> class_sizes(m > 0 ? 1 : 0, static_cast<std::uint32_t>(m));
+
+  // The source of every transition, and the transitions into every state.
+  std::vector<StateId> source(m);
+  std::vector<std::uint64_t> first_pred(n + 1, 0);
+  for (StateId s = 0; s < n; ++s) {
+    for (std::uint64_t t = rows.first_transition[s]; t < rows.first_transition[s + 1]; ++t) {
+      source[t] = s;
+    }
+  }
+  for (const SparseEntry& e : rows.entries) ++first_pred[e.col + 1];
+  for (std::size_t s = 0; s < n; ++s) first_pred[s + 1] += first_pred[s];
+  std::vector<StateId> preds(rows.entries.size());
+  {
+    std::vector<std::uint64_t> at(first_pred.begin(), first_pred.end() - 1);
+    for (StateId t = 0; t < m; ++t) {
+      for (const SparseEntry& e : rows.rates(t)) preds[at[e.col]++] = t;
+    }
+  }
+
+  // Per transition t: its latest lumped row, in the slots of `out.lumped`
+  // from first_entry[t] on.  A row reaches at most as many blocks as the
+  // transition has entries, so the rows never outgrow their slots.
+  out.lumped.resize(rows.entries.size());
+  std::vector<std::uint32_t> row_size(m, 0);
+
+  SignaturePool transition_sigs(m), state_sigs(n);
+  RateLumper lumper;
+  BlockSplitter transition_splitter(0), state_splitter(0);
+  // The first round signs everything; later rounds sign only the
+  // transitions with a target that moved to a new block, and the states
+  // with a transition that moved to a new class.  A moved element's new id
+  // is fresh, so every signature that changed contains it, and a signature
+  // that was not recomputed cannot have changed.
+  std::vector<StateId> dirty(m), resign(n), moved;
+  std::iota(dirty.begin(), dirty.end(), StateId{0});
+  std::iota(resign.begin(), resign.end(), StateId{0});
+  std::vector<std::uint64_t> dirty_round(m, 0), resign_round(n, 0);
+  for (;;) {
+    if (guard != nullptr) guard->check("strong_bisimulation");
+    const std::uint64_t round = ++out.rounds;
+
+    transition_sigs.clear();
+    lumper.grow(block_sizes.size());
+    for (const StateId t : dirty) {
+      const std::size_t from = transition_sigs.size();
+      LumpedRate* const row = out.lumped.data() + rows.first_entry[t];
+      std::uint32_t size = 0;
+      lumper.lump(rows.rates(t), block_of, [&](std::uint32_t blk, double rate) {
+        row[size++] = LumpedRate{blk, rate};
+        transition_sigs.push(kRateTag | blk, quantize(rate));
+      });
+      row_size[t] = size;
+      transition_sigs.close(t, from);
+    }
+    moved.clear();
+    transition_splitter.split_touched(dirty, class_of, class_sizes, transition_sigs, moved);
+
+    if (round > 1) {
+      resign.clear();
+      for (const StateId t : moved) {
+        if (resign_round[source[t]] == round) continue;
+        resign_round[source[t]] = round;
+        resign.push_back(source[t]);
+      }
+    }
+    state_sigs.clear();
+    for (const StateId s : resign) {
+      const std::size_t from = state_sigs.size();
+      for (std::uint64_t t = rows.first_transition[s]; t < rows.first_transition[s + 1]; ++t) {
+        state_sigs.push(kInteractiveTag, class_of[t]);
+      }
+      state_sigs.close(s, from);
+    }
+    moved.clear();
+    state_splitter.split_touched(resign, block_of, block_sizes, state_sigs, moved);
+    if (moved.empty()) break;
+
+    dirty.clear();
+    for (const StateId s : moved) {
+      for (std::uint64_t i = first_pred[s]; i < first_pred[s + 1]; ++i) {
+        const StateId t = preds[i];
+        if (dirty_round[t] == round) continue;
+        dirty_round[t] = round;
+        dirty.push_back(t);
+      }
+    }
+  }
+
+  out.states.num_blocks = static_cast<std::uint32_t>(block_sizes.size());
+  const std::vector<std::uint32_t> canonical = out.states.canonicalize();
+  out.transitions.block_of = std::move(class_of);
+  out.transitions.num_blocks = static_cast<std::uint32_t>(class_sizes.size());
+  out.transitions.canonicalize();
+  // Pack the rows, in place: row t moves down to first_lumped[t].
+  out.first_lumped.reserve(m + 1);
+  out.first_lumped.push_back(0);
+  std::uint64_t at = 0;
+  for (StateId t = 0; t < m; ++t) {
+    const std::uint64_t from = rows.first_entry[t];
+    for (std::uint64_t i = from; i < from + row_size[t]; ++i) {
+      out.lumped[at++] = LumpedRate{canonical[out.lumped[i].block], out.lumped[i].rate};
+    }
+    out.first_lumped.push_back(at);
+  }
+  out.lumped.resize(at);
+  return out;
 }
 
 Partition branching_bisimulation(const Imc& m, const std::vector<std::uint32_t>* labels,

@@ -9,7 +9,7 @@ Partition Partition::trivial(std::size_t num_states) {
   return p;
 }
 
-void Partition::canonicalize() {
+std::vector<std::uint32_t> Partition::canonicalize() {
   std::vector<std::uint32_t> remap(num_blocks, static_cast<std::uint32_t>(-1));
   std::uint32_t next = 0;
   for (std::uint32_t& b : block_of) {
@@ -17,6 +17,7 @@ void Partition::canonicalize() {
     b = remap[b];
   }
   num_blocks = next;
+  return remap;
 }
 
 }  // namespace unicon

@@ -22,8 +22,8 @@ struct Partition {
   bool same(StateId a, StateId b) const { return block_of[a] == block_of[b]; }
 
   /// Renumbers blocks so they appear in order of their first state; the
-  /// result is canonical and comparable.
-  void canonicalize();
+  /// result is canonical and comparable.  Returns the old -> new block map.
+  std::vector<std::uint32_t> canonicalize();
 
   friend bool operator==(const Partition&, const Partition&) = default;
 };

@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "bisim/bisimulation.hpp"
-#include "imc/imc.hpp"
 #include "support/errors.hpp"
 #include "support/telemetry.hpp"
 
@@ -37,116 +36,85 @@ LiveCut cut_live(std::size_t n, const BitVector& goal) {
   return cut;
 }
 
-/// Lumped rate rows of IMC states over a partition, summed by the
-/// bisimulation's own RateLumper so that they match the signatures.
-class Rows {
- public:
-  Rows(const Imc& m, const Partition& p) : m_(m), p_(p), diff_(p.num_blocks, 0.0) {
-    lumper_.reset(p.num_blocks);
-  }
-
-  /// @p emit(block, rate) per block that @p s reaches.
-  template <class Emit>
-  void lump(StateId s, Emit&& emit) {
-    lumper_.lump(m_, s, p_.block_of, emit);
-  }
-
-  /// L1 distance between the lumped rows of @p s and @p t.  When @p own is
-  /// a block, the rows are generator rows: each state's exit rate is
-  /// subtracted on @p own.
-  double distance(StateId s, StateId t, std::uint32_t own) {
-    double exit_s = 0.0, exit_t = 0.0;
-    lump(s, [&](std::uint32_t blk, double rate) {
-      add(blk, rate);
-      exit_s += rate;
+/// The rows of the live part, over the live states 0..live_count-1 and
+/// the sink live_count.  @p row_of(l, add) calls add with each rate
+/// function of live state l, as its span of input (col, rate) entries.
+/// A row's goal entries are summed, in input order, into one sink entry
+/// at its end, so a row's sums and their order of first reach do not
+/// depend on where goal states sit in the input numbering.
+template <class RowOf>
+TransitionRows live_rows(const LiveCut& cut, const BitVector& goal, RowOf&& row_of) {
+  const auto sink = static_cast<StateId>(cut.live.size());
+  TransitionRows rows;
+  for (StateId l = 0; l < sink; ++l) {
+    row_of(l, [&](std::span<const SparseEntry> rates) {
+      double to_goal = 0.0;
+      for (const SparseEntry& e : rates) {
+        if (goal[e.col]) {
+          to_goal += e.value;
+        } else {
+          rows.entries.push_back(SparseEntry{cut.index[e.col], e.value});
+        }
+      }
+      if (to_goal > 0.0) rows.entries.push_back(SparseEntry{sink, to_goal});
+      rows.first_entry.push_back(rows.entries.size());
     });
-    lump(t, [&](std::uint32_t blk, double rate) {
-      add(blk, -rate);
-      exit_t += rate;
-    });
-    if (own != kNoBlock) add(own, exit_t - exit_s);
-    double l1 = 0.0;
-    for (const std::uint32_t blk : touched_) {
-      l1 += std::fabs(diff_[blk]);
-      diff_[blk] = 0.0;
-    }
-    touched_.clear();
-    return l1;
+    rows.first_transition.push_back(rows.first_entry.size() - 1);
   }
-
-  static constexpr std::uint32_t kNoBlock = static_cast<std::uint32_t>(-1);
-
- private:
-  void add(std::uint32_t blk, double x) {
-    if (std::find(touched_.begin(), touched_.end(), blk) == touched_.end()) {
-      touched_.push_back(blk);
-    }
-    diff_[blk] += x;
-  }
-
-  const Imc& m_;
-  const Partition& p_;
-  RateLumper lumper_;
-  std::vector<double> diff_;
-  std::vector<std::uint32_t> touched_;
-};
-
-/// Quotient state ids: the blocks of the live states 0..live_count-1 in
-/// order of their first member, then the sink's block.
-struct BlockNumbering {
-  std::vector<StateId> id_of_block;   ///< kNone for blocks that are no quotient state
-  std::vector<StateId> first_member;  ///< per live quotient state: its lowest live index
-  StateId sink = 0;
-};
-
-BlockNumbering number_blocks(const Partition& p, std::size_t live_count, StateId sink_state) {
-  BlockNumbering out;
-  out.id_of_block.assign(p.num_blocks, kNone);
-  for (StateId l = 0; l < live_count; ++l) {
-    StateId& id = out.id_of_block[p.block_of[l]];
-    if (id != kNone) continue;
-    id = static_cast<StateId>(out.first_member.size());
-    out.first_member.push_back(l);
-  }
-  out.sink = static_cast<StateId>(out.first_member.size());
-  out.id_of_block[p.block_of[sink_state]] = out.sink;
-  return out;
+  rows.first_transition.push_back(rows.first_transition.back());  // the sink's
+  return rows;
 }
 
-/// The quotient state of input state @p s.
-StateId quotient_state(StateId s, const LiveCut& cut, const Partition& p,
-                       const BlockNumbering& ids) {
+/// The lumping of the live part, with the sink the only labelled state.
+TransitionBisimulation lump_live(const TransitionRows& rows, RunGuard* guard) {
+  std::vector<std::uint32_t> labels(rows.num_states(), 0);
+  labels.back() = 1;
+  return strong_bisimulation(rows, &labels, guard);
+}
+
+/// The quotient state of input state @p s: the block of its live state
+/// (blocks are numbered in order of their first live state, so the sink's
+/// block comes last).
+StateId quotient_state(StateId s, const LiveCut& cut, const Partition& p) {
   const StateId l = cut.index[s];
-  return l == kNone ? ids.sink : ids.id_of_block[p.block_of[l]];
+  return l == kNone ? p.num_blocks - 1 : p.block_of[l];
 }
 
-/// Fills the goal mask, the state map and the statistics, and closes the
-/// span with its metrics.
+/// Per block: its lowest member.
+std::vector<StateId> first_members(const Partition& p) {
+  std::vector<StateId> first(p.num_blocks, kNone);
+  for (StateId x = static_cast<StateId>(p.num_states()); x-- > 0;) first[p.block_of[x]] = x;
+  return first;
+}
+
+/// Fills the goal mask, the state map and the statistics, and gives the
+/// span its metrics (its own seconds time the construction).
 template <class Model>
-void finish(GoalQuotient<Model>& q, const LiveCut& cut, const Partition& p,
-            const BlockNumbering& ids, const Stopwatch& watch,
-            std::optional<Telemetry::Span>& span) {
+void finish(GoalQuotient<Model>& q, const LiveCut& cut, const TransitionBisimulation& lumping,
+            const Stopwatch& watch, std::optional<Telemetry::Span>& span) {
+  const Partition& p = lumping.states;
   q.goal = BitVector(q.model.num_states(), false);
-  q.goal[ids.sink] = true;
+  q.goal[p.num_blocks - 1] = true;
   q.state_of.resize(cut.index.size());
-  for (StateId s = 0; s < cut.index.size(); ++s) q.state_of[s] = quotient_state(s, cut, p, ids);
+  for (StateId s = 0; s < cut.index.size(); ++s) q.state_of[s] = quotient_state(s, cut, p);
   q.stats.states_in = cut.index.size();
   q.stats.goal_states_cut = cut.goal_states;
   q.stats.live_states = cut.live.size();
   q.stats.blocks_out = q.model.num_states();
+  q.stats.rounds = lumping.rounds;
   q.stats.seconds = watch.seconds();
   if (!span) return;
   span->metric("states_in", q.stats.states_in);
   span->metric("live_states", q.stats.live_states);
   span->metric("blocks_out", q.stats.blocks_out);
   span->metric("goal_states_cut", q.stats.goal_states_cut);
+  span->metric("rounds", q.stats.rounds);
   span->metric("defect", q.defect);
-  span->metric("seconds", q.stats.seconds);
 }
 
 }  // namespace
 
-CtmdpGoalQuotient goal_quotient(const Ctmdp& model, const BitVector& goal,
+CtmdpGoalQuotient goal_quotient(const Ctmdp& model, const BitVector& goal, RunGuard* guard,
                                 Telemetry* telemetry) {
   // The cut would hide a non-uniform goal region from the solver's own
   // check, so the input is checked here, as a whole.
@@ -158,75 +126,48 @@ CtmdpGoalQuotient goal_quotient(const Ctmdp& model, const BitVector& goal,
   if (telemetry != nullptr) span.emplace(telemetry->span("reduce"));
   const Stopwatch watch;
   const LiveCut cut = cut_live(model.num_states(), goal);
-
-  // The strictly alternating IMC of the live part: the live states, then
-  // one Markov state per transition of a live state, then the sink.  Live
-  // state l's transitions are the Markov states markov_begin[l] ..
-  // markov_begin[l + 1] - 1, in transition order.
-  const std::size_t live_count = cut.live.size();
-  std::vector<std::uint64_t> transition_of;  // Markov state - live_count -> input transition
-  std::vector<StateId> markov_begin(live_count + 1);
-  for (StateId l = 0; l < live_count; ++l) {
-    markov_begin[l] = static_cast<StateId>(live_count + transition_of.size());
+  const TransitionRows rows = live_rows(cut, goal, [&](StateId l, auto&& add) {
     const auto [first, last] = model.transition_range(cut.live[l]);
-    for (std::uint64_t t = first; t < last; ++t) transition_of.push_back(t);
-  }
-  const auto sink_state = static_cast<StateId>(live_count + transition_of.size());
-  markov_begin[live_count] = sink_state;
-  ImcBuilder b;
-  b.ensure_states(sink_state + 1);
-  const Action act = b.intern("a");
-  // Labels: 0 live state, 1 transition (Markov) state, 2 the sink.
-  std::vector<std::uint32_t> labels(sink_state + 1, 1);
-  for (StateId l = 0; l < live_count; ++l) {
-    labels[l] = 0;
-    for (StateId m = markov_begin[l]; m < markov_begin[l + 1]; ++m) {
-      b.add_interactive(l, act, m);
-    }
-  }
-  labels[sink_state] = 2;
-  for (std::size_t k = 0; k < transition_of.size(); ++k) {
-    const auto markov = static_cast<StateId>(live_count + k);
-    for (const SparseEntry& e : model.rates(transition_of[k])) {
-      b.add_markov(markov, e.value, goal[e.col] ? sink_state : cut.index[e.col]);
-    }
-  }
-  const Imc imc = b.build();
-  const Partition p = strong_bisimulation(imc, &labels);
-  const BlockNumbering ids = number_blocks(p, live_count, sink_state);
-  std::vector<StateId> first_row(p.num_blocks, kNone);  // per transition block
-  for (StateId m = static_cast<StateId>(live_count); m < sink_state; ++m) {
-    if (first_row[p.block_of[m]] == kNone) first_row[p.block_of[m]] = m;
-  }
+    for (std::uint64_t t = first; t < last; ++t) add(model.rates(t));
+  });
+  const TransitionBisimulation lumping = lump_live(rows, guard);
+  const Partition& p = lumping.states;
+  const Partition& classes = lumping.transitions;
+  const std::vector<StateId> first_state = first_members(p);
+  const std::vector<StateId> first_row = first_members(classes);
 
   // Each live block takes its first member's transitions, one per distinct
-  // transition block (with the word of the first one into it), and each
-  // transition block its first member's lumped row.
-  Rows rows(imc, p);
+  // class (with the word of the first one in it), and each class its first
+  // member's lumped row.
   CtmdpGoalQuotient q;
   CtmdpBuilder qb(model.action_table(), model.word_table());
-  qb.ensure_states(ids.sink + 1);
-  qb.set_initial(quotient_state(model.initial(), cut, p, ids));
-  std::vector<StateId> emitted_by(p.num_blocks, kNone);
-  for (StateId qs = 0; qs < ids.sink; ++qs) {
-    const StateId l = ids.first_member[qs];
-    for (StateId m = markov_begin[l]; m < markov_begin[l + 1]; ++m) {
-      const std::uint32_t blk = p.block_of[m];
-      if (emitted_by[blk] == qs) continue;
-      emitted_by[blk] = qs;
-      qb.begin_transition(qs, model.label(transition_of[m - live_count]));
-      rows.lump(first_row[blk], [&](std::uint32_t to, double rate) {
-        qb.add_rate(ids.id_of_block[to], rate);
-      });
+  const StateId sink = p.num_blocks - 1;
+  qb.ensure_states(sink + 1);
+  qb.set_initial(quotient_state(model.initial(), cut, p));
+  std::vector<StateId> emitted_by(classes.num_blocks, kNone);
+  for (StateId qs = 0; qs < sink; ++qs) {
+    const StateId l = first_state[qs];
+    const std::uint64_t input_first = model.transition_range(cut.live[l]).first;
+    for (std::uint64_t t = rows.first_transition[l]; t < rows.first_transition[l + 1]; ++t) {
+      const std::uint32_t c = classes.block_of[t];
+      if (emitted_by[c] == qs) continue;
+      emitted_by[c] = qs;
+      qb.begin_transition(qs, model.label(input_first + (t - rows.first_transition[l])));
+      for (const LumpedRate& r : lumping.row(first_row[c])) qb.add_rate(r.block, r.rate);
     }
   }
   q.model = qb.build();
 
   // The defect, in jump probabilities at the quotient's uniform rate.
+  std::vector<double> class_row(p.num_blocks, 0.0);
   double worst = 0.0;
-  for (StateId m = static_cast<StateId>(live_count); m < sink_state; ++m) {
-    const StateId f = first_row[p.block_of[m]];
-    if (f != m) worst = std::max(worst, rows.distance(m, f, Rows::kNoBlock));
+  for (StateId t = 0; t < classes.num_states(); ++t) {
+    const StateId f = first_row[classes.block_of[t]];
+    if (f == t) continue;
+    double l1 = 0.0;
+    for (const LumpedRate& r : lumping.row(f)) class_row[r.block] = r.rate;
+    for (const LumpedRate& r : lumping.row(t)) l1 += std::fabs(r.rate - class_row[r.block]);
+    worst = std::max(worst, l1);
   }
   if (worst > 0.0) {
     double e = 0.0;
@@ -235,60 +176,70 @@ CtmdpGoalQuotient goal_quotient(const Ctmdp& model, const BitVector& goal,
     }
     q.defect = worst / e;
   }
-  finish(q, cut, p, ids, watch, span);
+  finish(q, cut, lumping, watch, span);
   return q;
 }
 
-CtmcGoalQuotient goal_quotient(const Ctmc& chain, const BitVector& goal, Telemetry* telemetry) {
+CtmcGoalQuotient goal_quotient(const Ctmc& chain, const BitVector& goal, RunGuard* guard,
+                               Telemetry* telemetry) {
   std::optional<Telemetry::Span> span;
   if (telemetry != nullptr) span.emplace(telemetry->span("reduce"));
   const Stopwatch watch;
   const LiveCut cut = cut_live(chain.num_states(), goal);
-
-  // The live states, then the sink (label 1).
-  const std::size_t live_count = cut.live.size();
-  const auto sink_state = static_cast<StateId>(live_count);
-  ImcBuilder b;
-  b.ensure_states(sink_state + 1);
-  std::vector<std::uint32_t> labels(sink_state + 1, 0);
-  labels[sink_state] = 1;
-  for (StateId l = 0; l < live_count; ++l) {
-    for (const SparseEntry& e : chain.out(cut.live[l])) {
-      b.add_markov(l, e.value, goal[e.col] ? sink_state : cut.index[e.col]);
-    }
-  }
-  const Imc imc = b.build();
-  const Partition p = strong_bisimulation(imc, &labels);
-  const BlockNumbering ids = number_blocks(p, live_count, sink_state);
+  // One rate function per live state: its row.
+  const TransitionRows rows = live_rows(
+      cut, goal, [&](StateId l, auto&& add) { add(chain.out(cut.live[l])); });
+  const TransitionBisimulation lumping = lump_live(rows, guard);
+  const Partition& p = lumping.states;
+  const std::vector<StateId> first_state = first_members(p);
 
   // Each live block takes its first member's lumped row.
-  Rows rows(imc, p);
   CtmcGoalQuotient q;
-  CtmcBuilder qb(ids.sink + 1);
-  qb.ensure_states(ids.sink + 1);
-  qb.set_initial(quotient_state(chain.initial(), cut, p, ids));
-  for (StateId qs = 0; qs < ids.sink; ++qs) {
-    rows.lump(ids.first_member[qs], [&](std::uint32_t to, double rate) {
-      qb.add_transition(qs, rate, ids.id_of_block[to]);
-    });
+  const StateId sink = p.num_blocks - 1;
+  CtmcBuilder qb(sink + 1);
+  qb.ensure_states(sink + 1);
+  qb.set_initial(quotient_state(chain.initial(), cut, p));
+  for (StateId qs = 0; qs < sink; ++qs) {
+    for (const LumpedRate& r : lumping.row(first_state[qs])) {
+      qb.add_transition(qs, r.rate, r.block);
+    }
   }
   q.model = qb.build();
 
   // The defect, in jump probabilities of the chain uniformized at its
   // largest live exit rate: generator rows, so a member's own-block rate
   // counts net of its exit rate.
+  std::vector<double> block_row(p.num_blocks, 0.0);
   double worst = 0.0;
-  for (StateId l = 0; l < live_count; ++l) {
-    const std::uint32_t blk = p.block_of[l];
-    const StateId f = ids.first_member[ids.id_of_block[blk]];
-    if (f != l) worst = std::max(worst, rows.distance(l, f, blk));
+  for (StateId l = 0; l < cut.live.size(); ++l) {
+    const std::uint32_t own = p.block_of[l];
+    const StateId f = first_state[own];
+    if (f == l) continue;
+    double exit_l = 0.0, exit_f = 0.0;
+    for (const LumpedRate& r : lumping.row(f)) {
+      block_row[r.block] = r.rate;
+      exit_f += r.rate;
+    }
+    for (const LumpedRate& r : lumping.row(l)) exit_l += r.rate;
+    double l1 = 0.0;
+    bool own_reached = false;
+    for (const LumpedRate& r : lumping.row(l)) {
+      double diff = r.rate - block_row[r.block];
+      if (r.block == own) {
+        diff += exit_f - exit_l;
+        own_reached = true;
+      }
+      l1 += std::fabs(diff);
+    }
+    if (!own_reached) l1 += std::fabs(exit_f - exit_l);
+    worst = std::max(worst, l1);
   }
   if (worst > 0.0) {
     double e = 0.0;
-    for (StateId qs = 0; qs < ids.sink; ++qs) e = std::max(e, q.model.exit_rate(qs));
+    for (StateId qs = 0; qs < sink; ++qs) e = std::max(e, q.model.exit_rate(qs));
     q.defect = worst / e;
   }
-  finish(q, cut, p, ids, watch, span);
+  finish(q, cut, lumping, watch, span);
   return q;
 }
 

@@ -3,12 +3,12 @@
 //
 // Goal states are absorbing for timed reachability, so every goal state is
 // cut into one absorbing sink.  What remains is the live part: the
-// non-goal states.  The live part is lumped by the pooled-signature
-// strong_bisimulation of src/bisim, with the sink as the only labelled
-// state.  A CTMDP enters as its strictly alternating IMC — one interactive
-// state per CTMDP state, one Markov state per transition, every transition
-// under one visible action, because transition labels never change a
-// reachability value.
+// non-goal states.  The live part is lumped by the one-level
+// strong_bisimulation of src/bisim over its rows, with the sink as the only
+// labelled state: each round classifies every transition by its lumped
+// row over the state blocks, then splits the states by their sets of
+// classes.  Transition labels never change a reachability value, so they
+// do not enter.
 //
 // Soundness: quotients of uniform models stay uniform (Lemma 3 /
 // Corollary 1 of the paper), and strong bisimulation on CTMDPs preserves
@@ -16,14 +16,14 @@
 // Katoen, CONCUR 2007); on a CTMC it is ordinary lumpability.
 //
 // The quotient takes each block's rows from the block's first member (its
-// lowest state or transition index).  The signatures compare rates at 40
-// significant bits, so a member's lumped row may differ from its block's
-// row at rounding level.  The lumping defect d bounds that difference: the
-// largest L1 distance, in jump probabilities (rates / E), between a
-// member's lumped row and its block's row.  One step moves a value by at
-// most d, so a k-step answer on the quotient lies within k * d of the same
-// k-step answer on the input; the analysis server adds that term to each
-// horizon's residual bound.
+// lowest state or transition index), as the lumping's last round summed
+// them.  The signatures compare rates at 40 significant bits, so a
+// member's lumped row may differ from its block's row at rounding level.
+// The lumping defect d bounds that difference: the largest L1 distance, in
+// jump probabilities (rates / E), between a member's lumped row and its
+// block's row.  One step moves a value by at most d, so a k-step answer on
+// the quotient lies within k * d of the same k-step answer on the input;
+// quotient_residual_bound adds that term to a horizon's residual bound.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +32,7 @@
 #include "ctmc/ctmc.hpp"
 #include "ctmdp/ctmdp.hpp"
 #include "support/bit_vector.hpp"
+#include "support/run_guard.hpp"
 
 namespace unicon {
 
@@ -43,6 +44,7 @@ struct GoalQuotientStats {
   std::size_t goal_states_cut = 0;  ///< goal states merged into the sink
   std::size_t live_states = 0;      ///< non-goal states
   std::size_t blocks_out = 0;       ///< quotient states: live blocks plus the sink
+  std::uint64_t rounds = 0;         ///< refinement rounds of the lumping
   double seconds = 0.0;
 };
 
@@ -69,15 +71,25 @@ using CtmcGoalQuotient = GoalQuotient<Ctmc>;
 /// Its transitions keep the word of the first member's first transition
 /// into each lumped rate function.  Throws UniformityError when @p model
 /// is not uniform, goal region included, as timed_reachability would.
-/// @p telemetry (optional) records a "reduce" span with the
-/// GoalQuotientStats quantities and the defect.
+/// @p guard (optional) is checked once per refinement round; a budget stop
+/// raises BudgetError.  @p telemetry (optional) records a "reduce" span
+/// with the GoalQuotientStats quantities and the defect.
 CtmdpGoalQuotient goal_quotient(const Ctmdp& model, const BitVector& goal,
-                                Telemetry* telemetry = nullptr);
+                                RunGuard* guard = nullptr, Telemetry* telemetry = nullptr);
 
-/// The goal quotient of a CTMC for @p goal.  The defect is measured at the
-/// quotient's own uniformization rate, the largest live exit rate, which
-/// is the rate timed_reachability(const Ctmc&, ...) solves it at.
+/// The goal quotient of a CTMC for @p goal, lumped with one row per state.
+/// The defect is measured at the quotient's own uniformization rate, the
+/// largest live exit rate, which is the rate timed_reachability(const
+/// Ctmc&, ...) solves it at.
 CtmcGoalQuotient goal_quotient(const Ctmc& chain, const BitVector& goal,
-                               Telemetry* telemetry = nullptr);
+                               RunGuard* guard = nullptr, Telemetry* telemetry = nullptr);
+
+/// A residual bound of a solve on a goal quotient with lumping defect
+/// @p defect, plus the lumping term: @p planned_steps steps, each moving a
+/// value by at most the defect.
+inline double quotient_residual_bound(double residual_bound, std::uint64_t planned_steps,
+                                      double defect) {
+  return residual_bound + static_cast<double>(planned_steps) * defect;
+}
 
 }  // namespace unicon

@@ -43,8 +43,9 @@ struct TransientOptions {
   /// row is locked the matrix sweeps stop entirely and only the Poisson
   /// accumulation continues.
   bool locking = true;
-  /// Worker threads for the per-iteration matrix sweeps.  0 picks
-  /// hardware_concurrency, 1 is the serial path (no threads spawned).
+  /// Worker threads for the per-iteration matrix sweeps.  0 sizes the team
+  /// to the live rows (team_size in support/parallel.hpp), 1 is the serial
+  /// path (no threads spawned).
   /// Results are bit-identical for every thread count: the sweep is a
   /// gather over precomputed rows with a fixed accumulation order per
   /// state.

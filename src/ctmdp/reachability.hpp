@@ -91,8 +91,10 @@ struct TimedReachabilityOptions {
   /// only it tracks decisions.
   bool extract_scheduler = false;
   std::uint64_t max_decision_entries = 1u << 24;
-  /// Worker threads for the per-iteration state sweep.  0 picks
-  /// hardware_concurrency, 1 is the serial path (no threads spawned).  The
+  /// Worker threads for the per-iteration state sweep.  0 sizes the team
+  /// to the work (team_size in support/parallel.hpp: one worker per
+  /// kSweepRowsPerWorker rows, at most hardware_concurrency), 1 is the
+  /// serial path (no threads spawned).  The
   /// sweep partitions states into contiguous per-worker slices, so results
   /// — including the sweep delta the stops below the window test, a
   /// max-reduction over disjoint slices — are bit-identical for every
@@ -238,7 +240,7 @@ TimedReachabilityResult evaluate_scheduler(const Ctmdp& model, const BitVector& 
 /// above with the lambda = 0 window (psi(g) = 0 for every step g >= 1) and
 /// k = @p steps, seeded with the goal indicator, so its values are clamped
 /// into [0, 1] like every other solver's.  @p threads as in
-/// TimedReachabilityOptions (0 = hardware_concurrency, 1 = serial).  The
+/// TimedReachabilityOptions (0 = sized to the work, 1 = serial).  The
 /// step count carries no Poisson mass, so there is no partial-result
 /// story: a guard stop raises BudgetError instead, and no checkpoint is
 /// published.  @p backend as in TimedReachabilityOptions.

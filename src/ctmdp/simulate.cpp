@@ -55,7 +55,7 @@ SimulationResult simulate_reachability(const Ctmdp& model, const BitVector& goal
   RunGuard* const guard = options.guard;
   std::optional<Telemetry::Span> span;
   if (options.telemetry != nullptr) span.emplace(options.telemetry->span("simulate"));
-  WorkerPool pool = make_worker_pool(options.threads, options.num_runs);
+  WorkerPool pool = make_worker_pool(options.threads, options.num_runs, 1);  // a run per worker
   std::vector<Counter*> run_counters;
   if (options.telemetry != nullptr) {
     run_counters.reserve(pool.size());

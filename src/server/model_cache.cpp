@@ -215,10 +215,10 @@ CachedModel::QuotientMemo& CachedModel::quotient_locked(Objective objective,
   if (memo.ctmdp.has_value() || memo.chain.has_value()) return memo;
   const BitVector& goal = goal_for(objective);
   if (ctmdp_.has_value()) {
-    memo.ctmdp.emplace(goal_quotient(*ctmdp_, goal, telemetry));
+    memo.ctmdp.emplace(goal_quotient(*ctmdp_, goal, nullptr, telemetry));
     kernel_bytes_.fetch_add(quotient_bytes(*memo.ctmdp), std::memory_order_relaxed);
   } else {
-    memo.chain.emplace(goal_quotient(*chain_, goal, telemetry));
+    memo.chain.emplace(goal_quotient(*chain_, goal, nullptr, telemetry));
     kernel_bytes_.fetch_add(quotient_bytes(*memo.chain), std::memory_order_relaxed);
   }
   return memo;

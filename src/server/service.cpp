@@ -372,7 +372,7 @@ void AnalysisService::execute_group(Group& group) {
         const TransientResult& r = results[j];
         answers[j] = HorizonAnswer{
             merged_times[j], r.probabilities[chain_q->model.initial()],
-            r.residual_bound + static_cast<double>(r.iterations) * chain_q->defect, r.iterations,
+            quotient_residual_bound(r.residual_bound, r.iterations, chain_q->defect), r.iterations,
             r.iterations_executed, r.status};
       }
     } else {
@@ -393,7 +393,7 @@ void AnalysisService::execute_group(Group& group) {
         const TimedReachabilityResult& r = results[j];
         answers[j] = HorizonAnswer{
             merged_times[j], r.values[ctmdp_q->model.initial()],
-            r.residual_bound + static_cast<double>(r.iterations_planned) * ctmdp_q->defect,
+            quotient_residual_bound(r.residual_bound, r.iterations_planned, ctmdp_q->defect),
             r.iterations_planned, r.iterations_executed, r.status};
       }
     }

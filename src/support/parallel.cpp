@@ -24,10 +24,13 @@ unsigned resolve_threads(unsigned requested) {
   return hw == 0 ? 1 : hw;
 }
 
-WorkerPool make_worker_pool(unsigned threads, std::size_t rows) {
-  const std::size_t cap = rows > 0 ? rows : 1;
-  const std::size_t resolved = resolve_threads(threads);
-  return WorkerPool(static_cast<unsigned>(resolved < cap ? resolved : cap));
+unsigned team_size(unsigned threads, std::size_t items, std::size_t grain) {
+  const std::size_t cap = std::max<std::size_t>(threads == 0 ? items / grain : items, 1);
+  return static_cast<unsigned>(std::min<std::size_t>(resolve_threads(threads), cap));
+}
+
+WorkerPool make_worker_pool(unsigned threads, std::size_t items, std::size_t grain) {
+  return WorkerPool(team_size(threads, items, grain));
 }
 
 WorkerPool::WorkerPool(unsigned threads)

@@ -30,11 +30,23 @@ namespace unicon {
 /// hardware_concurrency (at least 1), anything else is taken as given.
 unsigned resolve_threads(unsigned requested);
 
+/// Rows a sweep worker must take off the caller to pay for its share of
+/// the two barrier phases per sweep (DESIGN.md Sec. 10.5): on the
+/// reference host a second worker pays from about 4,096 rows on.
+inline constexpr std::size_t kSweepRowsPerWorker = 2048;
+
+/// Team size for @p items items of work, each worker taking at least
+/// @p grain of them: @p threads == 0 picks items / grain workers, at least
+/// 1 and at most resolve_threads(0); any other count is taken as given,
+/// capped at max(items, 1).
+unsigned team_size(unsigned threads, std::size_t items, std::size_t grain);
+
 class WorkerPool;
 
-/// Pool sized for @p rows rows of work: resolve_threads(@p threads) capped
-/// at max(rows, 1), so tiny models never oversubscribe.
-WorkerPool make_worker_pool(unsigned threads, std::size_t rows);
+/// Pool of team_size(@p threads, @p items, @p grain) workers; a sweep's
+/// items are its rows.
+WorkerPool make_worker_pool(unsigned threads, std::size_t items,
+                            std::size_t grain = kSweepRowsPerWorker);
 
 /// A team of (size - 1) helper threads plus the calling thread.  run()
 /// partitions [0, n) into size() contiguous chunks and executes

@@ -498,10 +498,12 @@ TEST(LangFuzz, GeneratorIsDeterministic) {
 // ---------------------------------------------------------------------------
 // Pipeline telemetry golden: the quickstart model end to end with a live
 // registry.  Pins the whole observable surface — span tree shape (build >
-// compose, minimize > bisim, transform, reachability), the structural
-// counters of every stage, the word-length histogram and the per-worker
-// row counter.  Everything here is deterministic at threads = 1; only the
-// wall-clock seconds are canonicalized away.
+// compose, minimize > bisim, transform, reduce, reachability), the
+// structural counters of every stage, the word-length histogram and the
+// per-worker row counter.  The reachability span describes the solve of
+// the goal quotient the reduce span built (14 -> 3 states).  Everything
+// here is deterministic at threads = 1; only the wall-clock seconds are
+// canonicalized away.
 
 TEST(PipelineTelemetry, QuickstartGoldenSpanTree) {
   const Model ast = parse_and_check(read_model_file("quickstart.uni"), "quickstart.uni");
@@ -549,17 +551,20 @@ TEST(PipelineTelemetry, QuickstartGoldenSpanTree) {
       "\"interactive_transitions\": 14, \"markov_transitions\": 13, "
       "\"words_deduplicated\": 0, \"markov_transitions_cut\": 0, \"pair_states_added\": 5, "
       "\"memory_bytes\": 528}, \"children\": []},\n"
+      "    {\"name\": \"reduce\", \"seconds\": T, \"open\": false, \"metrics\": "
+      "{\"states_in\": 14, \"live_states\": 8, \"blocks_out\": 3, \"goal_states_cut\": 6, "
+      "\"rounds\": 2, \"defect\": 0}, \"children\": []},\n"
       "    {\"name\": \"reachability\", \"seconds\": T, \"open\": false, \"metrics\": "
-      "{\"states\": 14, \"transitions\": 14, \"uniform_rate\": 1.02, \"lambda\": 1.02, "
+      "{\"states\": 3, \"transitions\": 2, \"uniform_rate\": 1.02, \"lambda\": 1.02, "
       "\"poisson_left\": 0, \"poisson_right\": 9, \"poisson_width\": 10, "
       "\"iterations_planned\": 9, \"iterations_executed\": 9, \"threads\": 1, "
       "\"residual_bound\": 9.9999999999999995e-07, "
       "\"truncation.k_fox_glynn\": 9, \"truncation.k_effective\": 9, "
       "\"truncation.k_lyapunov\": 0, \"truncation.locked_final\": 0, "
-      "\"truncation.state_updates\": 126}, \"children\": []}\n"
+      "\"truncation.state_updates\": 27}, \"children\": []}\n"
       "  ],\n"
       "  \"counters\": {\n"
-      "    \"reachability.rows.worker0\": 126\n"
+      "    \"reachability.rows.worker0\": 27\n"
       "  },\n"
       "  \"gauges\": {},\n"
       "  \"histograms\": {\n"

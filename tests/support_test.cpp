@@ -448,6 +448,24 @@ TEST(ResolveThreads, ZeroPicksHardwareConcurrency) {
   EXPECT_EQ(resolve_threads(6), 6u);
 }
 
+TEST(TeamSize, DefaultTeamFollowsTheRowGrain) {
+  // threads = 0: one worker per kSweepRowsPerWorker rows, within [1, cores].
+  EXPECT_EQ(team_size(0, 0, kSweepRowsPerWorker), 1u);
+  EXPECT_EQ(team_size(0, 58, kSweepRowsPerWorker), 1u);
+  EXPECT_EQ(team_size(0, 2 * kSweepRowsPerWorker - 1, kSweepRowsPerWorker), 1u);
+  EXPECT_EQ(team_size(0, 2 * kSweepRowsPerWorker, kSweepRowsPerWorker),
+            std::min(2u, resolve_threads(0)));
+  EXPECT_EQ(team_size(0, std::size_t{1} << 30, kSweepRowsPerWorker), resolve_threads(0));
+  EXPECT_EQ(make_worker_pool(0, 58).size(), 1u);
+  // An explicit count is taken as given, capped at the rows only.
+  EXPECT_EQ(team_size(4, 58, kSweepRowsPerWorker), 4u);
+  EXPECT_EQ(team_size(4, 2, kSweepRowsPerWorker), 2u);
+  EXPECT_EQ(team_size(3, 0, kSweepRowsPerWorker), 1u);
+  // A grain of 1 keeps the old rule: every core, capped at the items.
+  EXPECT_EQ(team_size(0, std::size_t{1} << 30, 1), resolve_threads(0));
+  EXPECT_EQ(team_size(0, 1, 1), 1u);
+}
+
 // --------------------------------------------------------------- numerics
 
 TEST(KahanSum, CompensatesSmallAddends) {

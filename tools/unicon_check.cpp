@@ -41,10 +41,14 @@
 //
 // The "model" mode drives the whole uniform-by-construction pipeline from a
 // UNI source file: parse -> semantic check -> compose/elapse -> branching
-// bisimulation minimization -> Sec. 4.1 transformation -> Algorithm 1.  The
-// serialized-model modes consume the io library's formats (see io/tra.hpp);
-// goal.lab marks goal states with the proposition "goal".  All modes print
-// the optimal probability at the initial state plus solver statistics.
+// bisimulation minimization -> Sec. 4.1 transformation -> goal quotient ->
+// Algorithm 1.  The serialized-model modes consume the io library's formats
+// (see io/tra.hpp); goal.lab marks goal states with the proposition "goal".
+// All modes print the optimal probability at the initial state plus solver
+// statistics.  Every mode solves the goal quotient of its CTMDP or CTMC
+// (core/goal_quotient.hpp) and prints its size in a "goal quotient:" line;
+// each residual bound it prints includes the lumping term k * d.  A solve
+// that reports decisions (--scheduler, --export-scheduler) runs unreduced.
 //
 // Budgets and SIGINT cancel cooperatively through a RunGuard: the solvers
 // return a partial value tagged with its status and a sound residual bound,
@@ -65,6 +69,7 @@
 #include <vector>
 
 #include "core/analysis.hpp"
+#include "core/goal_quotient.hpp"
 #include "ctmc/transient.hpp"
 #include "support/backend.hpp"
 #include "ctmdp/reachability.hpp"
@@ -317,6 +322,23 @@ int report_batch(const char* objective, const std::string& goal_desc,
   return exit_code;
 }
 
+/// The line after a model's size: the goal quotient its solve runs on.
+void report_quotient(const GoalQuotientStats& stats, double defect) {
+  std::printf("goal quotient: %zu -> %zu states (%zu live, defect %.2g)\n", stats.states_in,
+              stats.blocks_out, stats.live_states, defect);
+}
+
+/// The size lines of a glue analysis: the transformed CTMDP and, unless
+/// the solve ran unreduced, its goal quotient.
+template <class Result>
+void report_ctmdp(const Result& result) {
+  std::printf("ctmdp: %zu states, %zu transitions\n", result.transformed.ctmdp.num_states(),
+              result.transformed.ctmdp.num_transitions());
+  if (result.reduction.stats.blocks_out != 0) {
+    report_quotient(result.reduction.stats, result.reduction.defect);
+  }
+}
+
 /// Reports a budget-stopped partial solver result and returns the exit
 /// code of its status (0 when the run actually converged).
 int report_partial(RunStatus status, double residual_bound, const GuardFlags& flags) {
@@ -426,8 +448,7 @@ int solve_built(const lang::BuiltModel& built, const std::string& goal,
     }
     const auto result =
         analyze_timed_reachability_batch(built.system, built.mask(goal), flags.times, options);
-    std::printf("ctmdp: %zu states, %zu transitions\n", result.transformed.ctmdp.num_states(),
-                result.transformed.ctmdp.num_transitions());
+    report_ctmdp(result);
     std::vector<BoundSummary> bounds;
     for (std::size_t j = 0; j < flags.times.size(); ++j) {
       const auto& r = result.reachability[j];
@@ -441,8 +462,7 @@ int solve_built(const lang::BuiltModel& built, const std::string& goal,
   }
 
   const auto result = analyze_timed_reachability(built.system, built.mask(goal), t, options);
-  std::printf("ctmdp: %zu states, %zu transitions\n", result.transformed.ctmdp.num_states(),
-              result.transformed.ctmdp.num_transitions());
+  report_ctmdp(result);
   std::printf("%s %s = %.10f\n", opt_name, quantity.c_str(), result.value);
   std::printf("iterations: %llu planned, %llu executed, %.3f s total\n",
               static_cast<unsigned long long>(result.reachability.iterations_planned),
@@ -605,8 +625,8 @@ int main(int argc, char** argv) {
     const auto accounting = arm_guard(flags);
     const TelemetryFlusher flusher(flags);
     if (kind == "ctmdp") {
-      const Ctmdp model = io::load_ctmdp(model_path);
-      const BitVector goal = load_goal(goal_path, model.num_states());
+      const Ctmdp loaded = io::load_ctmdp(model_path);
+      const BitVector loaded_goal = load_goal(goal_path, loaded.num_states());
       TimedReachabilityOptions options;
       options.epsilon = eps;
       options.objective = minimize ? Objective::Minimize : Objective::Maximize;
@@ -617,15 +637,30 @@ int main(int argc, char** argv) {
       options.guard = &g_guard;
       options.telemetry = telemetry_of(flags);
       Stopwatch timer;
+      // --scheduler prints decisions of the loaded model, so its solve
+      // stays unreduced; every other solve runs on the goal quotient.
+      std::optional<CtmdpGoalQuotient> q;
+      if (!scheduler) {
+        q.emplace(goal_quotient(loaded, loaded_goal, &g_guard, telemetry_of(flags)));
+      }
+      const Ctmdp& model = q ? q->model : loaded;
+      const BitVector& goal = q ? q->goal : loaded_goal;
+      const double defect = q ? q->defect : 0.0;
+      const auto report_model = [&](double uniform_rate) {
+        std::printf("model: %zu states, %zu transitions, uniform rate %.6f\n",
+                    loaded.num_states(), loaded.num_transitions(), uniform_rate);
+        if (q) report_quotient(q->stats, q->defect);
+      };
       if (!flags.times.empty()) {
         const auto results = timed_reachability_batch(model, goal, flags.times, options);
-        std::printf("model: %zu states, %zu transitions, uniform rate %.6f\n",
-                    model.num_states(), model.num_transitions(), results.front().uniform_rate);
+        report_model(results.front().uniform_rate);
         std::vector<BoundSummary> bounds;
         for (std::size_t j = 0; j < flags.times.size(); ++j) {
           const auto& r = results[j];
           bounds.push_back({flags.times[j], r.values[model.initial()], r.iterations_planned,
-                            r.iterations_executed, r.status, r.residual_bound});
+                            r.iterations_executed, r.status,
+                            quotient_residual_bound(r.residual_bound, r.iterations_planned,
+                                                    defect)});
         }
         const int exit_code = report_batch(minimize ? "inf" : "sup", "goal", bounds, flags);
         std::printf("%zu bounds in one batch solve, %.3f s\n", flags.times.size(),
@@ -633,8 +668,7 @@ int main(int argc, char** argv) {
         return exit_code;
       }
       const auto result = timed_reachability(model, goal, t, options);
-      std::printf("model: %zu states, %zu transitions, uniform rate %.6f\n", model.num_states(),
-                  model.num_transitions(), result.uniform_rate);
+      report_model(result.uniform_rate);
       std::printf("%s P(reach goal within %g) = %.10f\n", minimize ? "inf" : "sup", t,
                   result.values[model.initial()]);
       std::printf("iterations: %llu planned, %llu executed, %.3f s\n",
@@ -651,10 +685,13 @@ int main(int argc, char** argv) {
                       model.words().str(model.label(choice), model.actions()).c_str());
         }
       }
-      return report_partial(result.status, result.residual_bound, flags);
+      return report_partial(
+          result.status,
+          quotient_residual_bound(result.residual_bound, result.iterations_planned, defect),
+          flags);
     } else if (kind == "ctmc") {
-      const Ctmc model = io::load_ctmc(model_path);
-      const BitVector goal = load_goal(goal_path, model.num_states());
+      const Ctmc loaded = io::load_ctmc(model_path);
+      const BitVector loaded_goal = load_goal(goal_path, loaded.num_states());
       TransientOptions options;
       options.epsilon = eps;
       options.backend = flags.backend;
@@ -663,31 +700,41 @@ int main(int argc, char** argv) {
       options.guard = &g_guard;
       options.telemetry = telemetry_of(flags);
       Stopwatch timer;
-      if (!flags.times.empty()) {
-        const auto results = timed_reachability_batch(model, goal, flags.times, options);
+      const CtmcGoalQuotient q =
+          goal_quotient(loaded, loaded_goal, &g_guard, telemetry_of(flags));
+      const Ctmc& model = q.model;
+      const auto report_model = [&](double uniform_rate) {
         std::printf("model: %zu states, %zu transitions, uniformized at %.6f\n",
-                    model.num_states(), model.num_transitions(), results.front().uniform_rate);
+                    loaded.num_states(), loaded.num_transitions(), uniform_rate);
+        report_quotient(q.stats, q.defect);
+      };
+      if (!flags.times.empty()) {
+        const auto results = timed_reachability_batch(model, q.goal, flags.times, options);
+        report_model(results.front().uniform_rate);
         std::vector<BoundSummary> bounds;
         for (std::size_t j = 0; j < flags.times.size(); ++j) {
           const auto& r = results[j];
           bounds.push_back({flags.times[j], r.probabilities[model.initial()], r.iterations,
-                            r.iterations_executed, r.status, r.residual_bound});
+                            r.iterations_executed, r.status,
+                            quotient_residual_bound(r.residual_bound, r.iterations, q.defect)});
         }
         const int exit_code = report_batch("", "goal", bounds, flags);
         std::printf("%zu bounds in one batch solve, %.3f s\n", flags.times.size(),
                     timer.seconds());
         return exit_code;
       }
-      const auto result = timed_reachability(model, goal, t, options);
-      std::printf("model: %zu states, %zu transitions, uniformized at %.6f\n", model.num_states(),
-                  model.num_transitions(), result.uniform_rate);
+      const auto result = timed_reachability(model, q.goal, t, options);
+      report_model(result.uniform_rate);
       std::printf("P(reach goal within %g) = %.10f\n", t,
                   result.probabilities[model.initial()]);
       std::printf("iterations: %llu planned, %llu executed, %.3f s\n",
                   static_cast<unsigned long long>(result.iterations),
                   static_cast<unsigned long long>(result.iterations_executed), timer.seconds());
       report_truncation(result);
-      return report_partial(result.status, result.residual_bound, flags);
+      return report_partial(result.status,
+                            quotient_residual_bound(result.residual_bound, result.iterations,
+                                                    q.defect),
+                            flags);
     } else {
       usage();
     }
