@@ -3,6 +3,7 @@
 #include <deque>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "support/errors.hpp"
 
@@ -171,12 +172,11 @@ DirectResult build_direct(const Parameters& params, bool record_names) {
     }
   }
 
-  Imc closed = builder.build();
-  const Imc uniform = closed.uniformize(0.0, UniformityView::Closed);
+  Imc uniform = builder.build().uniformize(0.0, UniformityView::Closed);
   const auto rate = uniform.uniform_rate(UniformityView::Closed);
   if (!rate) throw UniformityError("ftwc: uniformization failed unexpectedly");
   result.uniform_rate = *rate;
-  result.uimc = uniform;
+  result.uimc = std::move(uniform);
   return result;
 }
 

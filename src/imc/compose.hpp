@@ -80,6 +80,16 @@ class CompositionExpr {
   /// node: left-only, right-only, then synchronised pairs, left-major),
   /// then Markov moves leaf by leaf.  The result is a deterministic function
   /// of the expression and the options.
+  ///
+  /// Blocked synchronisations are never collected: per product state, each
+  /// node's offer (the actions its subtree can perform there) is computed
+  /// bottom-up over enabled-action bit masks, and moves are collected
+  /// top-down only for the actions an ancestor can still pass on.  A child
+  /// of |[A]| is not asked for an action of A that its sibling does not
+  /// offer; a child of a hide node is asked for every hidden action, since
+  /// tau never synchronises and so is never blocked.  Pruning drops only
+  /// moves that an ancestor would drop, so ids, names, tuples and
+  /// transitions, and their order, are those of the unpruned SOS rules.
   Imc explore(const ExploreOptions& options = {}) const;
 
   /// Number of component leaves.

@@ -10,8 +10,51 @@
 namespace unicon {
 
 namespace {
+
 const std::string kEmptyName;
+
+/// Sorts one row in place, keeping ties in their input order: insertion
+/// sort for short rows, std::stable_sort beyond.
+template <class T, class Less>
+void sort_row(T* first, T* last, Less less) {
+  if (last - first > 32) {
+    std::stable_sort(first, last, less);
+    return;
+  }
+  if (last - first < 2) return;
+  for (T* i = first + 1; i != last; ++i) {
+    if (!less(*i, i[-1])) continue;
+    const T value = *i;
+    T* j = i;
+    do {
+      *j = j[-1];
+    } while (--j != first && less(value, j[-1]));
+    *j = value;
+  }
 }
+
+/// Groups @p transitions by source, each row in its input order (a stable
+/// counting sort, skipped when they are grouped already), and fills @p row
+/// with the n + 1 row offsets.
+template <class T>
+void group_by_source(std::vector<T>& transitions, std::vector<std::uint64_t>& row, std::size_t n) {
+  row.assign(n + 1, 0);
+  bool grouped = true;
+  StateId previous = 0;
+  for (const T& t : transitions) {
+    ++row[t.from + 1];
+    grouped = grouped && t.from >= previous;
+    previous = t.from;
+  }
+  for (std::size_t i = 0; i < n; ++i) row[i + 1] += row[i];
+  if (grouped) return;
+  std::vector<T> sorted(transitions.size());
+  std::vector<std::uint64_t> next(row.begin(), row.end() - 1);
+  for (const T& t : transitions) sorted[next[t.from]++] = t;
+  transitions.swap(sorted);
+}
+
+}  // namespace
 
 const std::string& Imc::state_name(StateId s) const {
   if (s < state_names_.size()) return state_names_[s];
@@ -19,24 +62,27 @@ const std::string& Imc::state_name(StateId s) const {
 }
 
 void Imc::index() {
-  std::sort(itrans_.begin(), itrans_.end(), [](const LtsTransition& a, const LtsTransition& b) {
-    if (a.from != b.from) return a.from < b.from;
-    if (a.action != b.action) return a.action < b.action;
-    return a.to < b.to;
-  });
-  itrans_.erase(std::unique(itrans_.begin(), itrans_.end()), itrans_.end());
-  std::sort(mtrans_.begin(), mtrans_.end(), [](const MarkovTransition& a, const MarkovTransition& b) {
-    if (a.from != b.from) return a.from < b.from;
-    return a.to < b.to;
-  });
+  group_by_source(itrans_, irow_, num_states_);
+  std::uint64_t kept = 0;
+  for (std::size_t s = 0; s < num_states_; ++s) {
+    LtsTransition* const first = itrans_.data() + irow_[s];
+    LtsTransition* const last = itrans_.data() + irow_[s + 1];
+    sort_row(first, last, [](const LtsTransition& a, const LtsTransition& b) {
+      return a.action != b.action ? a.action < b.action : a.to < b.to;
+    });
+    irow_[s] = kept;
+    for (const LtsTransition* t = first; t != last; ++t) {
+      if (kept == irow_[s] || !(itrans_[kept - 1] == *t)) itrans_[kept++] = *t;
+    }
+  }
+  irow_[num_states_] = kept;
+  itrans_.resize(kept);
 
-  irow_.assign(num_states_ + 1, 0);
-  for (const auto& t : itrans_) ++irow_[t.from + 1];
-  for (std::size_t i = 0; i < num_states_; ++i) irow_[i + 1] += irow_[i];
-
-  mrow_.assign(num_states_ + 1, 0);
-  for (const auto& t : mtrans_) ++mrow_[t.from + 1];
-  for (std::size_t i = 0; i < num_states_; ++i) mrow_[i + 1] += mrow_[i];
+  group_by_source(mtrans_, mrow_, num_states_);
+  for (std::size_t s = 0; s < num_states_; ++s) {
+    sort_row(mtrans_.data() + mrow_[s], mtrans_.data() + mrow_[s + 1],
+             [](const MarkovTransition& a, const MarkovTransition& b) { return a.to < b.to; });
+  }
 }
 
 StateKind Imc::kind(StateId s) const {
@@ -102,26 +148,47 @@ std::optional<double> Imc::uniform_rate(UniformityView view, double tol) const {
 }
 
 Imc Imc::uniformize(double rate, UniformityView view) const {
+  auto constrained = [&](StateId s) {
+    return view == UniformityView::Open ? stable(s) : !has_interactive(s);
+  };
   double target = rate;
   if (target == 0.0) {
     for (StateId s = 0; s < num_states_; ++s) {
-      const bool constrained =
-          view == UniformityView::Open ? stable(s) : !has_interactive(s);
-      if (constrained) target = std::max(target, exit_rate(s));
+      if (constrained(s)) target = std::max(target, exit_rate(s));
     }
   }
-  Imc result = *this;
-  for (StateId s = 0; s < num_states_; ++s) {
-    const bool constrained =
-        view == UniformityView::Open ? stable(s) : !has_interactive(s);
-    if (!constrained) continue;
+  auto pad_of = [&](StateId s) {
+    if (!constrained(s)) return 0.0;
     const double pad = target - exit_rate(s);
     if (pad < -kUniformityTolerance * target) {
       throw UniformityError("Imc::uniformize: rate below exit rate of a constrained state");
     }
-    if (pad > kUniformityTolerance * target) result.mtrans_.push_back(MarkovTransition{s, pad, s});
+    return pad > kUniformityTolerance * target ? pad : 0.0;
+  };
+  std::size_t pads = 0;
+  for (StateId s = 0; s < num_states_; ++s) pads += pad_of(s) > 0.0 ? 1 : 0;
+
+  Imc result;
+  result.actions_ = actions_;
+  result.num_states_ = num_states_;
+  result.initial_ = initial_;
+  result.itrans_ = itrans_;
+  result.irow_ = irow_;
+  result.state_names_ = state_names_;
+  // Each row is written once, its pad after the row's own self-loops: the
+  // row stays target-sorted, with the pad last among its ties.
+  result.mtrans_.reserve(mtrans_.size() + pads);
+  result.mrow_.assign(num_states_ + 1, 0);
+  for (StateId s = 0; s < num_states_; ++s) {
+    const auto row = out_markov(s);
+    const auto split = std::find_if(row.begin(), row.end(),
+                                    [s](const MarkovTransition& t) { return t.to > s; });
+    const double pad = pad_of(s);
+    result.mtrans_.insert(result.mtrans_.end(), row.begin(), split);
+    if (pad > 0.0) result.mtrans_.push_back(MarkovTransition{s, pad, s});
+    result.mtrans_.insert(result.mtrans_.end(), split, row.end());
+    result.mrow_[s + 1] = result.mtrans_.size();
   }
-  result.index();
   return result;
 }
 

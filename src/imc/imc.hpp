@@ -60,6 +60,13 @@ class Imc {
   const ActionTable& actions() const { return *actions_; }
   const std::shared_ptr<ActionTable>& action_table() const { return actions_; }
 
+  /// Row order.  Transitions are stored grouped by source, in ascending
+  /// source order.  An interactive row is sorted by (action, to), without
+  /// duplicates, so tau comes first.  A Markov row is sorted by target;
+  /// parallel transitions (same source and target) keep the order in which
+  /// they were added, and uniformize() writes each pad after its row's
+  /// self-loops.  Rate sums over a row therefore do not depend on how a
+  /// sort breaks ties.
   std::span<const LtsTransition> out_interactive(StateId s) const {
     return std::span<const LtsTransition>(itrans_.data() + irow_[s], itrans_.data() + irow_[s + 1]);
   }
@@ -138,6 +145,9 @@ class Imc {
   std::vector<std::uint64_t> mrow_;
   std::vector<std::string> state_names_;
 
+  /// Establishes the row order above and the row offsets: a stable
+  /// counting sort by source (skipped when the rows are grouped already, as
+  /// the explorer emits them), then each row sorted in place.
   void index();
 };
 

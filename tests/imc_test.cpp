@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "imc/imc.hpp"
 #include "support/errors.hpp"
 
@@ -227,6 +230,47 @@ TEST(Imc, DuplicateInteractiveTransitionsCollapse) {
   b.add_interactive(0, "a", 1);
   b.add_interactive(0, "a", 1);
   EXPECT_EQ(b.build().num_interactive_transitions(), 1u);
+}
+
+/// A state's Markov row as (target, rate) pairs, in row order.
+std::vector<std::pair<StateId, double>> markov_row(const Imc& m, StateId s) {
+  std::vector<std::pair<StateId, double>> row;
+  for (const MarkovTransition& t : m.out_markov(s)) row.emplace_back(t.to, t.rate);
+  return row;
+}
+
+TEST(Imc, MarkovRowsSortByTargetWithTiesInInsertionOrder) {
+  // State 1 has 40 Markov transitions over targets 0 and 1, all with
+  // distinct rates: enough for an unstable sort of the whole relation to
+  // reorder ties.  State 0's self-loops come in between, so the rows are
+  // regrouped by source first.
+  ImcBuilder b;
+  b.add_state();
+  b.add_state();
+  b.set_initial(0);
+  std::vector<std::pair<StateId, double>> to_0, to_1, row_0;
+  for (int i = 0; i < 40; ++i) {
+    const StateId to = i % 3 == 0 ? 1 : 0;
+    b.add_markov(1, 1.0 + i, to);
+    (to == 0 ? to_0 : to_1).emplace_back(to, 1.0 + i);
+    if (i == 10 || i == 30) {
+      b.add_markov(0, 2.0 + i, 0);
+      row_0.emplace_back(0, 2.0 + i);
+    }
+  }
+  std::vector<std::pair<StateId, double>> row_1 = to_0;
+  row_1.insert(row_1.end(), to_1.begin(), to_1.end());
+  const Imc m = b.build();
+  EXPECT_EQ(markov_row(m, 0), row_0);
+  EXPECT_EQ(markov_row(m, 1), row_1);
+
+  // Uniformizing writes each pad after its row's self-loops, which here
+  // makes it the last entry of the row.
+  const Imc u = m.uniformize(1000.0, UniformityView::Closed);
+  row_0.emplace_back(0, 1000.0 - 12.0 - 32.0);
+  row_1.emplace_back(1, 1000.0 - 820.0);
+  EXPECT_EQ(markov_row(u, 0), row_0);
+  EXPECT_EQ(markov_row(u, 1), row_1);
 }
 
 }  // namespace

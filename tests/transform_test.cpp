@@ -540,7 +540,7 @@ TEST(TransformGolden, MinimizedUniModels) {
   const std::pair<const char*, const char*> pins[] = {
       {"quickstart.uni", "70209dbfbc70b81a"},
       {"erlang_job_shop.uni", "c1d071f91852efa1"},
-      {"ftwc.uni", "c21b32981ac5bbc1"}};
+      {"ftwc.uni", "6d453e0710072415"}};
   for (const auto& [file, digest] : pins) {
     const std::string path = std::string(UNICON_MODELS_DIR) + "/" + file;
     const lang::BuiltModel built = lang::build_model(lang::parse_and_check(read_text(path), path));
@@ -549,7 +549,7 @@ TEST(TransformGolden, MinimizedUniModels) {
 }
 
 TEST(TransformGolden, MinimizedDftModels) {
-  const std::pair<const char*, const char*> pins[] = {{"cas.dft", "1273310579b96b88"},
+  const std::pair<const char*, const char*> pins[] = {{"cas.dft", "49e45d5d7f5fb4ff"},
                                                       {"fdep_pand.dft", "1f068950b88e9952"}};
   for (const auto& [file, digest] : pins) {
     const std::string path = std::string(UNICON_DFT_DIR) + "/" + file;
